@@ -9,7 +9,8 @@ as such.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from math import comb
 from typing import Optional
 
 import numpy as np
@@ -25,7 +26,12 @@ from .positivity import (
     check_dmc_fl_feedback,
     vl_positivity,
 )
-from .reductions import average_states, joint_output_channel, shannon_strategy_channel
+from .reductions import (
+    average_states,
+    enumerate_strategy_letters,
+    joint_output_channel,
+    shannon_strategy_channel,
+)
 
 BA_TOL = 1e-9
 BA_MAX_ITER = 100_000
@@ -157,13 +163,7 @@ def capacity_cond_iid(
             certified_gap=gap,
         )
     inner = blahut_arimoto(joint_output_channel(channel), tol=tol, max_iter=max_iter)
-    return CapacityResult(
-        value=inner.value,
-        maximizer=inner.maximizer,
-        method="joint_output_blahut_arimoto",
-        iterations=inner.iterations,
-        certified_gap=inner.certified_gap,
-    )
+    return replace(inner, method="joint_output_blahut_arimoto")
 
 
 def shannon_strategy_capacity(
@@ -172,12 +172,10 @@ def shannon_strategy_capacity(
     """Capacity of the strategy-letter lift, maximized over letter distributions."""
     lifted, letters = shannon_strategy_channel(channel, cap=cap)
     inner = blahut_arimoto(lifted, tol=tol, max_iter=max_iter)
-    return CapacityResult(
-        value=inner.value,
+    return replace(
+        inner,
         maximizer={"P_U": inner.maximizer["P_X"], "strategies": [list(u) for u in letters]},
         method="strategy_blahut_arimoto",
-        iterations=inner.iterations,
-        certified_gap=inner.certified_gap,
     )
 
 
@@ -238,8 +236,6 @@ def _gp_alternate(P_us: np.ndarray, Q: np.ndarray, T: np.ndarray, tol: float, ma
 def _unique_kernel_rows(channel: SdDmc):
     """Distinct per-letter kernels W[s][u(s)][.]; letters inducing the same
     kernel are interchangeable for the auxiliary-variable search."""
-    from .reductions import enumerate_strategy_letters
-
     seen = {}
     kernels = []
     reps = []
@@ -360,8 +356,6 @@ def gelfand_pinsker_capacity(
 
 
 def _multiset_count(n_items: int, size: int) -> int:
-    from math import comb
-
     return comb(n_items + size - 1, size)
 
 
@@ -464,12 +458,4 @@ def zero_error_capacity(
             verdict=verdict,
         )
     inner = vanishing_capacity(channel, si, tol=tol, max_iter=max_iter, restarts=restarts, seed=seed)
-    return CapacityResult(
-        value=inner.value,
-        maximizer=inner.maximizer,
-        method=inner.method,
-        iterations=inner.iterations,
-        certified_gap=inner.certified_gap,
-        verdict=verdict,
-        warnings=inner.warnings,
-    )
+    return replace(inner, verdict=verdict)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,8 +110,9 @@ class Dmc:
         nx, ny = W.shape
         if nx < 1 or ny < 1:
             raise ValidationError("DMC needs at least one input and one output")
-        if np.any(W < 0.0) or np.any(W > 1.0):
-            bad = tuple(int(i) for i in np.argwhere((W < 0) | (W > 1))[0])
+        out_of_range = ~((W >= 0.0) & (W <= 1.0))  # NaN compares false both ways
+        if out_of_range.any():
+            bad = tuple(int(i) for i in np.argwhere(out_of_range)[0])
             raise ValidationError(f"entry W{bad} outside [0, 1]")
         sums = W.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
@@ -288,7 +289,7 @@ def validate(channel: SdDmc) -> ValidationReport:
     )
 
     W = channel.W
-    bad_entry = np.argwhere((W < 0.0) | (W > 1.0))
+    bad_entry = np.argwhere(~((W >= 0.0) & (W <= 1.0)))  # NaN compares false both ways
     if bad_entry.size:
         s, x, y = (int(v) for v in bad_entry[0])
         checks.append(Check("entry_range", False, f"W[s={s}][x={x}][y={y}]={W[s, x, y]!r} outside [0, 1]"))
@@ -329,7 +330,8 @@ def support(channel: SdDmc, x: int, s: int) -> frozenset[int]:
     return frozenset(int(y) for y in np.flatnonzero(channel.W[s, x] != 0.0))
 
 
-def _parse_document(text: str) -> dict:
+def parse_channel(text: str) -> SdDmc:
+    """Parse a channel document; its semantic invariants are left to :func:`validate`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -339,14 +341,8 @@ def _parse_document(text: str) -> dict:
     for key in ("Q", "W"):
         if key not in doc:
             raise ParseError(f"channel document is missing required key {key!r}")
-    return doc
-
-
-def load_channel(text: str) -> SdDmc:
-    """Parse and fully validate a channel document; reject on any violation."""
-    doc = _parse_document(text)
     try:
-        channel = SdDmc(
+        return SdDmc(
             W=np.array(doc["W"], dtype=float),
             Q=np.array(doc["Q"], dtype=float),
             x_labels=tuple(doc.get("inputs") or ()),
@@ -355,6 +351,11 @@ def load_channel(text: str) -> SdDmc:
         )
     except (TypeError, ValueError) as e:
         raise ParseError(f"channel document has malformed numeric data: {e}") from e
+
+
+def load_channel(text: str) -> SdDmc:
+    """Parse and fully validate a channel document; reject on any violation."""
+    channel = parse_channel(text)
     report = validate(channel)
     if not report.passed:
         failed = report.failures()[0]

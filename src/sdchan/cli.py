@@ -1,8 +1,12 @@
 """Command-line front end: JSON reports on stdout, exit codes as contracts.
 
-Exit codes: 0 success (or positive verdict), 1 invalid channel / simulation
-error, 2 IO or parse error, 3 zero verdict, 4 unknown verdict, 5 protocol
-precondition failure.
+Exit codes (on an error, a JSON ``{"error": ...}`` object replaces the report):
+0 success: valid channel, positive verdict, no decoding error, oracle agrees;
+1 invalid channel, a simulation decoding error, or an oracle disagreement;
+2 bad argument, file IO or parse error, unsupported SI/regime/model, oversize
+alphabet, oracle budget exceeded, or optimizer non-convergence;
+3 ``check`` verdict zero; 4 ``check`` verdict unknown;
+5 ``simulate`` protocol precondition fails.
 """
 
 from __future__ import annotations
@@ -10,23 +14,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
+from math import comb
 
 import numpy as np
 
 from . import __version__
-from .channel import Dmc, Regime, SdDmc, SiModel, load_channel, validate
-from .errors import (
-    AlphabetTooLarge,
-    BudgetExceeded,
-    ParseError,
-    PrecondFailed,
-    SdchanError,
-    UnsupportedModel,
-    ValidationError,
-)
+from .channel import Dmc, Regime, SiModel, load_channel, parse_channel, validate
+from .errors import PrecondFailed, SdchanError, ValidationError
 from .capacity import (
     blahut_arimoto,
     gelfand_pinsker_capacity,
@@ -34,15 +30,8 @@ from .capacity import (
     zero_error_capacity,
 )
 from .oracles import OracleReport, confusable_all_pairs_fl, gp_grid_oracle, grid_capacity
-from .positivity import POSITIVE, POSITIVE_SUFFICIENT, UNKNOWN, ZERO, bl_positivity, positivity
-from .protocols import (
-    Trace,
-    disprover_trial,
-    han_sato_trial,
-    monte_carlo,
-    reduced_dmc,
-    theorem5_trial,
-)
+from .positivity import POSITIVE, POSITIVE_SUFFICIENT, ZERO, bl_positivity, positivity
+from .protocols import PROTOCOLS, Trace, monte_carlo
 from .reductions import (
     average_states,
     extend_with_termination,
@@ -56,6 +45,14 @@ EXIT_IO = 2
 EXIT_ZERO = 3
 EXIT_UNKNOWN = 4
 EXIT_PRECOND = 5
+
+# First match wins, so subclasses precede SdchanError.
+_EXIT_CODES = (
+    (ValidationError, EXIT_INVALID),
+    (PrecondFailed, EXIT_PRECOND),
+    (SdchanError, EXIT_IO),
+    (OSError, EXIT_IO),
+)
 
 
 def _read_file(path: str) -> str:
@@ -89,6 +86,17 @@ def _dmc_jsonable(dmc: Dmc) -> dict:
     return {"inputs": list(dmc.x_labels), "outputs": list(dmc.y_labels), "W": dmc.W.tolist()}
 
 
+def _int_at_least(lo: int):
+    """argparse type for integers >= lo; argparse names it in its error message."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise ValueError(text)
+        return value
+    parse.__name__ = f"integer >= {lo}"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sdchan",
@@ -120,16 +128,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", default="vl", choices=["fl", "bl", "vl"])
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-iter", type=int, default=100_000)
-    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--restarts", type=_int_at_least(0), default=32)
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("simulate", help="run a zero-error protocol")
     p.add_argument("path")
-    p.add_argument("--protocol", required=True, choices=["disprover", "theorem5", "han-sato"])
+    p.add_argument("--protocol", required=True, choices=list(PROTOCOLS))
     p.add_argument("--si", default="-,-")
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=_int_at_least(1), default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--msg-bits", type=int, default=4)
+    p.add_argument("--msg-bits", type=_int_at_least(0), default=4)
     p.add_argument("--n1", type=int, default=None)
     p.add_argument("--trace-path", default=None, help="write the first trial's trace as JSON lines")
 
@@ -146,27 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args, text: str, started: float) -> int:
-    report = validate(load_or_construct(text))
+    report = validate(parse_channel(text))
     out = _report("validate", _digest(text), {"path": args.path}, report.to_jsonable(), started)
     _emit(out, args.verbose, "valid" if report.passed else "invalid: " + report.failures()[0].name)
     return EXIT_OK if report.passed else EXIT_INVALID
-
-
-def load_or_construct(text: str) -> SdDmc:
-    """Build a channel without enforcing semantic invariants (validate reports them)."""
-    from .channel import _parse_document
-
-    doc = _parse_document(text)
-    try:
-        return SdDmc(
-            W=np.array(doc["W"], dtype=float),
-            Q=np.array(doc["Q"], dtype=float),
-            x_labels=tuple(doc.get("inputs") or ()),
-            y_labels=tuple(doc.get("outputs") or ()),
-            s_labels=tuple(doc.get("states") or ()),
-        )
-    except (TypeError, ValueError) as e:
-        raise ParseError(f"channel document has malformed numeric data: {e}") from e
 
 
 def _cmd_reduce(args, text: str, started: float) -> int:
@@ -235,18 +226,13 @@ def _cmd_capacity(args, text: str, started: float) -> int:
 def _cmd_simulate(args, text: str, started: float) -> int:
     channel = load_channel(text)
     si = SiModel.from_token(args.si)
-    bits = 1
-    if args.protocol == "disprover":
-        trial = disprover_trial(reduced_dmc(channel, si))
-    elif args.protocol == "theorem5":
-        trial = theorem5_trial(channel)
-    else:
-        trial = han_sato_trial(channel, si, args.msg_bits, n1=args.n1)
-        bits = args.msg_bits
-
+    trial, bits = PROTOCOLS[args.protocol](channel, si, args.msg_bits, args.n1)
     if args.trace_path:
-        _write_trace(args, channel, si)
-
+        # The first trial's substream, as monte_carlo draws it.
+        trace = Trace()
+        trial(np.random.default_rng([args.seed, 0]), trace)
+        with open(args.trace_path, "w", encoding="utf-8") as f:
+            f.write(trace.to_jsonl() + "\n")
     stats = monte_carlo(trial, args.trials, args.seed, bits_per_message=bits)
     params = {
         "protocol": args.protocol,
@@ -259,21 +245,6 @@ def _cmd_simulate(args, text: str, started: float) -> int:
     out = _report("simulate", _digest(text), params, stats.to_jsonable(), started)
     _emit(out, args.verbose, f"errors={stats.errors} mean_tau={stats.mean_tau:.4f}")
     return EXIT_OK if stats.errors == 0 else EXIT_INVALID
-
-
-def _write_trace(args, channel: SdDmc, si: SiModel) -> None:
-    from .protocols import run_disprover_bit, run_han_sato, run_theorem5_bit
-
-    rng = np.random.default_rng([args.seed, 0])
-    trace = Trace()
-    if args.protocol == "disprover":
-        run_disprover_bit(reduced_dmc(channel, si), int(rng.integers(2)), rng, trace=trace)
-    elif args.protocol == "theorem5":
-        run_theorem5_bit(channel, int(rng.integers(2)), rng, trace=trace)
-    else:
-        run_han_sato(channel, si, args.msg_bits, rng, n1=args.n1, trace=trace)
-    with open(args.trace_path, "w", encoding="utf-8") as f:
-        f.write(trace.to_jsonl() + "\n")
 
 
 def _cmd_oracle(args, text: str, started: float) -> int:
@@ -328,8 +299,6 @@ def _cmd_oracle(args, text: str, started: float) -> int:
 
 
 def len_lattice(resolution: int, dim: int) -> int:
-    from math import comb
-
     return comb(resolution + dim - 1, dim - 1)
 
 
@@ -361,29 +330,12 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_fuse_si(list(argv)))
-    # SDCHAN_THREADS caps worker parallelism; the current implementation is
-    # serial, so the variable is accepted and recorded but has no effect.
-    os.environ.get("SDCHAN_THREADS")
     started = time.perf_counter()
     try:
-        text = _read_file(args.path)
-    except OSError as e:
-        print(json.dumps({"error": str(e)}), file=sys.stdout)
-        return EXIT_IO
-    try:
-        return _HANDLERS[args.subcommand](args, text, started)
-    except ParseError as e:
-        print(json.dumps({"error": str(e)}), file=sys.stdout)
-        return EXIT_IO
-    except ValidationError as e:
-        print(json.dumps({"error": str(e)}), file=sys.stdout)
-        return EXIT_INVALID
-    except PrecondFailed as e:
-        print(json.dumps({"error": str(e)}), file=sys.stdout)
-        return EXIT_PRECOND
-    except (UnsupportedModel, AlphabetTooLarge, BudgetExceeded, SdchanError) as e:
-        print(json.dumps({"error": str(e)}), file=sys.stdout)
-        return EXIT_IO
+        return _HANDLERS[args.subcommand](args, _read_file(args.path), started)
+    except (SdchanError, OSError) as e:
+        print(json.dumps({"error": str(e)}))
+        return next(code for kind, code in _EXIT_CODES if isinstance(e, kind))
 
 
 if __name__ == "__main__":

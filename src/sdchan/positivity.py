@@ -8,13 +8,14 @@ is lexicographic-first, so verdicts are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .channel import Dmc, Regime, SdDmc, Si, SiModel
 from .errors import AlphabetTooLarge, UnsupportedModel
+from .reductions import average_states
 
 POSITIVE = "positive"
 ZERO = "zero"
@@ -47,15 +48,6 @@ class Verdict:
             "si": self.si,
             "regime": self.regime,
         }
-
-    def tagged(self, si: SiModel | None = None, regime: Regime | None = None) -> "Verdict":
-        return Verdict(
-            decision=self.decision,
-            condition=self.condition,
-            witness=self.witness,
-            si=si.token if si else self.si,
-            regime=regime.value if regime else self.regime,
-        )
 
 
 def check_dmc_vl(channel: Dmc) -> Verdict:
@@ -219,7 +211,7 @@ def bl_positivity(channel: SdDmc, si: SiModel) -> Verdict:
     enc, dec = si.encoder, si.decoder
     if dec is Si.NONE:
         if enc in (Si.NONE, Si.STRICTLY_CAUSAL):
-            v = check_dmc_fl_feedback(_averaged(channel))
+            v = check_dmc_fl_feedback(average_states(channel))
             cond = "averaged_disjoint_pair"
             w = v.witness
             decision = v.decision
@@ -265,13 +257,7 @@ def positivity(channel: SdDmc, si: SiModel, regime: Regime) -> Verdict:
     """Dispatch on the coding regime (fixed and bounded length coincide)."""
     if regime is Regime.VARIABLE_LENGTH:
         return vl_positivity(channel, si)
-    return bl_positivity(channel, si).tagged(regime=regime)
-
-
-def _averaged(channel: SdDmc) -> Dmc:
-    from .reductions import average_states
-
-    return average_states(channel)
+    return replace(bl_positivity(channel, si), regime=regime.value)
 
 
 def verify_witness(channel: SdDmc | Dmc, verdict: Verdict) -> bool:
@@ -311,7 +297,7 @@ def verify_witness(channel: SdDmc | Dmc, verdict: Verdict) -> bool:
         )
         return ok_inside and ok_outside
     if cond == "averaged_disjoint_pair":
-        avg = _averaged(channel)
+        avg = average_states(channel)
         return not (avg.support(w["x"]) & avg.support(w["x_prime"]))
     if cond == "output_partition":
         y0, y1 = set(w["y0"]), set(w["y1"])

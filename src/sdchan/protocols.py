@@ -252,7 +252,8 @@ def _distinct_codewords(m: int, nx: int, n: int, rng: np.random.Generator) -> np
     return np.array(rows, dtype=int)
 
 
-TrialFn = Callable[[np.random.Generator], tuple[bool, int]]
+# A trial draws from its generator and records into the optional trace.
+TrialFn = Callable[..., tuple[bool, int]]
 
 
 def monte_carlo(trial: TrialFn, trials: int, seed: int, bits_per_message: int = 1) -> ProtocolStats:
@@ -278,26 +279,34 @@ def monte_carlo(trial: TrialFn, trials: int, seed: int, bits_per_message: int = 
 
 
 def disprover_trial(channel: Dmc) -> TrialFn:
-    def trial(rng: np.random.Generator) -> tuple[bool, int]:
+    def trial(rng: np.random.Generator, trace: Optional[Trace] = None) -> tuple[bool, int]:
         bit = int(rng.integers(2))
-        decoded, tau = run_disprover_bit(channel, bit, rng)
+        decoded, tau = run_disprover_bit(channel, bit, rng, trace=trace)
         return decoded == bit, tau
 
     return trial
 
 
 def theorem5_trial(channel: SdDmc) -> TrialFn:
-    def trial(rng: np.random.Generator) -> tuple[bool, int]:
+    def trial(rng: np.random.Generator, trace: Optional[Trace] = None) -> tuple[bool, int]:
         bit = int(rng.integers(2))
-        decoded, tau = run_theorem5_bit(channel, bit, rng)
+        decoded, tau = run_theorem5_bit(channel, bit, rng, trace=trace)
         return decoded == bit, tau
 
     return trial
 
 
 def han_sato_trial(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int] = None) -> TrialFn:
-    def trial(rng: np.random.Generator) -> tuple[bool, int]:
-        run = run_han_sato(channel, si, msg_bits, rng, n1=n1)
+    def trial(rng: np.random.Generator, trace: Optional[Trace] = None) -> tuple[bool, int]:
+        run = run_han_sato(channel, si, msg_bits, rng, n1=n1, trace=trace)
         return run.decoded == run.message, run.tau
 
     return trial
+
+
+# Protocol name -> (channel, si, msg_bits, n1) -> (trial, bits per message).
+PROTOCOLS: dict[str, Callable[[SdDmc, SiModel, int, Optional[int]], tuple[TrialFn, int]]] = {
+    "disprover": lambda channel, si, msg_bits, n1: (disprover_trial(reduced_dmc(channel, si)), 1),
+    "theorem5": lambda channel, si, msg_bits, n1: (theorem5_trial(channel), 1),
+    "han-sato": lambda channel, si, msg_bits, n1: (han_sato_trial(channel, si, msg_bits, n1=n1), msg_bits),
+}

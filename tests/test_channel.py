@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sdchan import (
+    Dmc,
     ParseError,
     Regime,
     SdDmc,
@@ -16,6 +17,7 @@ from sdchan import (
     support,
     validate,
 )
+from sdchan.cli import main
 from conftest import ch_ex1, ch_triv, random_channel
 
 
@@ -85,6 +87,20 @@ def test_validate_entry_range():
     ch = SdDmc(W=[[[1.5, -0.5], [0.0, 1.0]]], Q=[1.0])
     names = [c.name for c in validate(ch).failures()]
     assert "entry_range" in names
+
+
+def test_nan_entry_fails_entry_range(tmp_path):
+    text = '{"Q": [1.0], "W": [[[NaN, 1.0], [0.0, 1.0]]]}'
+    ch = SdDmc(W=[[[np.nan, 1.0], [0.0, 1.0]]], Q=[1.0])
+    assert [c.name for c in validate(ch).failures()] == ["entry_range"]
+    with pytest.raises(ValidationError, match="entry_range"):
+        load_channel(text)
+    with pytest.raises(ValidationError, match="outside"):
+        Dmc(W=[[np.nan, 1.0], [0.0, 1.0]])
+    path = tmp_path / "nan.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert main(["check", str(path), "--si", "-,-"]) == 1
 
 
 def test_roundtrip_bit_exact(rng):

@@ -144,22 +144,51 @@ def test_simulate_han_sato(capsys, ex1_path):
 
 
 def test_simulate_trace_export(capsys, ex1_path, tmp_path):
-    trace_path = tmp_path / "trace.jsonl"
-    code, _ = run_cli(
-        capsys,
-        "simulate",
-        ex1_path,
-        "--protocol",
-        "theorem5",
-        "--trials",
-        "10",
-        "--trace-path",
-        str(trace_path),
+    for protocol, extra in (("disprover", ["--si", "-,-"]), ("theorem5", []), ("han-sato", ["--si", "-,-"])):
+        trace_path = tmp_path / f"{protocol}.jsonl"
+        code, _ = run_cli(
+            capsys,
+            "simulate",
+            ex1_path,
+            "--protocol",
+            protocol,
+            *extra,
+            "--trials",
+            "10",
+            "--trace-path",
+            str(trace_path),
+        )
+        assert code == 0
+        lines = [json.loads(l) for l in trace_path.read_text().splitlines()]
+        assert "tau" in lines[-1]
+        assert lines[-1]["decoded"] == lines[-1]["message"]
+        if protocol == "han-sato":  # only phase 1 is traced; tau adds the acknowledgement
+            assert lines[-1]["tau"] > lines[-2]["n"]
+        else:
+            assert lines[-1]["tau"] == lines[-2]["n"]
+
+
+def test_simulate_trace_path_unwritable(capsys, ex1_path, tmp_path):
+    trace_path = tmp_path / "missing" / "trace.jsonl"
+    code, report = run_cli(
+        capsys, "simulate", ex1_path, "--protocol", "theorem5", "--trials", "10", "--trace-path", str(trace_path)
     )
-    assert code == 0
-    lines = [json.loads(l) for l in trace_path.read_text().splitlines()]
-    assert "tau" in lines[-1]
-    assert lines[-1]["tau"] == lines[-2]["n"]
+    assert code == 2
+    assert "error" in report
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--protocol", "theorem5", "--trials", "0"],
+        ["simulate", "--protocol", "han-sato", "--si", "-,-", "--msg-bits", "-1"],
+        ["capacity", "--si", "nc,-", "--restarts", "-1"],
+    ],
+)
+def test_bad_numeric_arguments_exit_2(ex1_path, argv):
+    with pytest.raises(SystemExit) as info:
+        main([argv[0], ex1_path, *argv[1:]])
+    assert info.value.code == 2
 
 
 def test_oracle_grid(capsys, ex1_path):
