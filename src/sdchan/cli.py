@@ -3,8 +3,9 @@
 Exit codes (on an error, a JSON ``{"error": ...}`` object replaces the report):
 0 success: valid channel, positive verdict, no decoding error, oracle agrees;
 1 invalid channel, a simulation decoding error, or an oracle disagreement;
-2 bad argument, file IO or parse error, unsupported SI/regime/model, oversize
-alphabet, oracle budget exceeded, or optimizer non-convergence;
+2 bad argument, file IO or parse error (a non-UTF-8 file included), unsupported
+SI/regime/model, oversize alphabet, oracle budget or two-phase codebook cap
+exceeded, or optimizer non-convergence;
 3 ``check`` verdict zero; 4 ``check`` verdict unknown;
 5 ``simulate`` protocol precondition fails.
 """
@@ -18,11 +19,9 @@ import sys
 import time
 from math import comb
 
-import numpy as np
-
 from . import __version__
 from .channel import Dmc, Regime, SiModel, load_channel, parse_channel, validate
-from .errors import PrecondFailed, SdchanError, ValidationError
+from .errors import ParseError, PrecondFailed, SdchanError, ValidationError
 from .capacity import (
     blahut_arimoto,
     gelfand_pinsker_capacity,
@@ -56,8 +55,11 @@ _EXIT_CODES = (
 
 
 def _read_file(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
 def _digest(text: str) -> str:
@@ -144,9 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force cross checks")
     p.add_argument("path")
     p.add_argument("--which", required=True, choices=["confusable", "grid-capacity", "gp-grid"])
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_int_at_least(1), default=2)
     p.add_argument("--decoder-sees-state", action="store_true")
-    p.add_argument("--resolution", type=int, default=200)
+    p.add_argument("--resolution", type=_int_at_least(1), default=200)
     p.add_argument("--u-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
 
@@ -227,13 +229,11 @@ def _cmd_simulate(args, text: str, started: float) -> int:
     channel = load_channel(text)
     si = SiModel.from_token(args.si)
     trial, bits = PROTOCOLS[args.protocol](channel, si, args.msg_bits, args.n1)
-    if args.trace_path:
-        # The first trial's substream, as monte_carlo draws it.
-        trace = Trace()
-        trial(np.random.default_rng([args.seed, 0]), trace)
+    trace = Trace() if args.trace_path else None
+    stats = monte_carlo(trial, args.trials, args.seed, bits_per_message=bits, trace=trace)
+    if trace is not None:
         with open(args.trace_path, "w", encoding="utf-8") as f:
             f.write(trace.to_jsonl() + "\n")
-    stats = monte_carlo(trial, args.trials, args.seed, bits_per_message=bits)
     params = {
         "protocol": args.protocol,
         "si": args.si,

@@ -2,23 +2,33 @@
 
 Every protocol here is zero-error by construction: a decoding error in any
 trial is a bug, and the Monte-Carlo driver treats it as one (hard count,
-no tolerance).  Sampling is inverse-CDF in stored row order, and trial
-randomness derives from (seed, trial_index), so statistics are reproducible
-regardless of execution order.
+no tolerance).  Sampling is inverse-CDF in stored row order.  Trials run in
+batches: each protocol factory finds its witness and builds its channel
+rows once, and its trial draws and decodes every slot of ``n`` trials as
+arrays.  ``monte_carlo`` runs fixed chunks of ``CHUNK_TRIALS`` trials, each on
+its own substream derived from ``(seed, chunk)``, so ``(seed, trials)``
+fixes the report.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .channel import Dmc, SdDmc, Si, SiModel, SI_MODELS
-from .errors import PrecondFailed, UnsupportedModel
+from .errors import BudgetExceeded, PrecondFailed, UnsupportedModel
 from .positivity import POSITIVE, check_dmc_vl, check_nocvlpos, vl_positivity
 from .reductions import average_states, joint_output_channel, shannon_strategy_channel
+
+# Trials per Monte-Carlo chunk: bounds the arrays a chunk holds at any --trials.
+CHUNK_TRIALS = 8192
+
+# Largest two-phase codebook, in letters (codewords x blocklength), built per trial.
+MAX_CODEBOOK_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -41,13 +51,25 @@ class Trace:
 
 @dataclass(frozen=True)
 class ProtocolStats:
-    """Aggregate over trials; errors must be 0 for a zero-error protocol."""
+    """Aggregate over trials; errors must be 0 for a zero-error protocol.
+
+    The exact moments are those of tau = 2 * Geometric(p) for the two-slot
+    bit protocols, and None where no closed form is known.
+    """
 
     trials: int
     errors: int
     mean_tau: float
     var_tau: float
     rate_bits_per_use: float
+    exact_mean_tau: Optional[float] = None
+    exact_var_tau: Optional[float] = None
+
+    @property
+    def mean_tau_ci95(self) -> tuple[float, float]:
+        """Normal-approximation 95% confidence interval on the mean stopping time."""
+        half = 1.96 * math.sqrt(self.var_tau / self.trials)
+        return self.mean_tau - half, self.mean_tau + half
 
     def to_jsonable(self) -> dict:
         return {
@@ -56,6 +78,9 @@ class ProtocolStats:
             "mean_tau": self.mean_tau,
             "var_tau": self.var_tau,
             "rate_bits_per_use": self.rate_bits_per_use,
+            "mean_tau_ci95": list(self.mean_tau_ci95),
+            "exact_mean_tau": self.exact_mean_tau,
+            "exact_var_tau": self.exact_var_tau,
         }
 
 
@@ -64,6 +89,15 @@ def _draw(row: np.ndarray, rng: np.random.Generator) -> int:
     cdf = np.cumsum(row)
     idx = int(np.searchsorted(cdf, rng.random(), side="right"))
     return min(idx, len(row) - 1)
+
+
+def _sample(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``_draw`` for arrays: one draw per uniform in ``u``.
+
+    ``cdf`` is one row shared by every draw, or one row per draw.
+    """
+    idx = (cdf <= u[:, None]).sum(axis=-1)
+    return np.minimum(idx, cdf.shape[-1] - 1)
 
 
 def step(channel: SdDmc, x: int, s: int, rng: np.random.Generator) -> int:
@@ -77,87 +111,127 @@ def sample_state(channel: SdDmc, rng: np.random.Generator) -> int:
     return _draw(channel.Q, rng)
 
 
-def run_disprover_bit(
-    channel: Dmc, bit: int, rng: np.random.Generator, trace: Optional[Trace] = None
-) -> tuple[int, int]:
-    """Send one bit with zero error over a DMC that has a disprover output.
+# A bit sender: (bits[n], rng, trace, offset) -> (decoded[n], tau[n]).  The
+# trace, if given, records the slots of bits[0], numbered on from offset.
+BitSender = Callable[..., tuple[np.ndarray, np.ndarray]]
+
+
+def _two_slot_sender(play_round: Callable) -> BitSender:
+    """Bit sender that repeats two-slot rounds until the decoder stops.
+
+    ``play_round(zero, rng)`` plays one round for the trials still running
+    (``zero`` marks those sending 0) and returns ``(slots, done, decoded)``:
+    an (s, x, y) triple of arrays per slot, with s None where the state is
+    not drawn, the trials whose decoder stops, and the bit it decodes.
+    """
+
+    def send(bits, rng, trace=None, offset=0):
+        decoded = np.empty(len(bits), dtype=np.int64)
+        tau = np.empty(len(bits), dtype=np.int64)
+        live = np.arange(len(bits))
+        n = 0
+        while live.size:
+            slots, done, bit = play_round(bits[live] == 0, rng)
+            n += 2
+            if trace is not None and live[0] == 0:
+                for k, (s, x, y) in enumerate(slots):
+                    state = None if s is None else int(s[0])
+                    decision = int(bit[0]) if k == 1 and done[0] else None
+                    trace.record(offset + n - 1 + k, state, int(x[0]), int(y[0]), decision)
+            decoded[live[done]] = bit[done]
+            tau[live[done]] = n
+            live = live[~done]
+        if trace is not None:
+            trace.message, trace.decoded, trace.tau = int(bits[0]), int(decoded[0]), offset + int(tau[0])
+        return decoded, tau
+
+    return send
+
+
+def _disprover(channel: Dmc) -> tuple[BitSender, float]:
+    """Zero-error bit sender over a DMC with a disprover output, and its p.
 
     Two-slot rounds: (x, x') encodes 0 and (x', x) encodes 1, where y is
     impossible from x and possible from x'.  The decoder stops on a round
     whose outputs contain y exactly once; the slot position of y reveals
-    the bit.  Both outputs equal to y is structurally impossible.
+    the bit.  Both outputs equal to y is structurally impossible.  A round
+    stops with probability p = W[x', y].
     """
-    verdict = check_dmc_vl(channel)
+    # A reduced DMC may have outputs no input reaches (a joint (y, s) that is
+    # impossible in state s); their all-zero columns disprove nothing.
+    reachable = np.flatnonzero(channel.W.any(axis=0))
+    verdict = check_dmc_vl(Dmc(W=channel.W[:, reachable]))
     if verdict.decision != POSITIVE:
         raise PrecondFailed("channel has no disprover output (no structural zero)")
-    x, y = verdict.witness["x"], verdict.witness["y"]
-    x_alt = int(np.argmax(channel.W[:, y] != 0.0))  # exists: every output reachable
+    x, y = verdict.witness["x"], int(reachable[verdict.witness["y"]])
+    x_alt = int(np.argmax(channel.W[:, y] != 0.0))
+    cdf = np.cumsum(channel.W, axis=1)
 
-    n = 0
-    while True:
-        first, second = (x, x_alt) if bit == 0 else (x_alt, x)
-        y1 = _draw(channel.W[first], rng)
-        y2 = _draw(channel.W[second], rng)
-        n += 2
-        if y1 == y and y2 == y:
+    def play_round(zero, rng):
+        first, second = np.where(zero, x, x_alt), np.where(zero, x_alt, x)
+        u = rng.random((len(zero), 2))
+        y1, y2 = _sample(cdf[first], u[:, 0]), _sample(cdf[second], u[:, 1])
+        hit1, hit2 = y1 == y, y2 == y
+        if np.any(hit1 & hit2):
             raise RuntimeError("impossible output pattern observed; channel violates its zeros")
-        decided: Optional[int] = None
-        if y1 != y and y2 == y:
-            decided = 0
-        elif y1 == y and y2 != y:
-            decided = 1
-        if trace is not None:
-            trace.record(n - 1, None, first, y1)
-            trace.record(n, None, second, y2, decision=decided)
-        if decided is not None:
-            if trace is not None:
-                trace.message, trace.decoded, trace.tau = bit, decided, n
-            return decided, n
+        return ((None, first, y1), (None, second, y2)), hit1 != hit2, hit1
+
+    return _two_slot_sender(play_round), float(channel.W[x_alt, y])
 
 
-def run_theorem5_bit(
-    channel: SdDmc, bit: int, rng: np.random.Generator, trace: Optional[Trace] = None
-) -> tuple[int, int]:
-    """One bit with zero error when only the decoder sees the (causal) states.
+def _theorem5(channel: SdDmc) -> tuple[BitSender, float]:
+    """Zero-error bit sender when only the decoder sees the (causal) states.
 
     Requires a state-group witness (x, x', y, S*): x' can produce y exactly
     in the states of S*, where y disproves x.  Rounds send (x, x') for 0 and
     (x', x) for 1; the decoder stops when a slot outputs y in a state from
     S* (that slot's input must then be x', pinning the bit).  The encoder
     stops in the same round because seeing y on its x' slot certifies the
-    state group without state information.
+    state group without state information.  A round stops with probability
+    p = sum over S* of Q(s) W[s, x', y].
     """
     witness = check_nocvlpos(channel)
     if witness is None:
         raise PrecondFailed("channel has no state-group witness")
     x, x_alt, y = witness["x"], witness["x_prime"], witness["y"]
-    group = set(witness["states"])
+    in_group = np.zeros(channel.ns, dtype=bool)
+    in_group[witness["states"]] = True
+    q_cdf = np.cumsum(channel.Q)
+    cdf = np.cumsum(channel.W, axis=2)
 
-    n = 0
-    while True:
-        s1, s2 = sample_state(channel, rng), sample_state(channel, rng)
-        first, second = (x, x_alt) if bit == 0 else (x_alt, x)
-        y1 = step(channel, first, s1, rng)
-        y2 = step(channel, second, s2, rng)
-        n += 2
-
-        decided: Optional[int] = None
-        if y2 == y and s2 in group:
-            decided = 0
-        elif y1 == y and s1 in group:
-            decided = 1
+    def play_round(zero, rng):
+        first, second = np.where(zero, x, x_alt), np.where(zero, x_alt, x)
+        u = rng.random((len(zero), 4))
+        s1, s2 = _sample(q_cdf, u[:, 0]), _sample(q_cdf, u[:, 1])
+        y1, y2 = _sample(cdf[s1, first], u[:, 2]), _sample(cdf[s2, second], u[:, 3])
+        decided0 = (y2 == y) & in_group[s2]
+        decided1 = ~decided0 & (y1 == y) & in_group[s1]
+        done = decided0 | decided1
         # Encoder's view: outputs only, plus knowledge of its own inputs.
-        alt_slot_output = y2 if bit == 0 else y1
-        encoder_stops = alt_slot_output == y
-        if encoder_stops != (decided is not None):
+        if np.any((np.where(zero, y2, y1) == y) != done):
             raise RuntimeError("encoder and decoder disagree on stopping; witness unsound")
-        if trace is not None:
-            trace.record(n - 1, s1, first, y1)
-            trace.record(n, s2, second, y2, decision=decided)
-        if decided is not None:
-            if trace is not None:
-                trace.message, trace.decoded, trace.tau = bit, decided, n
-            return decided, n
+        return ((s1, first, y1), (s2, second, y2)), done, decided1
+
+    p = float(channel.Q[in_group] @ channel.W[in_group, x_alt, y])
+    return _two_slot_sender(play_round), p
+
+
+def run_disprover_bit(
+    channel: Dmc, bit: int, rng: np.random.Generator, trace: Optional[Trace] = None
+) -> tuple[int, int]:
+    """Send one bit with zero error over a DMC that has a disprover output."""
+    send, _ = _disprover(channel)
+    decoded, tau = send(np.array([bit]), rng, trace)
+    return int(decoded[0]), int(tau[0])
+
+
+def run_theorem5_bit(
+    channel: SdDmc, bit: int, rng: np.random.Generator, trace: Optional[Trace] = None
+) -> tuple[int, int]:
+    """One bit with zero error when only the decoder sees the (causal) states."""
+    send, _ = _theorem5(channel)
+    decoded, tau = send(np.array([bit]), rng, trace)
+    return int(decoded[0]), int(tau[0])
 
 
 def reduced_dmc(channel: SdDmc, si: SiModel) -> Dmc:
@@ -177,6 +251,68 @@ class HanSatoRun:
     phase1_correct: bool
 
 
+def _han_sato(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int]):
+    """Two-phase zero-error transmission of a multi-bit message.
+
+    Phase 1 sends the message with a random fixed-length code (distinct
+    codewords, maximum-likelihood decoding) over the reduced DMC for the
+    given state-information model; the encoder replays the decoding via
+    feedback.  One zero-error bit then acknowledges the outcome; on a
+    negative acknowledgment the message is resent bit by bit with the
+    zero-error bit protocol, so the final decision is always correct.
+
+    Returns ``run(msgs, rng, trace) -> (decoded, tau, phase1_correct)`` over
+    a batch of messages; the trace records the message msgs[0].
+    """
+    if si not in SI_MODELS:
+        raise UnsupportedModel("two-phase protocol is not defined for the decoder-only model")
+    if n1 is None:
+        n1 = 4 * msg_bits
+    # The bit-length test keeps a huge msg_bits from building 1 << msg_bits.
+    if msg_bits >= MAX_CODEBOOK_ENTRIES.bit_length() or (1 << msg_bits) * max(n1, 1) > MAX_CODEBOOK_ENTRIES:
+        raise BudgetExceeded(
+            f"codebook of 2**{msg_bits} codewords of length {n1} exceeds {MAX_CODEBOOK_ENTRIES} letters"
+        )
+    verdict = vl_positivity(channel, si)
+    if verdict.decision != POSITIVE:
+        raise PrecondFailed(f"zero-error positivity fails for si={si.token}")
+    dmc = reduced_dmc(channel, si)
+    n_msgs = 1 << msg_bits
+    if dmc.nx**n1 < n_msgs:
+        raise PrecondFailed(f"blocklength {n1} too short for {n_msgs} distinct codewords")
+    with np.errstate(divide="ignore"):
+        log_w = np.log(dmc.W)
+    cdf = np.cumsum(dmc.W, axis=1)
+    send, _ = _disprover(dmc)
+
+    def run(msgs, rng, trace=None):
+        guess = np.empty(len(msgs), dtype=np.int64)
+        for i, msg in enumerate(msgs):
+            codebook = _distinct_codewords(n_msgs, dmc.nx, n1, rng)
+            sent = codebook[msg]
+            outputs = _sample(cdf[sent], rng.random(n1))
+            # argmax breaks ties toward the lowest index
+            guess[i] = np.argmax(log_w[codebook, outputs].sum(axis=1))
+            if i == 0 and trace is not None:
+                for t in range(n1):
+                    trace.record(t + 1, None, int(sent[t]), int(outputs[t]))
+        ack = guess == msgs
+        _, tau = send(ack.astype(np.int64), rng, trace, offset=n1)
+        tau += n1
+        decoded = np.where(ack, guess, 0)
+        resent = np.flatnonzero(~ack)
+        resent_trace = trace if resent.size and resent[0] == 0 else None
+        for i in range(msg_bits):
+            bits, t_bit = send((msgs[resent] >> (msg_bits - 1 - i)) & 1, rng, resent_trace, offset=int(tau[0]))
+            decoded[resent] = (decoded[resent] << 1) | bits
+            tau[resent] += t_bit
+        if trace is not None:
+            trace.message, trace.decoded, trace.tau = int(msgs[0]), int(decoded[0]), int(tau[0])
+        return decoded, tau, ack
+
+    return run
+
+
 def run_han_sato(
     channel: SdDmc,
     si: SiModel,
@@ -186,126 +322,103 @@ def run_han_sato(
     msg: Optional[int] = None,
     trace: Optional[Trace] = None,
 ) -> HanSatoRun:
-    """Two-phase zero-error transmission of a multi-bit message.
-
-    Phase 1 sends the message with a random fixed-length code (distinct
-    codewords, maximum-likelihood decoding) over the reduced DMC for the
-    given state-information model; the encoder replays the decoding via
-    feedback.  One zero-error bit then acknowledges the outcome; on a
-    negative acknowledgment the message is resent bit by bit with the
-    zero-error bit protocol, so the final decision is always correct.
-    """
-    if si not in SI_MODELS:
-        raise UnsupportedModel("two-phase protocol is not defined for the decoder-only model")
-    verdict = vl_positivity(channel, si)
-    if verdict.decision != POSITIVE:
-        raise PrecondFailed(f"zero-error positivity fails for si={si.token}")
-    dmc = reduced_dmc(channel, si)
-    n_msgs = 1 << msg_bits
-    if n1 is None:
-        n1 = 4 * msg_bits
-    if dmc.nx**n1 < n_msgs:
-        raise PrecondFailed(f"blocklength {n1} too short for {n_msgs} distinct codewords")
-    if msg is None:
-        msg = int(rng.integers(n_msgs))
-
-    codebook = _distinct_codewords(n_msgs, dmc.nx, n1, rng)
-    with np.errstate(divide="ignore"):
-        log_w = np.log(dmc.W)
-
-    outputs = np.empty(n1, dtype=int)
-    for t in range(n1):
-        outputs[t] = _draw(dmc.W[codebook[msg, t]], rng)
-        if trace is not None:
-            trace.record(t + 1, None, int(codebook[msg, t]), int(outputs[t]))
-    loglik = log_w[codebook, outputs].sum(axis=1)
-    guess = int(np.argmax(loglik))  # argmax breaks ties toward the lowest index
-
-    ack = guess == msg
-    _, tau_ack = run_disprover_bit(dmc, 1 if ack else 0, rng)
-    tau = n1 + tau_ack
-    if ack:
-        decoded = guess
-    else:
-        bits = []
-        for i in range(msg_bits):
-            b, t_bit = run_disprover_bit(dmc, (msg >> (msg_bits - 1 - i)) & 1, rng)
-            bits.append(b)
-            tau += t_bit
-        decoded = 0
-        for b in bits:
-            decoded = (decoded << 1) | b
-    if trace is not None:
-        trace.message, trace.decoded, trace.tau = msg, decoded, tau
-    return HanSatoRun(message=msg, decoded=decoded, tau=tau, phase1_correct=ack)
+    """One two-phase transmission of ``msg`` (drawn from ``rng`` if None)."""
+    run = _han_sato(channel, si, msg_bits, n1)
+    msgs = rng.integers(1 << msg_bits, size=1) if msg is None else np.array([msg])
+    decoded, tau, ack = run(msgs, rng, trace)
+    return HanSatoRun(message=int(msgs[0]), decoded=int(decoded[0]), tau=int(tau[0]), phase1_correct=bool(ack[0]))
 
 
 def _distinct_codewords(m: int, nx: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """m distinct random codewords of length n over an nx-letter alphabet."""
-    seen = set()
-    rows = []
-    while len(rows) < m:
-        cw = tuple(int(v) for v in rng.integers(nx, size=n))
-        if cw not in seen:
-            seen.add(cw)
-            rows.append(cw)
-    return np.array(rows, dtype=int)
+    """m distinct random codewords of length n over an nx-letter alphabet.
+
+    They are the first m distinct rows of an i.i.d. uniform stream, drawn in
+    batches of the number still missing.
+    """
+    first = {}
+    while len(first) < m:
+        for row in rng.integers(nx, size=(m - len(first), n)):
+            first.setdefault(row.tobytes(), row)
+    return np.stack(list(first.values()))
 
 
-# A trial draws from its generator and records into the optional trace.
-TrialFn = Callable[..., tuple[bool, int]]
+@dataclass(frozen=True)
+class Trial:
+    """A batched protocol trial: ``trial(rng, n, trace)`` -> (ok[n], tau[n]).
+
+    The trace, if given, records the first of the n trials.  ``round_p`` is
+    the per-round stopping probability of a two-slot bit protocol, whose
+    stopping time is 2 * Geometric(round_p); None where no closed form is
+    known.
+    """
+
+    run: Callable[..., tuple[np.ndarray, np.ndarray]]
+    round_p: Optional[float] = None
+
+    def __call__(self, rng: np.random.Generator, n: int, trace: Optional[Trace] = None):
+        return self.run(rng, n, trace)
 
 
-def monte_carlo(trial: TrialFn, trials: int, seed: int, bits_per_message: int = 1) -> ProtocolStats:
-    """Run independent trials with per-trial substreams derived from (seed, index)."""
+def monte_carlo(
+    trial: Trial, trials: int, seed: int, bits_per_message: int = 1, trace: Optional[Trace] = None
+) -> ProtocolStats:
+    """Run ``trials`` independent trials in chunks of CHUNK_TRIALS.
+
+    Chunk c draws from the substream (seed, c); ``trace`` records trial 0.
+    Stopping times are summed as exact integers.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    taus = np.empty(trials)
-    errors = 0
-    for i in range(trials):
-        rng = np.random.default_rng([seed, i])
-        ok, tau = trial(rng)
-        if not ok:
-            errors += 1
-        taus[i] = tau
-    mean = float(taus.mean())
+    errors = total = total_sq = 0
+    for chunk, start in enumerate(range(0, trials, CHUNK_TRIALS)):
+        rng = np.random.default_rng([seed, chunk])
+        ok, tau = trial(rng, min(CHUNK_TRIALS, trials - start), trace if chunk == 0 else None)
+        errors += int(np.count_nonzero(~ok))
+        total += int(tau.sum())
+        total_sq += int((tau * tau).sum())
+    mean = total / trials
+    p = trial.round_p
     return ProtocolStats(
         trials=trials,
         errors=errors,
         mean_tau=mean,
-        var_tau=float(taus.var()),
+        var_tau=(trials * total_sq - total * total) / trials**2,
         rate_bits_per_use=bits_per_message / mean,
+        exact_mean_tau=None if p is None else 2 / p,
+        exact_var_tau=None if p is None else 4 * (1 - p) / p**2,
     )
 
 
-def disprover_trial(channel: Dmc) -> TrialFn:
-    def trial(rng: np.random.Generator, trace: Optional[Trace] = None) -> tuple[bool, int]:
-        bit = int(rng.integers(2))
-        decoded, tau = run_disprover_bit(channel, bit, rng, trace=trace)
-        return decoded == bit, tau
+def _bit_trial(send: BitSender, p: float) -> Trial:
+    def run(rng: np.random.Generator, n: int, trace: Optional[Trace] = None):
+        bits = rng.integers(2, size=n)
+        decoded, tau = send(bits, rng, trace)
+        return decoded == bits, tau
 
-    return trial
-
-
-def theorem5_trial(channel: SdDmc) -> TrialFn:
-    def trial(rng: np.random.Generator, trace: Optional[Trace] = None) -> tuple[bool, int]:
-        bit = int(rng.integers(2))
-        decoded, tau = run_theorem5_bit(channel, bit, rng, trace=trace)
-        return decoded == bit, tau
-
-    return trial
+    return Trial(run, round_p=p)
 
 
-def han_sato_trial(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int] = None) -> TrialFn:
-    def trial(rng: np.random.Generator, trace: Optional[Trace] = None) -> tuple[bool, int]:
-        run = run_han_sato(channel, si, msg_bits, rng, n1=n1, trace=trace)
-        return run.decoded == run.message, run.tau
+def disprover_trial(channel: Dmc) -> Trial:
+    return _bit_trial(*_disprover(channel))
 
-    return trial
+
+def theorem5_trial(channel: SdDmc) -> Trial:
+    return _bit_trial(*_theorem5(channel))
+
+
+def han_sato_trial(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int] = None) -> Trial:
+    send_messages = _han_sato(channel, si, msg_bits, n1)
+
+    def run(rng: np.random.Generator, n: int, trace: Optional[Trace] = None):
+        msgs = rng.integers(1 << msg_bits, size=n)
+        decoded, tau, _ = send_messages(msgs, rng, trace)
+        return decoded == msgs, tau
+
+    return Trial(run)
 
 
 # Protocol name -> (channel, si, msg_bits, n1) -> (trial, bits per message).
-PROTOCOLS: dict[str, Callable[[SdDmc, SiModel, int, Optional[int]], tuple[TrialFn, int]]] = {
+PROTOCOLS: dict[str, Callable[[SdDmc, SiModel, int, Optional[int]], tuple[Trial, int]]] = {
     "disprover": lambda channel, si, msg_bits, n1: (disprover_trial(reduced_dmc(channel, si)), 1),
     "theorem5": lambda channel, si, msg_bits, n1: (theorem5_trial(channel), 1),
     "han-sato": lambda channel, si, msg_bits, n1: (han_sato_trial(channel, si, msg_bits, n1=n1), msg_bits),

@@ -135,6 +135,8 @@ def test_criterion_5_stopping_time_law(disprover_stats, theorem5_stats):
     three_sigma = 3 * np.sqrt((16 / 9) / 100_000)
     ok = abs(theorem5_stats.mean_tau - mean) < three_sigma
     ok &= abs(disprover_stats.mean_tau - mean) < three_sigma
+    for stats in (disprover_stats, theorem5_stats):  # the exact law the reports carry
+        ok &= stats.exact_mean_tau == mean and stats.exact_var_tau == 16 / 9
     report(
         5,
         f"mean tau {theorem5_stats.mean_tau:.4f} (theorem5) / "

@@ -5,6 +5,7 @@ import pytest
 
 from sdchan import serialize
 from sdchan.cli import main
+from sdchan.protocols import CHUNK_TRIALS
 from conftest import ch_ex1, ch_ex2, ch_ex3, ch_triv
 
 
@@ -145,27 +146,28 @@ def test_simulate_han_sato(capsys, ex1_path):
 
 def test_simulate_trace_export(capsys, ex1_path, tmp_path):
     for protocol, extra in (("disprover", ["--si", "-,-"]), ("theorem5", []), ("han-sato", ["--si", "-,-"])):
-        trace_path = tmp_path / f"{protocol}.jsonl"
-        code, _ = run_cli(
-            capsys,
-            "simulate",
-            ex1_path,
-            "--protocol",
-            protocol,
-            *extra,
-            "--trials",
-            "10",
-            "--trace-path",
-            str(trace_path),
-        )
-        assert code == 0
-        lines = [json.loads(l) for l in trace_path.read_text().splitlines()]
-        assert "tau" in lines[-1]
-        assert lines[-1]["decoded"] == lines[-1]["message"]
-        if protocol == "han-sato":  # only phase 1 is traced; tau adds the acknowledgement
-            assert lines[-1]["tau"] > lines[-2]["n"]
-        else:
-            assert lines[-1]["tau"] == lines[-2]["n"]
+        for trials in ("10", "1"):
+            trace_path = tmp_path / f"{protocol}.jsonl"
+            code, report = run_cli(
+                capsys,
+                "simulate",
+                ex1_path,
+                "--protocol",
+                protocol,
+                *extra,
+                "--trials",
+                trials,
+                "--trace-path",
+                str(trace_path),
+            )
+            assert code == 0
+            lines = [json.loads(l) for l in trace_path.read_text().splitlines()]
+            assert "tau" in lines[-1]
+            assert lines[-1]["decoded"] == lines[-1]["message"]
+            # Every slot up to the stopping time is recorded, han-sato's acknowledgement included.
+            assert [slot["n"] for slot in lines[:-1]] == list(range(1, lines[-1]["tau"] + 1))
+            if trials == "1":  # the trace is the one trial the report averages
+                assert report["results"]["mean_tau"] == lines[-1]["tau"]
 
 
 def test_simulate_trace_path_unwritable(capsys, ex1_path, tmp_path):
@@ -183,12 +185,40 @@ def test_simulate_trace_path_unwritable(capsys, ex1_path, tmp_path):
         ["simulate", "--protocol", "theorem5", "--trials", "0"],
         ["simulate", "--protocol", "han-sato", "--si", "-,-", "--msg-bits", "-1"],
         ["capacity", "--si", "nc,-", "--restarts", "-1"],
+        ["oracle", "--which", "grid-capacity", "--resolution", "0"],
+        ["oracle", "--which", "confusable", "--n", "0"],
     ],
 )
 def test_bad_numeric_arguments_exit_2(ex1_path, argv):
     with pytest.raises(SystemExit) as info:
         main([argv[0], ex1_path, *argv[1:]])
     assert info.value.code == 2
+
+
+def test_non_utf8_channel_file_exit_2(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + serialize(ch_ex1()).encode("utf-16-le"))
+    code, report = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert "UTF-8" in report["error"]
+
+
+def test_simulate_han_sato_codebook_cap(capsys, ex1_path):
+    code, report = run_cli(capsys, "simulate", ex1_path, "--protocol", "han-sato", "--msg-bits", "40", "--trials", "1")
+    assert code == 2
+    assert "codebook" in report["error"]
+
+
+def test_simulate_exact_stopping_law(capsys, ex1_path):
+    for protocol in ("disprover", "theorem5"):
+        _, report = run_cli(capsys, "simulate", ex1_path, "--protocol", protocol, "--trials", "100")
+        res = report["results"]
+        assert res["exact_mean_tau"] == 8 / 3  # tau = 2 * Geometric(3/4) on ex1
+        assert res["exact_var_tau"] == 16 / 9
+        lo, hi = res["mean_tau_ci95"]
+        assert lo < res["mean_tau"] < hi
+    _, report = run_cli(capsys, "simulate", ex1_path, "--protocol", "han-sato", "--trials", "10")
+    assert report["results"]["exact_mean_tau"] is None and report["results"]["exact_var_tau"] is None
 
 
 def test_oracle_grid(capsys, ex1_path):
@@ -206,11 +236,14 @@ def test_oracle_confusable(capsys, ex1_path):
 
 
 def test_report_reproducible(capsys, ex1_path):
-    _, a = run_cli(capsys, "simulate", ex1_path, "--protocol", "theorem5", "--trials", "500", "--seed", "3")
-    _, b = run_cli(capsys, "simulate", ex1_path, "--protocol", "theorem5", "--trials", "500", "--seed", "3")
-    a.pop("wall_clock_s")
-    b.pop("wall_clock_s")
-    assert a == b
+    # The second case spans two Monte-Carlo chunks.
+    for protocol, trials in (("theorem5", 500), ("disprover", CHUNK_TRIALS + 5)):
+        argv = ("simulate", ex1_path, "--protocol", protocol, "--trials", str(trials), "--seed", "3")
+        _, a = run_cli(capsys, *argv)
+        _, b = run_cli(capsys, *argv)
+        a.pop("wall_clock_s")
+        b.pop("wall_clock_s")
+        assert a == b
 
 
 def test_verbose_summary_on_stderr(capsys, ex1_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sdchan import (
+    BudgetExceeded,
     PrecondFailed,
     SdDmc,
     SiModel,
@@ -18,8 +19,9 @@ from sdchan import (
     sample_state,
     step,
 )
-from sdchan.protocols import disprover_trial, han_sato_trial, theorem5_trial
-from conftest import bsc, ch_ex1, ch_ex2, ch_ex3, ch_triv
+from sdchan.positivity import check_nocvlpos
+from sdchan.protocols import CHUNK_TRIALS, MAX_CODEBOOK_ENTRIES, disprover_trial, han_sato_trial, theorem5_trial
+from conftest import bsc, ch_ex1, ch_ex2, ch_ex3, ch_triv, random_channel
 
 
 def test_step_deterministic_row():
@@ -61,6 +63,14 @@ def test_disprover_identity_exact():
 def test_disprover_requires_zero_entry():
     with pytest.raises(PrecondFailed):
         run_disprover_bit(bsc(0.3), 0, np.random.default_rng(6))
+
+
+def test_disprover_skips_unreachable_outputs():
+    # State 0 never outputs 0, so the joint output (0, s0) is unreachable: its
+    # all-zero column is no disprover, and a round on it would never stop.
+    ch = SdDmc(W=[[[0.0, 1.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]], Q=[0.5, 0.5])
+    stats = monte_carlo(disprover_trial(reduced_dmc(ch, SiModel.from_token("sc,c"))), trials=200, seed=18)
+    assert stats.errors == 0 and stats.exact_mean_tau == 4.0
 
 
 def test_disprover_stats_light():
@@ -156,3 +166,88 @@ def test_rate_accounting():
     )
     assert stats.mean_tau == 6.0
     assert stats.rate_bits_per_use == 4 / 6
+
+
+def _inverse_cdf(row, u):
+    return min(int(np.searchsorted(np.cumsum(row), u, side="right")), len(row) - 1)
+
+
+def _reference_bits(channel, protocol, bits, rng):
+    """Per-trial loop over the batched kernels' uniforms: one row of
+    ``rng.random((live, k))`` per round, in trial order, for the trials
+    still running."""
+    if protocol == "disprover":
+        # The first structural zero in a column some input reaches.
+        x, y = (int(v) for v in np.argwhere((channel.W == 0.0) & channel.W.any(axis=0))[0])
+        x_alt = int(np.argmax(channel.W[:, y] != 0.0))
+        k = 2
+    else:
+        w = check_nocvlpos(channel)
+        x, x_alt, y, group = w["x"], w["x_prime"], w["y"], set(w["states"])
+        k = 4
+    decoded, tau = [None] * len(bits), [None] * len(bits)
+    live, n = list(range(len(bits))), 0
+    while live:
+        n += 2
+        for i, u in zip(list(live), rng.random((len(live), k))):
+            first, second = (x, x_alt) if bits[i] == 0 else (x_alt, x)
+            if protocol == "disprover":
+                y1, y2 = _inverse_cdf(channel.W[first], u[0]), _inverse_cdf(channel.W[second], u[1])
+                assert not (y1 == y and y2 == y)
+                decided = 0 if y1 != y and y2 == y else 1 if y1 == y and y2 != y else None
+            else:
+                s1, s2 = _inverse_cdf(channel.Q, u[0]), _inverse_cdf(channel.Q, u[1])
+                y1, y2 = _inverse_cdf(channel.W[s1, first], u[2]), _inverse_cdf(channel.W[s2, second], u[3])
+                decided = 0 if y2 == y and s2 in group else 1 if y1 == y and s1 in group else None
+                assert ((y2 if bits[i] == 0 else y1) == y) == (decided is not None)
+            if decided is not None:
+                decoded[i], tau[i] = decided, n
+                live.remove(i)
+    return decoded, tau
+
+
+def test_batched_kernels_match_per_trial_loop():
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        ch = random_channel(rng)
+        cases = [("theorem5", ch, theorem5_trial)]
+        cases += [("disprover", reduced_dmc(ch, SiModel.from_token(t)), disprover_trial) for t in ("-,-", "sc,c")]
+        for protocol, channel, make in cases:
+            try:
+                trial = make(channel)
+            except PrecondFailed:
+                continue
+            for seed in range(2):
+                ok, tau = trial(np.random.default_rng(seed), 32)
+                bits_rng = np.random.default_rng(seed)
+                bits = bits_rng.integers(2, size=32)
+                decoded, ref_tau = _reference_bits(channel, protocol, bits, bits_rng)
+                assert ok.tolist() == [d == b for d, b in zip(decoded, bits)]
+                assert tau.tolist() == ref_tau
+
+
+def test_stopping_time_interval_coverage():
+    # tau = 2 * Geometric(3/4) on ex1: the reported 95% interval should cover
+    # 8/3 in about 95% of independent runs (3 sigma: +- 0.033 over 400 runs).
+    for trial in (disprover_trial(average_states(ch_ex1())), theorem5_trial(ch_ex1())):
+        covered = 0
+        for seed in range(400):
+            stats = monte_carlo(trial, trials=2000, seed=seed)
+            assert stats.exact_mean_tau == 8 / 3 and stats.exact_var_tau == 16 / 9
+            lo, hi = stats.mean_tau_ci95
+            covered += lo <= stats.exact_mean_tau <= hi
+        assert abs(covered / 400 - 0.95) < 0.033
+
+
+def test_monte_carlo_chunks_use_distinct_substreams():
+    trial = disprover_trial(average_states(ch_ex1()))
+    two = monte_carlo(trial, trials=2 * CHUNK_TRIALS, seed=5)
+    one = monte_carlo(trial, trials=CHUNK_TRIALS, seed=5)
+    assert two.mean_tau != one.mean_tau
+
+
+def test_han_sato_codebook_cap():
+    with pytest.raises(BudgetExceeded):
+        run_han_sato(ch_ex1(), SiModel.from_token("-,-"), 40, np.random.default_rng(17))
+    with pytest.raises(BudgetExceeded):
+        run_han_sato(ch_ex1(), SiModel.from_token("-,-"), 4, np.random.default_rng(17), n1=MAX_CODEBOOK_ENTRIES)
