@@ -22,9 +22,8 @@ from .positivity import (
     POSITIVE,
     ZERO,
     Verdict,
-    bl_positivity,
     check_dmc_fl_feedback,
-    vl_positivity,
+    positivity,
 )
 from .reductions import (
     average_states,
@@ -445,10 +444,7 @@ def zero_error_capacity(
         )
     if regime is Regime.FIXED_LENGTH:
         raise UnsupportedModel("fixed-length zero-error values are out of scope; use bl or vl")
-    if regime is Regime.VARIABLE_LENGTH:
-        verdict = vl_positivity(channel, si)
-    else:
-        verdict = bl_positivity(channel, si)
+    verdict = positivity(channel, si, regime)
     if verdict.decision == ZERO:
         return CapacityResult(
             value=0.0,

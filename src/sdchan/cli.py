@@ -99,6 +99,17 @@ def _int_at_least(lo: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for finite floats > 0."""
+    value = float(text)
+    if not 0.0 < value < float("inf"):
+        raise ValueError(text)
+    return value
+
+
+_positive_float.__name__ = "finite float > 0"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sdchan",
@@ -128,8 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--si", required=True)
     p.add_argument("--quantity", default="vanishing", choices=["vanishing", "zero-error"])
     p.add_argument("--regime", default="vl", choices=["fl", "bl", "vl"])
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=100_000)
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
+    p.add_argument("--max-iter", type=_int_at_least(1), default=100_000)
     p.add_argument("--restarts", type=_int_at_least(0), default=32)
     p.add_argument("--seed", type=int, default=0)
 
@@ -140,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_int_at_least(1), default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--msg-bits", type=_int_at_least(0), default=4)
-    p.add_argument("--n1", type=int, default=None)
+    p.add_argument("--n1", type=_int_at_least(0), default=None)
     p.add_argument("--trace-path", default=None, help="write the first trial's trace as JSON lines")
 
     p = sub.add_parser("oracle", help="brute-force cross checks")
@@ -149,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(1), default=2)
     p.add_argument("--decoder-sees-state", action="store_true")
     p.add_argument("--resolution", type=_int_at_least(1), default=200)
-    p.add_argument("--u-size", type=int, default=None)
+    p.add_argument("--u-size", type=_int_at_least(1), default=None)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -211,15 +222,7 @@ def _cmd_capacity(args, text: str, started: float) -> int:
             restarts=args.restarts,
             seed=args.seed,
         )
-    params = {
-        "si": args.si,
-        "quantity": args.quantity,
-        "regime": args.regime,
-        "tol": args.tol,
-        "max_iter": args.max_iter,
-        "restarts": args.restarts,
-        "seed": args.seed,
-    }
+    params = {k: getattr(args, k) for k in ("si", "quantity", "regime", "tol", "max_iter", "restarts", "seed")}
     out = _report("capacity", _digest(text), params, result.to_jsonable(), started)
     _emit(out, args.verbose, f"{result.value:.6f} bits via {result.method}")
     return EXIT_OK
@@ -234,14 +237,7 @@ def _cmd_simulate(args, text: str, started: float) -> int:
     if trace is not None:
         with open(args.trace_path, "w", encoding="utf-8") as f:
             f.write(trace.to_jsonl() + "\n")
-    params = {
-        "protocol": args.protocol,
-        "si": args.si,
-        "trials": args.trials,
-        "seed": args.seed,
-        "msg_bits": args.msg_bits,
-        "n1": args.n1,
-    }
+    params = {k: getattr(args, k) for k in ("protocol", "si", "trials", "seed", "msg_bits", "n1")}
     out = _report("simulate", _digest(text), params, stats.to_jsonable(), started)
     _emit(out, args.verbose, f"errors={stats.errors} mean_tau={stats.mean_tau:.4f}")
     return EXIT_OK if stats.errors == 0 else EXIT_INVALID
@@ -275,7 +271,7 @@ def _cmd_oracle(args, text: str, started: float) -> int:
             search_space=len_lattice(args.resolution, dmc.nx),
         )
     else:
-        u_size = args.u_size or channel.nx * channel.ns
+        u_size = channel.nx * channel.ns if args.u_size is None else args.u_size
         oracle_value = gp_grid_oracle(channel, args.resolution, u_size)
         module_value = gelfand_pinsker_capacity(channel, seed=args.seed).value
         report = OracleReport(
@@ -286,13 +282,7 @@ def _cmd_oracle(args, text: str, started: float) -> int:
             agreement=module_value >= oracle_value - 1e-3,
             search_space=len_lattice(args.resolution, u_size) ** channel.ns,
         )
-    params = {
-        "which": args.which,
-        "n": args.n,
-        "decoder_sees_state": args.decoder_sees_state,
-        "resolution": args.resolution,
-        "u_size": args.u_size,
-    }
+    params = {k: getattr(args, k) for k in ("which", "n", "decoder_sees_state", "resolution", "u_size")}
     out = _report("oracle", _digest(text), params, report.to_jsonable(), started)
     _emit(out, args.verbose, f"agreement={report.agreement}")
     return EXIT_OK if report.agreement else EXIT_INVALID

@@ -4,16 +4,22 @@ Every checker works on the structural zero/nonzero support pattern of the
 channel only.  A ``positive`` verdict always carries a witness that
 :func:`verify_witness` re-validates against the channel; witness selection
 is lexicographic-first, so verdicts are deterministic.
+
+Two tables hold the design.  ``_ROUTES`` is the one place that maps each
+state-information model to its variable-length and bounded-length
+condition.  ``_CONDITIONS`` is the one place that pairs each condition with
+its witness search and its verifier; a verifier re-reads the support
+pattern and never calls a search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .channel import Dmc, Regime, SdDmc, Si, SiModel
+from .channel import Dmc, Regime, SdDmc, SiModel
 from .errors import AlphabetTooLarge, UnsupportedModel
 from .reductions import average_states
 
@@ -50,63 +56,25 @@ class Verdict:
         }
 
 
-def check_dmc_vl(channel: Dmc) -> Verdict:
-    """Positive iff the matrix has a structural zero (a disprover output).
-
-    Assumes every output of the DMC is reachable from some input.
-    """
-    zeros = np.argwhere(channel.W == 0.0)
-    if zeros.size:
-        x, y = (int(v) for v in zeros[0])
-        return Verdict(POSITIVE, "dmc_disprover", {"kind": "letters", "x": x, "y": y})
-    return Verdict(ZERO, "dmc_disprover")
+def _first(mask: np.ndarray) -> Optional[tuple[int, ...]]:
+    """Index of the first True entry in row-major (lexicographic) order."""
+    hits = np.flatnonzero(mask)
+    return tuple(int(i) for i in np.unravel_index(hits[0], mask.shape)) if hits.size else None
 
 
-def check_dmc_fl_feedback(channel: Dmc) -> Verdict:
-    """Positive iff two inputs have disjoint output supports."""
-    nonzero = channel.W != 0.0
-    for x in range(channel.nx):
-        for x2 in range(x + 1, channel.nx):
-            if not np.any(nonzero[x] & nonzero[x2]):
-                return Verdict(
-                    POSITIVE, "dmc_disjoint_pair", {"kind": "letters", "x": x, "x_prime": x2}
-                )
-    return Verdict(ZERO, "dmc_disjoint_pair")
+def _disjoint(rows: np.ndarray, rows2: np.ndarray) -> np.ndarray:
+    """[i][j]: support row i of ``rows`` and row j of ``rows2`` share no output."""
+    return ~(rows @ rows2.T)
 
 
-def _all_state_disprover(channel: SdDmc) -> Optional[dict]:
-    # (x, y) such that y is impossible from x in every state.
-    zero_everywhere = (channel.W == 0.0).all(axis=0)  # [x][y]
-    hits = np.argwhere(zero_everywhere)
-    if hits.size:
-        x, y = (int(v) for v in hits[0])
-        return {"kind": "letters", "x": x, "y": y}
-    return None
+def _first_disjoint_pair(rows: np.ndarray) -> Optional[tuple[int, int]]:
+    """First (x, x') with x < x' whose support rows share no output."""
+    return _first(np.triu(_disjoint(rows, rows), 1))
 
 
-def _strategy_disprover(channel: SdDmc) -> Optional[dict]:
-    # y such that every state has some input that cannot produce y;
-    # the witness strategy letter picks that input per state.
-    zero = channel.W == 0.0  # [s][x][y]
-    for y in range(channel.ny):
-        if all(zero[s, :, y].any() for s in range(channel.ns)):
-            u = tuple(int(np.argmax(zero[s, :, y])) for s in range(channel.ns))
-            return {"kind": "strategy", "y": y, "u": list(u)}
-    return None
-
-
-def _in_state_disprover(channel: SdDmc) -> Optional[dict]:
-    # (x, x', y, s) with y impossible from x but possible from x', in state s;
-    # scanned y-major so the witness is canonical.
-    for y in range(channel.ny):
-        for x in range(channel.nx):
-            for x2 in range(channel.nx):
-                if x2 == x:
-                    continue
-                for s in range(channel.ns):
-                    if channel.W[s, x, y] == 0.0 and channel.W[s, x2, y] != 0.0:
-                        return {"kind": "letters", "x": x, "x_prime": x2, "y": y, "s": s}
-    return None
+def _separates(nonzero: np.ndarray, in_y1: np.ndarray) -> bool:
+    """Every state has an input confined to Y0 and an input confined to Y1."""
+    return all((~nonzero[:, :, side].any(axis=2)).any(axis=1).all() for side in (in_y1, ~in_y1))
 
 
 def check_nocvlpos(channel: SdDmc) -> Optional[dict]:
@@ -116,43 +84,14 @@ def check_nocvlpos(channel: SdDmc) -> Optional[dict]:
     the set of states in which x' can produce y.  A witness requires the
     group to be nonempty and y to be impossible from x throughout the group.
     """
-    for x in range(channel.nx):
-        for x2 in range(channel.nx):
-            if x2 == x:
-                continue
-            for y in range(channel.ny):
-                group = [s for s in range(channel.ns) if channel.W[s, x2, y] != 0.0]
-                if group and all(channel.W[s, x, y] == 0.0 for s in group):
-                    return {
-                        "kind": "state_group",
-                        "x": x,
-                        "x_prime": x2,
-                        "y": y,
-                        "states": group,
-                    }
-    return None
-
-
-def vl_positivity(channel: SdDmc, si: SiModel) -> Verdict:
-    """Zero-error positivity under variable-length feedback coding."""
-    enc, dec = si.encoder, si.decoder
-    if dec is Si.NONE:
-        if enc in (Si.NONE, Si.STRICTLY_CAUSAL):
-            w = _all_state_disprover(channel)
-            cond = "all_state_disprover"
-        else:
-            w = _strategy_disprover(channel)
-            cond = "strategy_disprover"
-        decision = POSITIVE if w else ZERO
-    elif enc is Si.NONE:  # decoder-only causal: sufficiency only
-        w = check_nocvlpos(channel)
-        cond = "state_group_disprover"
-        decision = POSITIVE_SUFFICIENT if w else UNKNOWN
-    else:
-        w = _in_state_disprover(channel)
-        cond = "in_state_disprover"
-        decision = POSITIVE if w else ZERO
-    return Verdict(decision, cond, w, si=si.token, regime=Regime.VARIABLE_LENGTH.value)
+    nonzero = (channel.W != 0.0).transpose(2, 1, 0)  # [y][x][s]
+    clash = nonzero @ nonzero.transpose(0, 2, 1)  # [y][x][x']: both possible in some state
+    hit = _first((nonzero.any(axis=2)[:, None, :] & ~clash).transpose(1, 2, 0))
+    if hit is None:
+        return None
+    x, x2, y = hit
+    states = [int(s) for s in np.flatnonzero(nonzero[y, x2])]
+    return {"kind": "state_group", "x": x, "x_prime": x2, "y": y, "states": states}
 
 
 def partition_exists(channel: SdDmc, max_outputs: int = 20) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -164,93 +103,188 @@ def partition_exists(channel: SdDmc, max_outputs: int = 20) -> Optional[tuple[tu
     ny = channel.ny
     if ny > max_outputs:
         raise AlphabetTooLarge(f"partition search over {ny} outputs exceeds the cap of {max_outputs}")
-    nonzero = channel.W != 0.0  # [s][x][y]
-    rest = list(range(1, ny))
+    nonzero = channel.W != 0.0
     for mask in range(1, 1 << (ny - 1)):
-        y1 = tuple(y for i, y in enumerate(rest) if mask >> i & 1)
-        y0 = tuple(y for y in range(ny) if y not in y1)
-        in_y0 = np.zeros(ny, dtype=bool)
-        in_y0[list(y0)] = True
-        ok = True
-        for s in range(channel.ns):
-            rows = nonzero[s]
-            has_y0_input = np.any(~rows[:, ~in_y0].any(axis=1))
-            has_y1_input = np.any(~rows[:, in_y0].any(axis=1))
-            if not (has_y0_input and has_y1_input):
-                ok = False
-                break
-        if ok:
-            return y0, y1
+        in_y1 = np.array([y > 0 and bool(mask >> (y - 1) & 1) for y in range(ny)])
+        if _separates(nonzero, in_y1):
+            return tuple(int(y) for y in np.flatnonzero(~in_y1)), tuple(int(y) for y in np.flatnonzero(in_y1))
     return None
 
 
-def _disjoint_in_pair_of_states(channel: SdDmc, s: int, s2: int) -> Optional[tuple[int, int]]:
-    # The letters may coincide when the states differ; for s == s2 a row can
-    # never be disjoint from itself, so distinctness there is automatic.
+def _letters(names: tuple[str, ...], hit: Optional[tuple[int, ...]]) -> Optional[dict]:
+    return None if hit is None else dict(zip(names, hit))
+
+
+def _strategy_disprover(channel: SdDmc) -> Optional[dict]:
+    # y such that every state has some input that cannot produce y;
+    # the witness strategy letter picks the first such input per state.
+    zero = channel.W == 0.0  # [s][x][y]
+    hit = _first(zero.any(axis=1).all(axis=0))
+    return None if hit is None else {"y": hit[0], "u": [int(x) for x in zero[:, :, hit[0]].argmax(axis=1)]}
+
+
+def _in_state_disprover(channel: SdDmc) -> Optional[dict]:
+    # (y, x, x', s) with y impossible from x but possible from x' in state s.
+    zero = (channel.W == 0.0).transpose(2, 1, 0)  # [y][x][s]
+    hit = _first(zero[:, :, None, :] & ~zero[:, None, :, :])
+    return None if hit is None else {"x": hit[1], "x_prime": hit[2], "y": hit[0], "s": hit[3]}
+
+
+def _output_partition(channel: SdDmc) -> Optional[dict]:
+    part = partition_exists(channel)
+    return {"y0": list(part[0]), "y1": list(part[1])} if part else None
+
+
+def _state_pairs(channel: SdDmc, cross: bool) -> list[tuple[str, int, int]]:
+    """(key, s, s') for every ordered pair of states if ``cross``, else for every s = s'."""
+    if cross:
+        return [(f"{s},{s2}", s, s2) for s in range(channel.ns) for s2 in range(channel.ns)]
+    return [(str(s), s, s) for s in range(channel.ns)]
+
+
+def _pair_table(channel: SdDmc, cross: bool) -> Optional[dict]:
+    # Per key, the first (x, x') with x in state s and x' in state s' disjoint;
+    # the letters may coincide only when the states differ.
     nonzero = channel.W != 0.0
-    for x in range(channel.nx):
-        for x2 in range(channel.nx):
-            if x2 == x and s == s2:
-                continue
-            if not np.any(nonzero[s, x] & nonzero[s2, x2]):
-                return x, x2
-    return None
+    table = {}
+    for key, s, s2 in _state_pairs(channel, cross):
+        pair = _first_disjoint_pair(nonzero[s]) if s == s2 else _first(_disjoint(nonzero[s], nonzero[s2]))
+        if pair is None:
+            return None
+        table[key] = list(pair)
+    return {"pairs": table}
 
 
-def _all_state_disjoint_pair(channel: SdDmc) -> Optional[dict]:
+def _all_state_rows(channel: SdDmc) -> np.ndarray:
+    """[x][(s, y)]: the supports of input x in every state, side by side."""
+    return (channel.W != 0.0).transpose(1, 0, 2).reshape(channel.nx, -1)
+
+
+def _rows_disjoint(rows: np.ndarray, x: int, x2: int) -> bool:
+    return not (rows[x] & rows[x2]).any()
+
+
+def _verify_state_group(channel: SdDmc, w: dict) -> bool:
+    group, column = set(w["states"]), channel.W[:, :, w["y"]]
+    can = {int(s) for s in np.flatnonzero(column[:, w["x_prime"]])}
+    return bool(group) and group == can and not column[list(group), w["x"]].any()
+
+
+def _verify_partition(channel: SdDmc, w: dict) -> bool:
+    y0, y1 = set(w["y0"]), set(w["y1"])
+    if y0 | y1 != set(range(channel.ny)) or y0 & y1 or not y0 or not y1:
+        return False
+    return _separates(channel.W != 0.0, np.isin(np.arange(channel.ny), list(y1)))
+
+
+def _verify_pair_table(channel: SdDmc, w: dict, cross: bool) -> bool:
+    states = {key: (s, s2) for key, s, s2 in _state_pairs(channel, cross)}
+    if set(w["pairs"]) != set(states):
+        return False
     nonzero = channel.W != 0.0
-    for x in range(channel.nx):
-        for x2 in range(x + 1, channel.nx):
-            if not np.any(nonzero[:, x, :] & nonzero[:, x2, :]):
-                return {"kind": "letters", "x": x, "x_prime": x2}
-    return None
+    return not any((nonzero[states[k][0], x] & nonzero[states[k][1], x2]).any() for k, (x, x2) in w["pairs"].items())
+
+
+@dataclass(frozen=True)
+class _Condition:
+    """One positivity condition: its witness kind, search and verifier.
+
+    ``fields`` maps each witness field to the alphabet of its indices: ``x``,
+    ``y`` or ``s`` for one index, ``x[]`` for a list, ``x{}`` for a table of
+    input pairs.  ``decisions`` is the verdict with and without a witness.
+    """
+
+    kind: str
+    fields: dict[str, str]
+    search: Callable[[SdDmc | Dmc], Optional[dict]]
+    verify: Callable[[SdDmc | Dmc, dict], bool]
+    decisions: tuple[str, str] = (POSITIVE, ZERO)
+
+
+# Rows reach check_nocvlpos, partition_exists, check_dmc_fl_feedback and
+# average_states through module globals at call time, so a rebinding of
+# those names (for instance by a tracer) sees every call.
+_CONDITIONS = {
+    "dmc_disprover": _Condition("letters", {"x": "x", "y": "y"},
+        lambda ch: _letters(("x", "y"), _first(ch.W == 0.0)),
+        lambda ch, w: ch.W[w["x"], w["y"]] == 0.0),
+    "dmc_disjoint_pair": _Condition("letters", {"x": "x", "x_prime": "x"},
+        lambda ch: _letters(("x", "x_prime"), _first_disjoint_pair(ch.W != 0.0)),
+        lambda ch, w: _rows_disjoint(ch.W != 0.0, w["x"], w["x_prime"])),
+    "all_state_disprover": _Condition("letters", {"x": "x", "y": "y"},
+        lambda ch: _letters(("x", "y"), _first((ch.W == 0.0).all(axis=0))),
+        lambda ch, w: (ch.W[:, w["x"], w["y"]] == 0.0).all()),
+    "strategy_disprover": _Condition("strategy", {"y": "y", "u": "x[]"},
+        _strategy_disprover,
+        lambda ch, w: len(w["u"]) == ch.ns and (ch.W[range(ch.ns), w["u"], w["y"]] == 0.0).all()),
+    "in_state_disprover": _Condition("letters", {"x": "x", "x_prime": "x", "y": "y", "s": "s"},
+        _in_state_disprover,
+        lambda ch, w: ch.W[w["s"], w["x"], w["y"]] == 0.0 and ch.W[w["s"], w["x_prime"], w["y"]] != 0.0),
+    "state_group_disprover": _Condition("state_group", {"x": "x", "x_prime": "x", "y": "y", "states": "s[]"},
+        lambda ch: check_nocvlpos(ch),
+        _verify_state_group, (POSITIVE_SUFFICIENT, UNKNOWN)),
+    "averaged_disjoint_pair": _Condition("letters", {"x": "x", "x_prime": "x"},
+        lambda ch: check_dmc_fl_feedback(average_states(ch)).witness,
+        lambda ch, w: _rows_disjoint(average_states(ch).W != 0.0, w["x"], w["x_prime"])),
+    "output_partition": _Condition("partition", {"y0": "y[]", "y1": "y[]"},
+        _output_partition,
+        _verify_partition),
+    "cross_state_disjoint_pairs": _Condition("per_state_pair_table", {"pairs": "x{}"},
+        lambda ch: _pair_table(ch, cross=True),
+        lambda ch, w: _verify_pair_table(ch, w, cross=True)),
+    "all_state_disjoint_pair": _Condition("letters", {"x": "x", "x_prime": "x"},
+        lambda ch: _letters(("x", "x_prime"), _first_disjoint_pair(_all_state_rows(ch))),
+        lambda ch, w: _rows_disjoint(_all_state_rows(ch), w["x"], w["x_prime"])),
+    "per_state_disjoint_pairs": _Condition("per_state_pairs", {"pairs": "x{}"},
+        lambda ch: _pair_table(ch, cross=False),
+        lambda ch, w: _verify_pair_table(ch, w, cross=False)),
+}
+
+# SI token -> (variable-length condition, bounded-length condition).  Under
+# bounded length the decoder-only-causal model is equivalent to sc,c.
+_ROUTES = {
+    "-,-": ("all_state_disprover", "averaged_disjoint_pair"),
+    "sc,-": ("all_state_disprover", "averaged_disjoint_pair"),
+    "c,-": ("strategy_disprover", "output_partition"),
+    "nc,-": ("strategy_disprover", "cross_state_disjoint_pairs"),
+    "sc,c": ("in_state_disprover", "all_state_disjoint_pair"),
+    "c,c": ("in_state_disprover", "per_state_disjoint_pairs"),
+    "nc,c": ("in_state_disprover", "per_state_disjoint_pairs"),
+    "nc,nc": ("in_state_disprover", "per_state_disjoint_pairs"),
+    "-,c": ("state_group_disprover", "all_state_disjoint_pair"),
+}
+
+
+def _decide(channel: SdDmc | Dmc, condition: str, si: Optional[str] = None, regime: Optional[str] = None) -> Verdict:
+    row = _CONDITIONS[condition]
+    found = row.search(channel)
+    if found is None:
+        return Verdict(row.decisions[1], condition, None, si, regime)
+    # A search may already name its kind (check_nocvlpos is public).
+    return Verdict(row.decisions[0], condition, {"kind": row.kind, **found}, si, regime)
+
+
+def check_dmc_vl(channel: Dmc) -> Verdict:
+    """Positive iff the matrix has a structural zero (a disprover output).
+
+    Assumes every output of the DMC is reachable from some input.
+    """
+    return _decide(channel, "dmc_disprover")
+
+
+def check_dmc_fl_feedback(channel: Dmc) -> Verdict:
+    """Positive iff two inputs have disjoint output supports."""
+    return _decide(channel, "dmc_disjoint_pair")
+
+
+def vl_positivity(channel: SdDmc, si: SiModel) -> Verdict:
+    """Zero-error positivity under variable-length feedback coding."""
+    return _decide(channel, _ROUTES[si.token][0], si.token, Regime.VARIABLE_LENGTH.value)
 
 
 def bl_positivity(channel: SdDmc, si: SiModel) -> Verdict:
     """Zero-error positivity under bounded-length (equivalently fixed-length) coding."""
-    enc, dec = si.encoder, si.decoder
-    if dec is Si.NONE:
-        if enc in (Si.NONE, Si.STRICTLY_CAUSAL):
-            v = check_dmc_fl_feedback(average_states(channel))
-            cond = "averaged_disjoint_pair"
-            w = v.witness
-            decision = v.decision
-        elif enc is Si.CAUSAL:
-            cond = "output_partition"
-            part = partition_exists(channel)
-            w = {"kind": "partition", "y0": list(part[0]), "y1": list(part[1])} if part else None
-            decision = POSITIVE if w else ZERO
-        else:  # non-causal encoder: a non-confusable pair across every state pair
-            cond = "cross_state_disjoint_pairs"
-            table = {}
-            decision = POSITIVE
-            for s in range(channel.ns):
-                for s2 in range(channel.ns):
-                    pair = _disjoint_in_pair_of_states(channel, s, s2)
-                    if pair is None:
-                        decision = ZERO
-                        break
-                    table[f"{s},{s2}"] = list(pair)
-                if decision == ZERO:
-                    break
-            w = {"kind": "per_state_pair_table", "pairs": table} if decision == POSITIVE else None
-    elif (enc, dec) in ((Si.STRICTLY_CAUSAL, Si.CAUSAL), (Si.NONE, Si.CAUSAL)):
-        # The decoder-only-causal case is equivalent to the strictly-causal one here.
-        cond = "all_state_disjoint_pair"
-        w = _all_state_disjoint_pair(channel)
-        decision = POSITIVE if w else ZERO
-    else:
-        cond = "per_state_disjoint_pairs"
-        pairs = {}
-        decision = POSITIVE
-        for s in range(channel.ns):
-            pair = _disjoint_in_pair_of_states(channel, s, s)
-            if pair is None:
-                decision = ZERO
-                break
-            pairs[str(s)] = list(pair)
-        w = {"kind": "per_state_pairs", "pairs": pairs} if decision == POSITIVE else None
-    return Verdict(decision, cond, w, si=si.token, regime=Regime.BOUNDED_LENGTH.value)
+    return _decide(channel, _ROUTES[si.token][1], si.token, Regime.BOUNDED_LENGTH.value)
 
 
 def positivity(channel: SdDmc, si: SiModel, regime: Regime) -> Verdict:
@@ -260,70 +294,33 @@ def positivity(channel: SdDmc, si: SiModel, regime: Regime) -> Verdict:
     return replace(bl_positivity(channel, si), regime=regime.value)
 
 
+def _field_ok(channel: SdDmc | Dmc, value, spec: str) -> bool:
+    n = getattr(channel, "n" + spec[0])  # nx, ny or ns
+
+    def index(v) -> bool:
+        return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < n
+
+    if spec.endswith("{}"):
+        return isinstance(value, dict) and all(
+            isinstance(p, (list, tuple)) and len(p) == 2 and all(map(index, p)) for p in value.values())
+    if spec.endswith("[]"):
+        return isinstance(value, (list, tuple)) and all(map(index, value))
+    return index(value)
+
+
 def verify_witness(channel: SdDmc | Dmc, verdict: Verdict) -> bool:
-    """Re-check a positive verdict's witness against the support pattern."""
+    """Re-check a positive verdict's witness against the support pattern.
+
+    A witness of the wrong kind or fields, or with an index out of range, fails.
+    """
     w = verdict.witness
     if verdict.decision in (ZERO, UNKNOWN):
         return w is None
     if w is None:
         return False
-    cond = verdict.condition
-    if cond == "dmc_disprover":
-        return channel.W[w["x"], w["y"]] == 0.0
-    if cond == "dmc_disjoint_pair":
-        return not (channel.support(w["x"]) & channel.support(w["x_prime"]))
-    if cond == "all_state_disprover":
-        return bool(np.all(channel.W[:, w["x"], w["y"]] == 0.0))
-    if cond == "strategy_disprover":
-        u, y = w["u"], w["y"]
-        return all(channel.W[s, u[s], y] == 0.0 for s in range(channel.ns))
-    if cond == "in_state_disprover":
-        return (
-            channel.W[w["s"], w["x"], w["y"]] == 0.0
-            and channel.W[w["s"], w["x_prime"], w["y"]] != 0.0
-        )
-    if cond == "state_group_disprover":
-        group = set(w["states"])
-        if not group:
-            return False
-        ok_inside = all(
-            channel.W[s, w["x_prime"], w["y"]] != 0.0 and channel.W[s, w["x"], w["y"]] == 0.0
-            for s in group
-        )
-        ok_outside = all(
-            channel.W[s, w["x_prime"], w["y"]] == 0.0
-            for s in range(channel.ns)
-            if s not in group
-        )
-        return ok_inside and ok_outside
-    if cond == "averaged_disjoint_pair":
-        avg = average_states(channel)
-        return not (avg.support(w["x"]) & avg.support(w["x_prime"]))
-    if cond == "output_partition":
-        y0, y1 = set(w["y0"]), set(w["y1"])
-        if y0 | y1 != set(range(channel.ny)) or y0 & y1 or not y0 or not y1:
-            return False
-        for s in range(channel.ns):
-            sup = [channel.support(x, s) for x in range(channel.nx)]
-            if not any(sp <= y0 for sp in sup) or not any(sp <= y1 for sp in sup):
-                return False
-        return True
-    if cond == "cross_state_disjoint_pairs":
-        for key, (x, x2) in w["pairs"].items():
-            s, s2 = (int(v) for v in key.split(","))
-            if channel.support(x, s) & channel.support(x2, s2):
-                return False
-        return set(w["pairs"]) == {f"{s},{s2}" for s in range(channel.ns) for s2 in range(channel.ns)}
-    if cond == "all_state_disjoint_pair":
-        return not any(
-            channel.support(w["x"], s) & channel.support(w["x_prime"], s)
-            for s in range(channel.ns)
-        )
-    if cond == "per_state_disjoint_pairs":
-        if set(w["pairs"]) != {str(s) for s in range(channel.ns)}:
-            return False
-        return not any(
-            channel.support(x, int(s)) & channel.support(x2, int(s))
-            for s, (x, x2) in w["pairs"].items()
-        )
-    raise UnsupportedModel(f"unknown condition {cond!r}")
+    row = _CONDITIONS.get(verdict.condition)
+    if row is None:
+        raise UnsupportedModel(f"unknown condition {verdict.condition!r}")
+    if not isinstance(w, dict) or w.get("kind") != row.kind or set(w) != {"kind", *row.fields}:
+        return False
+    return all(_field_ok(channel, w[f], spec) for f, spec in row.fields.items()) and bool(row.verify(channel, w))

@@ -187,6 +187,13 @@ def test_simulate_trace_path_unwritable(capsys, ex1_path, tmp_path):
         ["capacity", "--si", "nc,-", "--restarts", "-1"],
         ["oracle", "--which", "grid-capacity", "--resolution", "0"],
         ["oracle", "--which", "confusable", "--n", "0"],
+        ["oracle", "--which", "gp-grid", "--u-size", "-1"],
+        ["oracle", "--which", "gp-grid", "--u-size", "0"],
+        ["simulate", "--protocol", "han-sato", "--n1", "-3"],
+        ["capacity", "--si", "-,-", "--tol", "inf"],
+        ["capacity", "--si", "-,-", "--tol", "nan"],
+        ["capacity", "--si", "-,-", "--tol", "0"],
+        ["capacity", "--si", "-,-", "--max-iter", "0"],
     ],
 )
 def test_bad_numeric_arguments_exit_2(ex1_path, argv):

@@ -9,6 +9,7 @@ from sdchan import (
     SdDmc,
     SiModel,
     UNKNOWN,
+    Verdict,
     ZERO,
     average_states,
     bl_positivity,
@@ -196,3 +197,105 @@ def test_verify_witness_rejects_tampering():
 
     forged = Verdict(v.decision, v.condition, {"kind": "letters", "x": 1, "y": 1}, v.si, v.regime)
     assert not verify_witness(ch_ex1(), forged)
+
+
+def test_verify_witness_rejects_malformed_witnesses():
+    # One forged witness per condition: a wrong kind, an index out of range
+    # (negative indices would wrap around), a strategy of the wrong length,
+    # or an extra field.  Each sound witness still verifies, as a Python bool.
+    ex1, ex2, ex3, triv = ch_ex1(), ch_ex2(), ch_ex3(p=0.3, q=0.5), ch_triv()
+    cases = [
+        (average_states(ex1), check_dmc_vl, {"x": -2}),
+        (average_states(triv), check_dmc_fl_feedback, {"x_prime": -1}),
+        (ex1, "-,-/vl", {"x": -2}),
+        (ex1, "c,-/vl", {"u": [0, -2, 5]}),
+        (ex1, "c,-/vl", {"u": [0]}),
+        (ex3, "sc,c/vl", {"s": -1}),
+        (ex1, "-,c/vl", {"states": [0, 1, -1]}),
+        (triv, "-,-/bl", {"kind": "strategy"}),
+        (ex2, "c,-/bl", {"kind": "letters"}),
+        (triv, "nc,-/bl", {"pairs": {"0,0": [0, -1]}}),
+        (triv, "nc,-/bl", {"kind": "per_state_pairs"}),
+        (ex2, "-,c/bl", {"x_prime": 3}),
+        (ex2, "-,c/bl", {"kind": "state_group"}),
+        (triv, "nc,nc/bl", {"pairs": {"0": [0, 1]}, "extra": 0}),
+    ]
+    conditions = set()
+    for ch, how, change in cases:
+        if isinstance(how, str):
+            si, regime = how.split("/")
+            v = positivity(ch, SiModel.from_token(si), Regime.from_token(regime))
+        else:
+            v = how(ch)
+        assert verify_witness(ch, v) is True, v.condition
+        forged = Verdict(v.decision, v.condition, {**v.witness, **change}, v.si, v.regime)
+        assert verify_witness(ch, forged) is False, (v.condition, forged.witness)
+        conditions.add(v.condition)
+    assert len(conditions) == 11
+
+
+def _loop_witness(ch, condition):
+    """Reference loop search: the first witness fields in the documented scan order."""
+    X, Y, S = range(ch.nx), range(ch.ny), range(ch.ns)
+    def zero(s, x, y):
+        return ch.W[s, x, y] == 0.0
+
+    def first(found):
+        return next(found, None)
+
+    def disjoint(x, s, x2, s2):
+        return not ch.support(x, s) & ch.support(x2, s2)
+
+    def pair_table(state_pairs):
+        table = {}
+        for key, s, s2 in state_pairs:
+            pair = first([x, x2] for x in X for x2 in X if (x != x2 or s != s2) and disjoint(x, s, x2, s2))
+            if pair is None:
+                return None
+            table[key] = pair
+        return {"pairs": table}
+
+    if condition == "dmc_disprover":
+        avg = average_states(ch).W
+        return first({"x": x, "y": y} for x in X for y in Y if avg[x, y] == 0.0)
+    if condition in ("dmc_disjoint_pair", "averaged_disjoint_pair"):
+        avg = average_states(ch)
+        return first({"x": x, "x_prime": x2} for x in X for x2 in X if x < x2 and not avg.support(x) & avg.support(x2))
+    if condition == "all_state_disprover":
+        return first({"x": x, "y": y} for x in X for y in Y if all(zero(s, x, y) for s in S))
+    if condition == "strategy_disprover":
+        return first({"y": y, "u": [min(x for x in X if zero(s, x, y)) for s in S]}
+                     for y in Y if all(any(zero(s, x, y) for x in X) for s in S))
+    if condition == "in_state_disprover":
+        return first({"x": x, "x_prime": x2, "y": y, "s": s} for y in Y for x in X for x2 in X for s in S
+                     if x != x2 and zero(s, x, y) and not zero(s, x2, y))
+    if condition == "state_group_disprover":
+        found = first((x, x2, y, [s for s in S if not zero(s, x2, y)]) for x in X for x2 in X if x != x2 for y in Y
+                      if any(not zero(s, x2, y) for s in S) and all(zero(s, x, y) for s in S if not zero(s, x2, y)))
+        return None if found is None else dict(zip(("x", "x_prime", "y", "states"), found))
+    if condition == "output_partition":
+        for mask in range(1, 1 << (ch.ny - 1)):
+            y1 = {y for y in Y if y > 0 and mask >> (y - 1) & 1}
+            if all(any(ch.support(x, s) <= y1 for x in X) and any(not ch.support(x, s) & y1 for x in X) for s in S):
+                return {"y0": [y for y in Y if y not in y1], "y1": sorted(y1)}
+        return None
+    if condition == "cross_state_disjoint_pairs":
+        return pair_table([(f"{s},{s2}", s, s2) for s in S for s2 in S])
+    if condition == "per_state_disjoint_pairs":
+        return pair_table([(str(s), s, s) for s in S])
+    assert condition == "all_state_disjoint_pair"
+    return first({"x": x, "x_prime": x2} for x in X for x2 in X if x < x2 and all(disjoint(x, s, x2, s) for s in S))
+
+
+def test_searches_match_loop_reference():
+    def fields(v):
+        return None if v.witness is None else {k: w for k, w in v.witness.items() if k != "kind"}
+
+    rng = np.random.default_rng(5)
+    for _ in range(150):
+        ch = random_channel(rng, max_size=4)
+        verdicts = [check_dmc_vl(average_states(ch)), check_dmc_fl_feedback(average_states(ch))]
+        for si in SI_ALL + [SiModel.from_token("-,c")]:
+            verdicts += [positivity(ch, si, Regime.VARIABLE_LENGTH), positivity(ch, si, Regime.BOUNDED_LENGTH)]
+        for v in verdicts:
+            assert fields(v) == _loop_witness(ch, v.condition), (v.si, v.condition)
