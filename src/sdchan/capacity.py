@@ -1,23 +1,21 @@
 """Capacity computations: alternating optimizers, a minimax LP, and dispatchers.
 
-All values are in bits (base-2 logarithms, with 0*log(0) = 0).  Certified
-results carry the gap between the optimizer's own upper and lower bounds;
-the non-causal encoder-side value is a heuristic lower bound and is flagged
-as such.
+All values are in bits (base-2 logarithms, with 0*log(0) = 0).  Optimizer
+results carry the gap between their own upper and lower bounds, so each
+value is a certified bracket [value, value + gap]; the non-causal
+encoder-side value is one too.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
-from math import comb
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import linprog
 
 from .channel import Dmc, Regime, SdDmc, Si, SiModel
-from .errors import AlphabetTooLarge, NoConvergence, UnsupportedModel
+from .errors import NoConvergence, UnsupportedModel
 from .positivity import (
     POSITIVE,
     ZERO,
@@ -27,16 +25,13 @@ from .positivity import (
 )
 from .reductions import (
     average_states,
-    enumerate_strategy_letters,
     joint_output_channel,
     shannon_strategy_channel,
 )
 
 BA_TOL = 1e-9
 BA_MAX_ITER = 100_000
-GP_RESTARTS = 32
 GP_TOL = 1e-7
-GP_MAX_FUNCTIONS = 2000
 
 
 @dataclass(frozen=True)
@@ -178,184 +173,109 @@ def shannon_strategy_capacity(
     )
 
 
-def _gp_objective(P_us: np.ndarray, Q: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """I(U;Y) - I(U;S) in bits, batched.
+def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
+    """ln sum exp(x) along ``axis``; an all -inf slice gives -inf.  On arrays
+    this small it costs a fraction of scipy.special.logsumexp per call, and
+    the ascent makes three calls a step."""
+    m = x.max(axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(x - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
 
-    P_us has shape (batch, S, U) holding P(u|s); T has shape (batch, U, S, Y)
-    holding the output kernel of each auxiliary letter.
+
+def _gp_scores(
+    log_P: np.ndarray, log_Q: np.ndarray, T: np.ndarray, log_T: np.ndarray, support: np.ndarray
+) -> np.ndarray:
+    """a(u, s) = sum_y T(y|u,s) ln q(u|y), with q(u|y) the posterior of U given Y.
+
+    log_P holds ln P(u|s) with shape (U, S); T and log_T hold the kernels
+    T(y|u,s) and their logs with shape (U, S, Y); support[u, y] says whether
+    some state gives output y to letter u.  The sums over states and letters
+    run in the log domain, so a letter whose mass underflows keeps a finite,
+    very negative ln q instead of a reset one.
     """
-    joint = Q[None, :, None] * P_us  # (B, S, U)
-    p_u = joint.sum(axis=1)
-    i_us = _xlog2(joint).sum(axis=(1, 2)) - _xlog2(Q).sum() - _xlog2(p_u).sum(axis=1)
-    p_uy = np.einsum("bsu,busy->buy", joint, T)
-    p_y = p_uy.sum(axis=1)
-    i_uy = _xlog2(p_uy).sum(axis=(1, 2)) - _xlog2(p_u).sum(axis=1) - _xlog2(p_y).sum(axis=1)
-    return i_uy - i_us
+    log_p_uy = _logsumexp(log_T + (log_P + log_Q)[:, :, None], axis=1)
+    with np.errstate(invalid="ignore"):
+        log_q = np.where(support, log_p_uy - _logsumexp(log_p_uy, axis=0), 0.0)
+    return np.einsum("usy,uy->us", T, log_q)
 
 
-def _gp_alternate(P_us: np.ndarray, Q: np.ndarray, T: np.ndarray, tol: float, max_iter: int = 500):
-    """Ascend I(U;Y) - I(U;S) by alternating closed-form updates, batched.
+def gelfand_pinsker_capacity(channel: SdDmc, tol: float = GP_TOL, max_iter: int = BA_MAX_ITER) -> CapacityResult:
+    """max over P(u|s) of I(U;Y) - I(U;S): the non-causal encoder's capacity.
 
-    Every batch member runs its own ascent; iteration stops when no member
-    improves by more than ``tol``.  Returns the best iterate and value seen
-    per member (the update is monotone up to floating-point noise).
+    U ranges over the distinct per-state kernels W[s][u(s)][.] of the
+    strategy letters u.  Merging letters that induce one kernel never lowers
+    the objective, so no auxiliary alphabet does better.  The objective is
+    concave in P(u|s) (Dupuis, Yu & Willems, ISIT 2004); the alternating
+    closed-form update ascends it from the uniform point until the
+    Frank-Wolfe gap, an upper bound on the distance to the optimum, drops
+    below ``tol``.  The capacity lies in [value, value + certified_gap].  At
+    ``max_iter`` the bracket is returned with a warning.  The averaged-channel
+    and strategy-lift capacities are lower bounds too; when one of them is
+    larger it is reported, with a method suffix naming it.
     """
-    values = _gp_objective(P_us, Q, T)
-    best_P = P_us.copy()
-    best_values = values.copy()
-    active = np.arange(len(values))
-    for _ in range(max_iter):
-        joint = Q[None, :, None] * P_us
-        p_uy = np.einsum("bsu,busy->buy", joint, T)
-        p_y = p_uy.sum(axis=1)
-        # With interior P, p_uy > 0 wherever some T[u,s,y] > 0, so zeroing the
-        # masked entries is exact (they only meet T = 0 factors below).
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_q_uy = np.log(p_uy) - np.log(p_y)[:, None, :]
-        log_q_uy = np.where(p_uy > 0, log_q_uy, 0.0)
-        a = np.einsum("busy,buy->bus", T, log_q_uy)
-        a -= a.max(axis=1, keepdims=True)
-        P_us = np.exp(a).transpose(0, 2, 1)  # (B, S, U)
-        P_us /= P_us.sum(axis=2, keepdims=True)
-        new_values = _gp_objective(P_us, Q, T)
-        better = new_values > best_values[active]
-        if better.any():
-            best_P[active[better]] = P_us[better]
-            best_values[active[better]] = new_values[better]
-        still = new_values - values >= tol
-        if not still.any():
+    lifted, letters = shannon_strategy_channel(channel)
+    ns = channel.ns
+    T = channel.W[np.arange(ns), np.array(letters)]  # (letters, S, Y): T[u, s] = W[s][u(s)]
+    _, first = np.unique(T.reshape(len(letters), -1), axis=0, return_index=True)
+    keep = np.sort(first)
+    T = T[keep]
+    with np.errstate(divide="ignore"):
+        log_T = np.log(T)
+        log_Q = np.log(channel.Q)
+    support = (T > 0).any(axis=1)
+    # g(u, s) = a(u, s) - ln P(u|s) is the gradient of the objective (in nats,
+    # up to a per-state constant and the factor Q(s)); the objective is
+    # sum_s Q(s) sum_u P(u|s) g(u, s), and concavity bounds the optimum by
+    # sum_s Q(s) max_u g(u, s).
+    log_P = np.full((len(keep), ns), -np.log(len(keep)))
+    for iterations in range(1, max_iter + 1):
+        a = _gp_scores(log_P, log_Q, T, log_T, support)
+        g = a - log_P
+        lower = float(np.einsum("us,us,s->", np.exp(log_P), g, channel.Q) / np.log(2))
+        upper = float(channel.Q @ g.max(axis=0) / np.log(2))
+        if upper - lower < tol:
             break
-        active = active[still]
-        P_us = P_us[still]
-        T = T[still]
-        values = new_values[still]
-    return best_P, best_values
+        log_P = a - _logsumexp(a, axis=0)
+    warnings = ()
+    if upper - lower >= tol:
+        warnings = (f"gelfand_pinsker gap {upper - lower:.3e} above tol {tol:.3e} after {max_iter} iterations",)
+    value = lower
+    maximizer = {"P_U_given_S": np.exp(log_P).T.tolist(), "f": [list(letters[i]) for i in keep]}
+    method = "gp_ascent"
 
-
-def _unique_kernel_rows(channel: SdDmc):
-    """Distinct per-letter kernels W[s][u(s)][.]; letters inducing the same
-    kernel are interchangeable for the auxiliary-variable search."""
-    seen = {}
-    kernels = []
-    reps = []
-    for u in enumerate_strategy_letters(channel.nx, channel.ns):
-        k = np.stack([channel.W[s, u[s]] for s in range(channel.ns)])  # [s][y]
-        key = k.tobytes()
-        if key not in seen:
-            seen[key] = len(kernels)
-            kernels.append(k)
-            reps.append(u)
-    return kernels, reps
-
-
-def gelfand_pinsker_capacity(
-    channel: SdDmc,
-    restarts: int = GP_RESTARTS,
-    tol: float = GP_TOL,
-    seed: int = 0,
-    max_functions: int = GP_MAX_FUNCTIONS,
-) -> CapacityResult:
-    """Lower bound on max over (P_{U|S}, f) of I(U;Y) - I(U;S), |U| = |X||S|.
-
-    Alternating maximization over P_{U|S} for each deterministic f (deduped
-    up to relabelings of U and up to letters inducing identical kernels),
-    multistarted from the uniform point plus Dirichlet(1) draws.  Two
-    certified floors are always included: the averaged-channel capacity
-    (U = X independent of S) and the strategy-lift capacity.  The value is
-    a lower bound; no certified gap is reported.
-    """
-    nu = channel.nx * channel.ns
-    Q = channel.Q
-    warnings = []
-
-    kernels, reps = _unique_kernel_rows(channel)
-    n_functions = _multiset_count(len(kernels), nu)
-    if n_functions <= max_functions:
-        choices = itertools.combinations_with_replacement(range(len(kernels)), nu)
-    else:
-        warnings.append(
-            f"function enumeration of size {n_functions} exceeds budget {max_functions}; "
-            "falling back to randomized sampling"
-        )
-        rng = np.random.default_rng([seed, 0xF])
-        choices = (tuple(sorted(rng.integers(0, len(kernels), nu))) for _ in range(max_functions))
-
-    kernel_array = np.stack(kernels)  # (K, S, Y)
-    per_combo = restarts + 1
-    chunk_combos = max(1, 8192 // per_combo)
-
-    best_value = -np.inf
-    best = None
-    combos = list(choices)
-    for lo in range(0, len(combos), chunk_combos):
-        chunk = combos[lo : lo + chunk_combos]
-        T_chunk = kernel_array[np.array(chunk)]  # (C, U, S, Y)
-        T = np.repeat(T_chunk, per_combo, axis=0)
-        starts = np.empty((len(chunk) * per_combo, channel.ns, nu))
-        for i, _ in enumerate(chunk):
-            base = i * per_combo
-            starts[base] = 1.0 / nu
-            for r in range(restarts):
-                rng = np.random.default_rng([seed, lo + i, r])
-                starts[base + 1 + r] = rng.dirichlet(np.ones(nu), size=channel.ns)
-        P_batch, values = _gp_alternate(starts, Q, T, tol)
-        top = int(np.argmax(values))
-        if values[top] > best_value:
-            best_value = float(values[top])
-            best = (chunk[top // per_combo], P_batch[top])
-
-    combo, P = best
-    maximizer = {
-        "P_U_given_S": P.tolist(),
-        "f": [list(reps[k]) for k in combo],
-    }
-    method = "heuristic-multistart"
-
-    # Certified floors: U = X with a state-independent input embeds the
-    # averaged channel; the strategy lift embeds the causal-encoder value.
     # A stalled optimizer still provides a valid lower bound, so floors
     # survive NoConvergence.
     try:
         avg = blahut_arimoto(average_states(channel))
     except NoConvergence as e:
         avg = e.result
-    if avg.value > best_value:
-        p = np.zeros(nu)
-        p[: channel.nx] = avg.maximizer["P_X"]
-        best_value = avg.value
-        maximizer = {
-            "P_U_given_S": [p.tolist()] * channel.ns,
-            "f": [[x] * channel.ns for x in range(channel.nx)]
-            + [[0] * channel.ns for _ in range(nu - channel.nx)],
-        }
-        method = "heuristic-multistart+averaged_floor"
+    if avg.value > value:
+        value = avg.value
+        maximizer = {"P_U_given_S": [avg.maximizer["P_X"]] * ns, "f": [[x] * ns for x in range(channel.nx)]}
+        method = "gp_ascent+averaged_floor"
     try:
-        causal = shannon_strategy_capacity(channel)
+        causal = blahut_arimoto(lifted)
     except NoConvergence as e:
         causal = e.result
-    except AlphabetTooLarge:
-        causal = None
-    if causal is not None and causal.value > best_value:
-        best_value = causal.value
+    if causal.value > value:
+        value = causal.value
         maximizer = {
-            "P_U": causal.maximizer["P_U"],
-            "f": causal.maximizer["strategies"],
+            "P_U": causal.maximizer["P_X"],
+            "f": [list(u) for u in letters],
             "note": "strategy-lift floor; |U| equals the strategy alphabet",
         }
-        method = "heuristic-multistart+strategy_floor"
+        method = "gp_ascent+strategy_floor"
 
+    value = max(value, 0.0)
     return CapacityResult(
-        value=max(best_value, 0.0),
+        value=value,
         maximizer=maximizer,
         method=method,
-        iterations=0,
-        certified_gap=None,
-        warnings=tuple(warnings),
+        iterations=iterations,
+        certified_gap=max(upper - value, 0.0),
+        warnings=warnings,
     )
-
-
-def _multiset_count(n_items: int, size: int) -> int:
-    return comb(n_items + size - 1, size)
 
 
 def shannon_zef_fl_capacity(channel: Dmc, ignore_positivity: bool = False) -> CapacityResult:
@@ -404,8 +324,6 @@ def vanishing_capacity(
     si: SiModel,
     tol: float = BA_TOL,
     max_iter: int = BA_MAX_ITER,
-    restarts: int = GP_RESTARTS,
-    seed: int = 0,
 ) -> CapacityResult:
     """Vanishing-error capacity (feedback and code-length regime are immaterial)."""
     enc, dec = si.encoder, si.decoder
@@ -414,7 +332,7 @@ def vanishing_capacity(
             return blahut_arimoto(average_states(channel), tol=tol, max_iter=max_iter)
         if enc is Si.CAUSAL:
             return shannon_strategy_capacity(channel, tol=tol, max_iter=max_iter)
-        return gelfand_pinsker_capacity(channel, restarts=restarts, seed=seed)
+        return gelfand_pinsker_capacity(channel, max_iter=max_iter)
     if (enc, dec) in ((Si.STRICTLY_CAUSAL, Si.CAUSAL), (Si.NONE, Si.CAUSAL)):
         return capacity_cond_iid(channel, per_state_input=False, tol=tol, max_iter=max_iter)
     return capacity_cond_iid(channel, per_state_input=True, tol=tol, max_iter=max_iter)
@@ -426,8 +344,6 @@ def zero_error_capacity(
     regime: Regime,
     tol: float = BA_TOL,
     max_iter: int = BA_MAX_ITER,
-    restarts: int = GP_RESTARTS,
-    seed: int = 0,
 ) -> CapacityResult:
     """Zero-error feedback capacity: 0 when the positivity check fails,
     the vanishing-error value otherwise.
@@ -453,5 +369,5 @@ def zero_error_capacity(
             certified_gap=0.0,
             verdict=verdict,
         )
-    inner = vanishing_capacity(channel, si, tol=tol, max_iter=max_iter, restarts=restarts, seed=seed)
+    inner = vanishing_capacity(channel, si, tol=tol, max_iter=max_iter)
     return replace(inner, verdict=verdict)

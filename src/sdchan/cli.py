@@ -141,15 +141,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--regime", default="vl", choices=["fl", "bl", "vl"])
     p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.add_argument("--max-iter", type=_int_at_least(1), default=100_000)
-    p.add_argument("--restarts", type=_int_at_least(0), default=32)
-    p.add_argument("--seed", type=int, default=0)
+    # Kept so existing command lines still parse; the nc,- ascent is deterministic.
+    p.add_argument("--restarts", type=_int_at_least(0), default=32, help="no effect")
 
     p = sub.add_parser("simulate", help="run a zero-error protocol")
     p.add_argument("path")
     p.add_argument("--protocol", required=True, choices=list(PROTOCOLS))
     p.add_argument("--si", default="-,-")
     p.add_argument("--trials", type=_int_at_least(1), default=10_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--msg-bits", type=_int_at_least(0), default=4)
     p.add_argument("--n1", type=_int_at_least(0), default=None)
     p.add_argument("--trace-path", default=None, help="write the first trial's trace as JSON lines")
@@ -161,7 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--decoder-sees-state", action="store_true")
     p.add_argument("--resolution", type=_int_at_least(1), default=200)
     p.add_argument("--u-size", type=_int_at_least(1), default=None)
-    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -209,20 +208,12 @@ def _cmd_capacity(args, text: str, started: float) -> int:
     channel = load_channel(text)
     si = SiModel.from_token(args.si)
     if args.quantity == "vanishing":
-        result = vanishing_capacity(
-            channel, si, tol=args.tol, max_iter=args.max_iter, restarts=args.restarts, seed=args.seed
-        )
+        result = vanishing_capacity(channel, si, tol=args.tol, max_iter=args.max_iter)
     else:
         result = zero_error_capacity(
-            channel,
-            si,
-            Regime.from_token(args.regime),
-            tol=args.tol,
-            max_iter=args.max_iter,
-            restarts=args.restarts,
-            seed=args.seed,
+            channel, si, Regime.from_token(args.regime), tol=args.tol, max_iter=args.max_iter
         )
-    params = {k: getattr(args, k) for k in ("si", "quantity", "regime", "tol", "max_iter", "restarts", "seed")}
+    params = {k: getattr(args, k) for k in ("si", "quantity", "regime", "tol", "max_iter", "restarts")}
     out = _report("capacity", _digest(text), params, result.to_jsonable(), started)
     _emit(out, args.verbose, f"{result.value:.6f} bits via {result.method}")
     return EXIT_OK
@@ -273,7 +264,7 @@ def _cmd_oracle(args, text: str, started: float) -> int:
     else:
         u_size = channel.nx * channel.ns if args.u_size is None else args.u_size
         oracle_value = gp_grid_oracle(channel, args.resolution, u_size)
-        module_value = gelfand_pinsker_capacity(channel, seed=args.seed).value
+        module_value = gelfand_pinsker_capacity(channel).value
         report = OracleReport(
             instance=f"auxiliary-variable lower bound, resolution {args.resolution}, |U|={u_size}",
             oracle_value=oracle_value,

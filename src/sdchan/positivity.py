@@ -283,12 +283,16 @@ def vl_positivity(channel: SdDmc, si: SiModel) -> Verdict:
 
 
 def bl_positivity(channel: SdDmc, si: SiModel) -> Verdict:
-    """Zero-error positivity under bounded-length (equivalently fixed-length) coding."""
+    """Zero-error positivity under bounded-length coding.
+
+    Fixed length has the same positivity condition, not the same capacity value.
+    """
     return _decide(channel, _ROUTES[si.token][1], si.token, Regime.BOUNDED_LENGTH.value)
 
 
 def positivity(channel: SdDmc, si: SiModel, regime: Regime) -> Verdict:
-    """Dispatch on the coding regime (fixed and bounded length coincide)."""
+    """Dispatch on the coding regime; fixed and bounded length share
+    ``bl_positivity`` (one positivity condition, not one capacity value)."""
     if regime is Regime.VARIABLE_LENGTH:
         return vl_positivity(channel, si)
     return replace(bl_positivity(channel, si), regime=regime.value)

@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from .channel import Dmc, SdDmc
-from .errors import AlphabetTooLarge
+from .errors import AlphabetTooLarge, ValidationError
 
 # A strategy letter is a total map from state index to input index,
 # represented as a tuple u with u[s] in range(nx).
@@ -29,8 +29,15 @@ def enumerate_strategy_letters(nx: int, ns: int) -> list[StrategyLetter]:
 def average_states(channel: SdDmc) -> Dmc:
     """Marginalize the state: rows are the Q-weighted averages of per-state rows."""
     W = np.einsum("s,sxy->xy", channel.Q, channel.W)
+    mass = W.sum(axis=1, keepdims=True)
+    empty = np.flatnonzero(mass == 0.0)
+    if empty.size:
+        x = empty[0]
+        raise ValidationError(
+            f"row_stochastic: input {channel.x_labels[x]!r} (x={x}) has all-zero rows in every state"
+        )
     # Renormalize away accumulated rounding so the result passes the DMC check.
-    W = W / W.sum(axis=1, keepdims=True)
+    W = W / mass
     return Dmc(W=W, x_labels=channel.x_labels, y_labels=channel.y_labels)
 
 

@@ -1,9 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from sdchan import serialize
+from sdchan import SdDmc, serialize
 from sdchan.cli import main
 from sdchan.protocols import CHUNK_TRIALS
 from conftest import ch_ex1, ch_ex2, ch_ex3, ch_triv
@@ -96,6 +97,18 @@ def test_capacity_triv(capsys, tmp_path):
     code, report = run_cli(capsys, "capacity", str(path), "--si", "c,c")
     assert code == 0
     assert abs(report["results"]["value_bits"] - 1.0) < 1e-8
+
+
+def test_capacity_oversize_strategy_alphabet_exit_2(capsys, tmp_path):
+    # 2 inputs and 13 states give 2**13 = 8192 strategy letters, above the cap.
+    path = tmp_path / "wide.json"
+    path.write_text(serialize(SdDmc(W=np.tile(np.eye(2), (13, 1, 1)), Q=np.full(13, 1 / 13))))
+    for si in ("c,-", "nc,-"):
+        started = time.perf_counter()
+        code, report = run_cli(capsys, "capacity", str(path), "--si", si)
+        assert code == 2
+        assert "strategy alphabet has 8192 letters" in report["error"]
+        assert time.perf_counter() - started < 1.0
 
 
 def test_reduce_average(capsys, ex1_path):
@@ -194,6 +207,7 @@ def test_simulate_trace_path_unwritable(capsys, ex1_path, tmp_path):
         ["capacity", "--si", "-,-", "--tol", "nan"],
         ["capacity", "--si", "-,-", "--tol", "0"],
         ["capacity", "--si", "-,-", "--max-iter", "0"],
+        ["simulate", "--protocol", "theorem5", "--seed", "-1"],
     ],
 )
 def test_bad_numeric_arguments_exit_2(ex1_path, argv):

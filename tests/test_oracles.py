@@ -82,7 +82,7 @@ def test_gp_grid_single_state_matches_grid(rng):
 def test_gp_grid_stuck_at():
     oracle = gp_grid_oracle(stuck_at(0.2), resolution=40, u_size=2)
     assert abs(oracle - 0.8) < 1e-9  # exactly representable on this lattice
-    module = gelfand_pinsker_capacity(stuck_at(0.2), restarts=8).value
+    module = gelfand_pinsker_capacity(stuck_at(0.2)).value
     assert module >= oracle - 1e-3
 
 

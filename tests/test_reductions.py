@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from sdchan import (
     AlphabetTooLarge,
+    SdDmc,
+    ValidationError,
     average_states,
     enumerate_strategy_letters,
     extend_with_termination,
@@ -36,6 +40,16 @@ def test_average_matches_manual_sum(rng):
         manual = sum(ch.Q[s] * ch.W[s] for s in range(ch.ns))
         manual = manual / manual.sum(axis=1, keepdims=True)
         assert np.allclose(avg.W, manual, atol=1e-12)
+
+
+def test_average_empty_input_row_names_the_input():
+    # Construction checks only shapes, so a library-built channel can have an
+    # input that reaches no output in any state.
+    ch = SdDmc(W=[[[1.0, 0.0], [0.0, 0.0]], [[0.5, 0.5], [0.0, 0.0]]], Q=[0.5, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="input 'x1'"):
+            average_states(ch)
 
 
 def test_strategy_letters_lexicographic():
