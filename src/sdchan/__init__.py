@@ -31,7 +31,6 @@ from .errors import (
     ParseError,
     PrecondFailed,
     SdchanError,
-    SearchSpaceTooLarge,
     UnsupportedModel,
     ValidationError,
 )

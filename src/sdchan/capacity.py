@@ -1,9 +1,10 @@
-"""Capacity computations: alternating optimizers, a minimax LP, and dispatchers.
+"""Capacity computations: two certified optimizers, a minimax LP, and dispatchers.
 
-All values are in bits (base-2 logarithms, with 0*log(0) = 0).  Optimizer
-results carry the gap between their own upper and lower bounds, so each
-value is a certified bracket [value, value + gap]; the non-causal
-encoder-side value is one too.
+All values are in bits (base-2 logarithms, with 0*log(0) = 0).  Every
+vanishing-error value comes from one of two optimizers: Blahut-Arimoto on a
+DMC, or the concave Gelfand-Pinsker ascent for the non-causal encoder.  Each
+result carries the gap between its own upper and lower bounds, so its value
+is a certified bracket [value, value + gap].
 """
 
 from __future__ import annotations
@@ -76,16 +77,6 @@ def mutual_information(p_x: np.ndarray, W: np.ndarray) -> float:
     return float(h_y - h_y_given_x)
 
 
-def _relative_entropies(W: np.ndarray, q_y: np.ndarray) -> np.ndarray:
-    """D(W(.|x) || q) per input, in bits; rows may have structural zeros."""
-    nx = W.shape[0]
-    d = np.zeros(nx)
-    for x in range(nx):
-        mask = W[x] > 0
-        d[x] = np.sum(W[x, mask] * (np.log2(W[x, mask]) - np.log2(q_y[mask])))
-    return d
-
-
 def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITER) -> CapacityResult:
     """max_{P_X} I(X;Y) by alternating updates from the uniform input.
 
@@ -94,13 +85,18 @@ def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITE
     """
     W = channel.W
     nx = channel.nx
+    support = W > 0
+    with np.errstate(divide="ignore"):
+        log2_W = np.log2(W)
     r = np.full(nx, 1.0 / nx)
     lower = 0.0
     gap = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
         q_y = r @ W
-        d = _relative_entropies(W, q_y)
+        # d[x] = D(W(.|x) || q) in bits; structural zeros of W contribute 0.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.where(support, W * (log2_W - np.log2(q_y)), 0.0).sum(axis=1)
         lower = float(r @ d)
         upper = float(d.max())
         gap = upper - lower
@@ -160,11 +156,9 @@ def capacity_cond_iid(
     return replace(inner, method="joint_output_blahut_arimoto")
 
 
-def shannon_strategy_capacity(
-    channel: SdDmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITER, cap: int = 4096
-) -> CapacityResult:
+def shannon_strategy_capacity(channel: SdDmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITER) -> CapacityResult:
     """Capacity of the strategy-letter lift, maximized over letter distributions."""
-    lifted, letters = shannon_strategy_channel(channel, cap=cap)
+    lifted, letters = shannon_strategy_channel(channel)
     inner = blahut_arimoto(lifted, tol=tol, max_iter=max_iter)
     return replace(
         inner,
@@ -209,12 +203,12 @@ def gelfand_pinsker_capacity(channel: SdDmc, tol: float = GP_TOL, max_iter: int 
     concave in P(u|s) (Dupuis, Yu & Willems, ISIT 2004); the alternating
     closed-form update ascends it from the uniform point until the
     Frank-Wolfe gap, an upper bound on the distance to the optimum, drops
-    below ``tol``.  The capacity lies in [value, value + certified_gap].  At
-    ``max_iter`` the bracket is returned with a warning.  The averaged-channel
-    and strategy-lift capacities are lower bounds too; when one of them is
-    larger it is reported, with a method suffix naming it.
+    below ``tol``.  The capacity lies in [value, value + certified_gap], so
+    value + certified_gap also bounds the averaged-channel and strategy-lift
+    capacities, which the non-causal encoder can only match or beat.  At
+    ``max_iter`` the bracket is returned with a warning.
     """
-    lifted, letters = shannon_strategy_channel(channel)
+    _, letters = shannon_strategy_channel(channel)
     ns = channel.ns
     T = channel.W[np.arange(ns), np.array(letters)]  # (letters, S, Y): T[u, s] = W[s][u(s)]
     _, first = np.unique(T.reshape(len(letters), -1), axis=0, return_index=True)
@@ -240,38 +234,11 @@ def gelfand_pinsker_capacity(channel: SdDmc, tol: float = GP_TOL, max_iter: int 
     warnings = ()
     if upper - lower >= tol:
         warnings = (f"gelfand_pinsker gap {upper - lower:.3e} above tol {tol:.3e} after {max_iter} iterations",)
-    value = lower
-    maximizer = {"P_U_given_S": np.exp(log_P).T.tolist(), "f": [list(letters[i]) for i in keep]}
-    method = "gp_ascent"
-
-    # A stalled optimizer still provides a valid lower bound, so floors
-    # survive NoConvergence.
-    try:
-        avg = blahut_arimoto(average_states(channel))
-    except NoConvergence as e:
-        avg = e.result
-    if avg.value > value:
-        value = avg.value
-        maximizer = {"P_U_given_S": [avg.maximizer["P_X"]] * ns, "f": [[x] * ns for x in range(channel.nx)]}
-        method = "gp_ascent+averaged_floor"
-    try:
-        causal = blahut_arimoto(lifted)
-    except NoConvergence as e:
-        causal = e.result
-    if causal.value > value:
-        value = causal.value
-        maximizer = {
-            "P_U": causal.maximizer["P_X"],
-            "f": [list(u) for u in letters],
-            "note": "strategy-lift floor; |U| equals the strategy alphabet",
-        }
-        method = "gp_ascent+strategy_floor"
-
-    value = max(value, 0.0)
+    value = max(lower, 0.0)
     return CapacityResult(
         value=value,
-        maximizer=maximizer,
-        method=method,
+        maximizer={"P_U_given_S": np.exp(log_P).T.tolist(), "f": [list(letters[i]) for i in keep]},
+        method="gp_ascent",
         iterations=iterations,
         certified_gap=max(upper - value, 0.0),
         warnings=warnings,

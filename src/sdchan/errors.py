@@ -20,10 +20,6 @@ class AlphabetTooLarge(SdchanError):
     """A derived alphabet exceeds the configured size cap."""
 
 
-class SearchSpaceTooLarge(SdchanError):
-    """An enumeration exceeds its configured budget."""
-
-
 class BudgetExceeded(SdchanError):
     """A brute-force oracle was asked for more work than its budget allows."""
 

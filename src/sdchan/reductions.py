@@ -56,10 +56,8 @@ def shannon_strategy_channel(
             f"strategy alphabet has {n_letters} letters, exceeding the cap of {cap}"
         )
     letters = enumerate_strategy_letters(channel.nx, channel.ns)
-    W = np.empty((n_letters, channel.ny))
-    for i, u in enumerate(letters):
-        rows = channel.W[np.arange(channel.ns), list(u), :]
-        W[i] = channel.Q @ rows
+    T = channel.W[np.arange(channel.ns), np.array(letters)]  # T[i, s] = W[s][u_i(s)]
+    W = np.matmul(channel.Q, T)
     W = W / W.sum(axis=1, keepdims=True)
     labels = tuple("u" + "".join(str(x) for x in u) for u in letters)
     return Dmc(W=W, x_labels=labels, y_labels=channel.y_labels), letters
