@@ -77,33 +77,65 @@ def mutual_information(p_x: np.ndarray, W: np.ndarray) -> float:
     return float(h_y - h_y_given_x)
 
 
-def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITER) -> CapacityResult:
-    """max_{P_X} I(X;Y) by alternating updates from the uniform input.
+def _adaptive_ascent(point, evaluate, propose, tol: float, max_iter: int):
+    """Monotone ascent with an adaptive step; returns (point, lower, upper, evaluations).
 
-    Stops when the per-iteration upper and lower capacity bounds differ by
-    less than ``tol``; the gap is recorded in the result.
+    ``evaluate(point)`` gives the certified bounds (lower, upper) at ``point``
+    and the direction ``propose`` needs; ``propose(point, direction, mu)`` is
+    the plain update at mu = 1 and extrapolates along it for mu > 1.  A
+    proposal is accepted when its lower bound does not drop and its bracket
+    does not widen, and mu then doubles; otherwise it is rejected and mu
+    resets to 1, whose plain update is always taken (it ascends in exact
+    arithmetic).  The bounds returned are those of the point returned.
+    Every evaluation, rejected proposals included, counts against
+    ``max_iter``.
+    """
+    lower, upper, direction = evaluate(point)
+    evaluations = 1
+    mu = 1.0
+    while upper - lower >= tol and evaluations < max_iter:
+        trial = propose(point, direction, mu)
+        t_lower, t_upper, t_direction = evaluate(trial)
+        evaluations += 1
+        if mu == 1.0 or (t_lower >= lower and t_upper - t_lower <= upper - lower):
+            point, lower, upper, direction = trial, t_lower, t_upper, t_direction
+            mu *= 2.0
+        else:
+            mu = 1.0
+    return point, lower, upper, evaluations
+
+
+def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITER) -> CapacityResult:
+    """max_{P_X} I(X;Y) by an accelerated Blahut-Arimoto ascent from the uniform input.
+
+    At any input law r, I(r) <= C <= max_x D(W_x || rW), so each evaluated
+    point carries a certified bracket.  The step r' ∝ r * 2^(mu (d - max d)),
+    d[x] = D(W_x || rW), is the classic update at mu = 1; ``_adaptive_ascent``
+    doubles mu while its proposals are accepted and resets it to 1 when one
+    is not.  Stops when the bracket at the current point is narrower than
+    ``tol``; ``iterations`` counts the evaluations of d, rejected proposals
+    included.
     """
     W = channel.W
     nx = channel.nx
     support = W > 0
     with np.errstate(divide="ignore"):
         log2_W = np.log2(W)
-    r = np.full(nx, 1.0 / nx)
-    lower = 0.0
-    gap = np.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+
+    def evaluate(r):
         q_y = r @ W
         # d[x] = D(W(.|x) || q) in bits; structural zeros of W contribute 0.
         with np.errstate(divide="ignore", invalid="ignore"):
             d = np.where(support, W * (log2_W - np.log2(q_y)), 0.0).sum(axis=1)
-        lower = float(r @ d)
-        upper = float(d.max())
-        gap = upper - lower
-        if gap < tol:
-            break
-        scaled = r * np.exp2(d - d.max())
-        r = scaled / scaled.sum()
+        upper = d.max()
+        return float(r @ d), float(upper), d - upper
+
+    def propose(r, shifted_d, mu):
+        scaled = r * np.exp2(mu * shifted_d)
+        return scaled / scaled.sum()
+
+    r, lower, upper, iterations = _adaptive_ascent(np.full(nx, 1.0 / nx), evaluate, propose, tol, max_iter)
+    gap = upper - lower
     result = CapacityResult(
         value=max(lower, 0.0),
         maximizer={"P_X": r.tolist()},
@@ -200,13 +232,16 @@ def gelfand_pinsker_capacity(channel: SdDmc, tol: float = GP_TOL, max_iter: int 
     U ranges over the distinct per-state kernels W[s][u(s)][.] of the
     strategy letters u.  Merging letters that induce one kernel never lowers
     the objective, so no auxiliary alphabet does better.  The objective is
-    concave in P(u|s) (Dupuis, Yu & Willems, ISIT 2004); the alternating
-    closed-form update ascends it from the uniform point until the
-    Frank-Wolfe gap, an upper bound on the distance to the optimum, drops
-    below ``tol``.  The capacity lies in [value, value + certified_gap], so
-    value + certified_gap also bounds the averaged-channel and strategy-lift
-    capacities, which the non-causal encoder can only match or beat.  At
-    ``max_iter`` the bracket is returned with a warning.
+    concave in P(u|s) (Dupuis, Yu & Willems, ISIT 2004); it is ascended from
+    the uniform point until the Frank-Wolfe gap, an upper bound on the
+    distance to the optimum, drops below ``tol``.  The step proposes
+    ln P' = normalize(ln P + mu (a - ln P)); mu = 1 is the alternating
+    closed-form update, and ``_adaptive_ascent`` adapts mu.  The capacity
+    lies in [value, value + certified_gap], both computed at the returned
+    P(u|s), so value + certified_gap also bounds the averaged-channel and
+    strategy-lift capacities, which the non-causal encoder can only match or
+    beat.  ``iterations`` counts the score evaluations, rejected proposals
+    included.  At ``max_iter`` the bracket is returned with a warning.
     """
     _, letters = shannon_strategy_channel(channel)
     ns = channel.ns
@@ -222,15 +257,21 @@ def gelfand_pinsker_capacity(channel: SdDmc, tol: float = GP_TOL, max_iter: int 
     # up to a per-state constant and the factor Q(s)); the objective is
     # sum_s Q(s) sum_u P(u|s) g(u, s), and concavity bounds the optimum by
     # sum_s Q(s) max_u g(u, s).
-    log_P = np.full((len(keep), ns), -np.log(len(keep)))
-    for iterations in range(1, max_iter + 1):
+    def evaluate(log_P):
         a = _gp_scores(log_P, log_Q, T, log_T, support)
         g = a - log_P
         lower = float(np.einsum("us,us,s->", np.exp(log_P), g, channel.Q) / np.log(2))
         upper = float(channel.Q @ g.max(axis=0) / np.log(2))
-        if upper - lower < tol:
-            break
-        log_P = a - _logsumexp(a, axis=0)
+        return lower, upper, (a, g)
+
+    def propose(log_P, direction, mu):
+        # ln P + mu (a - ln P), written so that mu = 1 gives a exactly.
+        a, g = direction
+        x = a + (mu - 1.0) * g
+        return x - _logsumexp(x, axis=0)
+
+    start = np.full((len(keep), ns), -np.log(len(keep)))
+    log_P, lower, upper, iterations = _adaptive_ascent(start, evaluate, propose, tol, max_iter)
     warnings = ()
     if upper - lower >= tol:
         warnings = (f"gelfand_pinsker gap {upper - lower:.3e} above tol {tol:.3e} after {max_iter} iterations",)

@@ -5,7 +5,7 @@ Exit codes (on an error, a JSON ``{"error": ...}`` object replaces the report):
 1 invalid channel, a simulation decoding error, or an oracle disagreement;
 2 bad argument, file IO or parse error (a non-UTF-8 file included), unsupported
 SI/regime/model, oversize alphabet, oracle budget or two-phase codebook cap
-exceeded, or optimizer non-convergence;
+exceeded, optimizer non-convergence, or a non-finite number in the report;
 3 ``check`` verdict zero; 4 ``check`` verdict unknown;
 5 ``simulate`` protocol precondition fails.
 """
@@ -67,8 +67,13 @@ def _digest(text: str) -> str:
 
 
 def _emit(report: dict, verbose: bool, summary: str = "") -> None:
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # Serialize in full before writing: a non-finite number raises here, so
+    # no half-written or non-JSON report reaches stdout.
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError as e:
+        raise SdchanError(f"report holds a non-finite number: {e}") from None
+    sys.stdout.write(text + "\n")
     if verbose and summary:
         print(summary, file=sys.stderr)
 

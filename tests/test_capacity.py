@@ -65,42 +65,117 @@ def test_ba_no_convergence_returns_partial():
 
 
 def _reference_blahut_arimoto(W, max_iter):
-    """The same iteration with one relative entropy per input, in a Python loop."""
-    nx = W.shape[0]
-    r = np.full(nx, 1.0 / nx)
-    for iterations in range(1, max_iter + 1):
+    """The same adaptive-step ascent with one relative entropy per input, in a Python loop.
+
+    Each input's terms are summed over its whole row, structural zeros
+    included, so the sum rounds as the array expression's does: the accept
+    rule compares lower bounds that differ by a few ulps near convergence.
+    """
+    nx, ny = W.shape
+
+    def bounds(r):
         q_y = r @ W
         d = np.zeros(nx)
         for x in range(nx):
             mask = W[x] > 0
-            d[x] = np.sum(W[x, mask] * (np.log2(W[x, mask]) - np.log2(q_y[mask])))
+            terms = np.zeros(ny)
+            terms[mask] = W[x, mask] * (np.log2(W[x, mask]) - np.log2(q_y[mask]))
+            d[x] = terms.sum()
+        return float(r @ d), float(d.max()), d
+
+    r = np.full(nx, 1.0 / nx)
+    lower, upper, d = bounds(r)
+    iterations, mu = 1, 1.0
+    while upper - lower >= BA_TOL and iterations < max_iter:
+        scaled = r * np.exp2(mu * (d - d.max()))
+        trial = scaled / scaled.sum()
+        t_lower, t_upper, t_d = bounds(trial)
+        iterations += 1
+        if mu == 1.0 or (t_lower >= lower and t_upper - t_lower <= upper - lower):
+            r, lower, upper, d = trial, t_lower, t_upper, t_d
+            mu *= 2.0
+        else:
+            mu = 1.0
+    return max(lower, 0.0), upper - lower, iterations
+
+
+def _fixed_step_blahut_arimoto(W, max_iter=100_000):
+    """Blahut-Arimoto with the classic fixed step: the bracket [value, value + gap]."""
+    support = W > 0
+    with np.errstate(divide="ignore"):
+        log2_W = np.log2(W)
+    r = np.full(W.shape[0], 1.0 / W.shape[0])
+    for _ in range(max_iter):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.where(support, W * (log2_W - np.log2(r @ W)), 0.0).sum(axis=1)
         lower = float(r @ d)
         gap = float(d.max()) - lower
         if gap < BA_TOL:
             break
         scaled = r * np.exp2(d - d.max())
         r = scaled / scaled.sum()
-    return max(lower, 0.0), gap, iterations
+    return max(lower, 0.0), gap
+
+
+def _ba_matrices(ch):
+    """The averaged, joint-output, strategy-lift and per-state matrices of ``ch``."""
+    dmcs = [average_states(ch), joint_output_channel(ch), shannon_strategy_channel(ch)[0]]
+    return dmcs + [Dmc(W=ch.W[s]) for s in range(ch.ns)]
+
+
+def _ba_partial(dmc, **kwargs):
+    try:
+        return blahut_arimoto(dmc, **kwargs)
+    except NoConvergence as e:
+        return e.result
 
 
 def test_ba_matches_per_input_loop(rng):
-    # Averaged, per-state, joint-output and strategy-lift matrices of random
-    # channels with structural zeros.  The iteration cap keeps the loop
-    # reference quick; a capped run is compared through its partial result.
+    # Random channels with structural zeros.  The iteration cap keeps the
+    # loop reference quick; a capped run is compared through its partial
+    # result.
     max_iter = 300
     for _ in range(50):
-        ch = random_channel(rng)
-        dmcs = [average_states(ch), joint_output_channel(ch), shannon_strategy_channel(ch)[0]]
-        dmcs += [Dmc(W=ch.W[s]) for s in range(ch.ns)]
-        for dmc in dmcs:
-            try:
-                r = blahut_arimoto(dmc, max_iter=max_iter)
-            except NoConvergence as e:
-                r = e.result
+        for dmc in _ba_matrices(random_channel(rng)):
+            r = _ba_partial(dmc, max_iter=max_iter)
             value, gap, iterations = _reference_blahut_arimoto(dmc.W, max_iter)
             assert r.iterations == iterations
             assert abs(r.value - value) <= 1e-15
             assert abs(r.certified_gap - gap) <= 1e-15
+
+
+def test_ba_bracket_overlaps_fixed_step_bracket(rng):
+    # Both brackets certify the same capacity, so they must meet; the slack
+    # covers rounding in the two bound evaluations.
+    for _ in range(50):
+        for dmc in _ba_matrices(random_channel(rng)):
+            r = _ba_partial(dmc)
+            value, gap = _fixed_step_blahut_arimoto(dmc.W)
+            assert r.value <= value + gap + 1e-12
+            assert value <= r.value + r.certified_gap + 1e-12
+
+
+def test_ba_adaptive_step_on_near_useless_matrix():
+    # A 2x2 matrix with nearly equal rows: the fixed step needs 25,854
+    # iterations to close the gap below BA_TOL.
+    r = blahut_arimoto(Dmc(W=[[0.7395, 0.2605], [0.7249, 0.2751]]))
+    assert r.iterations <= 1_000
+    assert r.certified_gap < BA_TOL
+
+
+def test_values_never_decrease_with_max_iter(rng):
+    # The ascent accepts no extrapolation that lowers the lower bound, and
+    # the value reported at a cap is the one of the point reached there.
+    # The plain step ascends in exact arithmetic; near convergence its lower
+    # bounds move by less than rounding, so drops of a few ulps (at most
+    # 1e-15 for values of a few bits) are allowed.
+    for _ in range(4):
+        ch = random_channel(rng)
+        dmcs = _ba_matrices(ch)
+        ba = [[_ba_partial(dmc, max_iter=k).value for dmc in dmcs] for k in range(1, 31)]
+        gp = [gelfand_pinsker_capacity(ch, max_iter=k).value for k in range(1, 31)]
+        assert np.all(np.diff(np.array(ba), axis=0) >= -1e-15)
+        assert np.all(np.diff(gp) >= -1e-15)
 
 
 def test_cond_iid_ex2_both_flags():
@@ -203,6 +278,15 @@ def test_gp_value_rebuilt_from_maximizer(rng):
         r = gelfand_pinsker_capacity(ch)
         assert r.certified_gap >= 0.0
         assert r.method == "gp_ascent"
+        rebuilt = _gp_objective_by_entropies(ch, r.maximizer["P_U_given_S"], r.maximizer["f"])
+        assert abs(rebuilt - r.value) < 1e-12
+
+
+def test_gp_maximizer_matches_value_at_iteration_cap(rng):
+    # At max_iter the reported P(u|s) is the point whose bracket is reported.
+    for _ in range(6):
+        ch = random_channel(rng)
+        r = gelfand_pinsker_capacity(ch, max_iter=3)
         rebuilt = _gp_objective_by_entropies(ch, r.maximizer["P_U_given_S"], r.maximizer["f"])
         assert abs(rebuilt - r.value) < 1e-12
 

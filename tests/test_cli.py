@@ -4,7 +4,9 @@ import time
 import numpy as np
 import pytest
 
+import sdchan.cli
 from sdchan import SdDmc, serialize
+from sdchan.capacity import CapacityResult
 from sdchan.cli import main
 from sdchan.protocols import CHUNK_TRIALS
 from conftest import ch_ex1, ch_ex2, ch_ex3, ch_triv
@@ -81,6 +83,20 @@ def test_capacity_vanishing(capsys, ex1_path):
     code, report = run_cli(capsys, "capacity", ex1_path, "--si", "sc,c")
     assert code == 0
     assert report["results"]["value_bits"] > 0.6
+
+
+def test_non_finite_report_is_a_json_error_exit_2(capsys, ex1_path, monkeypatch):
+    def nan_capacity(*args, **kwargs):
+        return CapacityResult(value=float("nan"), maximizer={}, method="stub")
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    monkeypatch.setattr(sdchan.cli, "vanishing_capacity", nan_capacity)
+    code = main(["capacity", ex1_path, "--si", "sc,c"])
+    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert code == 2
+    assert set(doc) == {"error"} and "non-finite" in doc["error"]
 
 
 def test_capacity_zero_error_matches_vanishing(capsys, ex1_path):
