@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .channel import Dmc, Regime, SdDmc, Si, SiModel
 from .errors import NoConvergence, UnsupportedModel
@@ -135,9 +134,11 @@ def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITE
         return scaled / scaled.sum()
 
     r, lower, upper, iterations = _adaptive_ascent(np.full(nx, 1.0 / nx), evaluate, propose, tol, max_iter)
-    gap = upper - lower
+    value = max(lower, 0.0)
+    # At an exact optimum max_x D_x can round an ulp below I(r).
+    gap = max(upper - value, 0.0)
     result = CapacityResult(
-        value=max(lower, 0.0),
+        value=value,
         maximizer={"P_X": r.tolist()},
         method="blahut_arimoto",
         iterations=iterations,
@@ -304,6 +305,11 @@ def shannon_zef_fl_capacity(channel: Dmc, ignore_positivity: bool = False) -> Ca
             certified_gap=0.0,
             verdict=verdict,
         )
+    # Imported here, not at the top: scipy.optimize took 0.6-0.8 s of the
+    # 0.8-1.0 s that `import sdchan.cli` cost with it at the top (python -X
+    # importtime, 2-vCPU Xeon), and no CLI subcommand solves this LP.
+    from scipy.optimize import linprog
+
     nx, ny = channel.nx, channel.ny
     compat = (channel.W != 0.0).astype(float)  # [x][y]
     # Variables: (P_0..P_{nx-1}, t); minimize t.

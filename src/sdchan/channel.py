@@ -336,6 +336,8 @@ def parse_channel(text: str) -> SdDmc:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"channel document is not valid JSON: {e}") from e
+    except RecursionError:
+        raise ParseError("channel document is nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ParseError("channel document must be a JSON object")
     for key in ("Q", "W"):
@@ -349,7 +351,7 @@ def parse_channel(text: str) -> SdDmc:
             y_labels=tuple(doc.get("outputs") or ()),
             s_labels=tuple(doc.get("states") or ()),
         )
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"channel document has malformed numeric data: {e}") from e
 
 

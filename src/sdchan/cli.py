@@ -13,6 +13,7 @@ exceeded, optimizer non-convergence, or a non-finite number in the report;
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -115,7 +116,13 @@ def _positive_float(text: str) -> float:
 _positive_float.__name__ = "finite float > 0"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process and shared by every ``main`` call.
+
+    ``parse_args`` leaves it unchanged, so reuse carries nothing from one
+    call to the next; callers must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="sdchan",
         description="Zero-error and vanishing-error feedback analysis of channels with state",

@@ -104,10 +104,7 @@ def _simplex_lattice(resolution: int, dim: int) -> np.ndarray:
 
 
 def _xlog2(p: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(p)
-    mask = p > 0
-    out[mask] = p[mask] * np.log2(p[mask])
-    return out
+    return p * np.log2(np.where(p > 0, p, 1.0))
 
 
 def grid_capacity(channel: Dmc, resolution: int, budget: int = GRID_BUDGET) -> float:
@@ -160,14 +157,20 @@ def gp_grid_oracle(
     Q = channel.Q
     joint = Q[None, :, None] * P  # (N, S, U)
     p_u = joint.sum(axis=1)  # (N, U)
-    i_us = _xlog2(joint).sum(axis=(1, 2)) - _xlog2(Q).sum() - _xlog2(p_u).sum(axis=1)
+    h_u = _xlog2(p_u).sum(axis=1)
+    i_us = _xlog2(joint).sum(axis=(1, 2)) - _xlog2(Q).sum() - h_u
 
+    # The output mass p(u, y) of letter position u depends on that position's
+    # kernel alone, so it and its sum_y p log2 p are formed once per
+    # (position, kernel); a combination only adds them up and forms p(y).
+    # Outputs lead the lattice points so each sum over y adds whole rows.
+    mass = [np.einsum("nsu,sy->uyn", joint, k, order="C") for k in kernels]  # K x (U, Y, N)
+    mass_xlog2 = [_xlog2(m).sum(axis=1) for m in mass]  # K x (U, N)
     best = -np.inf
     for combo in itertools.combinations_with_replacement(range(len(kernels)), u_size):
-        T = np.stack([kernels[k] for k in combo])  # (U, S, Y)
-        p_uy = np.einsum("nsu,usy->nuy", joint, T)
-        p_y = p_uy.sum(axis=1)
-        i_uy = _xlog2(p_uy).sum(axis=(1, 2)) - _xlog2(p_u).sum(axis=1) - _xlog2(p_y).sum(axis=1)
+        p_y = sum(mass[k][u] for u, k in enumerate(combo))
+        h_uy = sum(mass_xlog2[k][u] for u, k in enumerate(combo))
+        i_uy = h_uy - h_u - _xlog2(p_y).sum(axis=0)
         best = max(best, float((i_uy - i_us).max()))
     return best
 

@@ -96,7 +96,8 @@ def _reference_blahut_arimoto(W, max_iter):
             mu *= 2.0
         else:
             mu = 1.0
-    return max(lower, 0.0), upper - lower, iterations
+    value = max(lower, 0.0)
+    return value, max(upper - value, 0.0), iterations
 
 
 def _fixed_step_blahut_arimoto(W, max_iter=100_000):
@@ -142,6 +143,20 @@ def test_ba_matches_per_input_loop(rng):
             assert r.iterations == iterations
             assert abs(r.value - value) <= 1e-15
             assert abs(r.certified_gap - gap) <= 1e-15
+
+
+def test_ba_gap_never_negative_at_an_exact_optimum():
+    # The uniform input is optimal on the noisy typewriter, and there
+    # max_x D(W_x || rW) rounds an ulp below I(r).
+    W = np.zeros((1, 5, 5))
+    for x in range(5):
+        W[0, x, x] = 0.9
+        W[0, x, (x + 1) % 5] = 0.1
+    typewriter = SdDmc(W=W, Q=[1.0])
+    for token in ("-,-", "c,-", "sc,c", "c,c"):
+        r = vanishing_capacity(typewriter, SiModel.from_token(token))
+        assert r.iterations == 1
+        assert r.certified_gap >= 0.0, token
 
 
 def test_ba_bracket_overlaps_fixed_step_bracket(rng):

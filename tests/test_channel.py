@@ -51,6 +51,23 @@ def test_load_rejects_malformed_json():
         load_channel(json.dumps({"Q": [1.0], "W": [[["a", 1.0]]]}))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"Q": [1.0], "W": [[[1' + "0" * 400 + ', 0.0], [0.0, 1.0]]]}',  # no float holds this integer
+        "[" * 100_000 + "]" * 100_000,  # deeper than the JSON decoder recurses
+    ],
+    ids=["huge-integer", "deep-nesting"],
+)
+def test_hostile_document_is_a_parse_error_exit_2(tmp_path, capsys, text):
+    with pytest.raises(ParseError):
+        load_channel(text)
+    path = tmp_path / "hostile.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert "error" in json.loads(capsys.readouterr().out)
+
+
 def test_no_silent_renormalization():
     doc = json.loads(serialize(ch_ex1()))
     doc["W"][0][1] = [0.45, 0.45]

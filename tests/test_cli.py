@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import pytest
 import sdchan.cli
 from sdchan import SdDmc, serialize
 from sdchan.capacity import CapacityResult
-from sdchan.cli import main
+from sdchan.cli import build_parser, main
 from sdchan.protocols import CHUNK_TRIALS
 from conftest import ch_ex1, ch_ex2, ch_ex3, ch_triv
 
@@ -289,3 +292,44 @@ def test_verbose_summary_on_stderr(capsys, ex1_path):
     assert code == 0
     json.loads(captured.out)
     assert "positive" in captured.err
+
+
+def _without_clock(report):
+    return {k: v for k, v in report.items() if k != "wall_clock_s"}
+
+
+def test_reused_parser_keeps_no_option_values(capsys, ex1_path):
+    assert build_parser() is build_parser()
+    simulate = ("simulate", ex1_path, "--protocol", "han-sato", "--si", "-,-", "--msg-bits", "2", "--trials", "5")
+    _, report = run_cli(capsys, *simulate, "--n1", "3")
+    assert report["parameters"]["n1"] == 3
+    _, report = run_cli(capsys, *simulate)
+    assert report["parameters"]["n1"] is None
+
+    _, report = run_cli(capsys, "capacity", ex1_path, "--si", "-,-", "--tol", "1e-3")
+    assert report["parameters"]["tol"] == 1e-3
+    _, report = run_cli(capsys, "capacity", ex1_path, "--si", "-,-")
+    assert report["parameters"]["tol"] == 1e-9
+
+
+def test_rejected_argument_leaves_the_parser_as_new(capsys, ex1_path):
+    argv = ("check", ex1_path, "--si", "-,-", "--regime", "bl")
+    build_parser.cache_clear()
+    _, first = run_cli(capsys, *argv)
+    with pytest.raises(SystemExit) as info:
+        main(["check", ex1_path, "--si", "-,-", "--regime", "xl"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    _, after = run_cli(capsys, *argv)
+    assert _without_clock(after) == _without_clock(first)
+
+
+def test_import_loads_no_scipy_optimize():
+    # The minimax LP imports scipy.optimize when it runs; a fresh process
+    # importing the package and the CLI must not pay for it.
+    src = Path(sdchan.cli.__file__).resolve().parents[1]
+    code = "import sys, sdchan, sdchan.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True, timeout=120
+    ).stdout
+    assert out.strip() == "False"

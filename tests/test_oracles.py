@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from sdchan import (
     gp_grid_oracle,
     grid_capacity,
 )
+from sdchan.oracles import _simplex_lattice, _unique_kernels
 from sdchan.positivity import ZERO, bl_positivity
 from conftest import bsc, ch_ex1, ch_triv, random_channel, stuck_at
 
@@ -89,3 +92,43 @@ def test_gp_grid_stuck_at():
 def test_gp_grid_budget():
     with pytest.raises(BudgetExceeded):
         gp_grid_oracle(stuck_at(0.2), resolution=40, u_size=6, budget=100)
+
+
+def _masked_xlog2(p):
+    out = np.zeros_like(p)
+    mask = p > 0
+    out[mask] = p[mask] * np.log2(p[mask])
+    return out
+
+
+def _reference_gp_grid_oracle(channel, resolution, u_size):
+    """The GP grid objective with one (N, U, Y) einsum per kernel combination."""
+    lattice = _simplex_lattice(resolution, u_size)
+    idx = np.stack(
+        np.meshgrid(*[np.arange(len(lattice))] * channel.ns, indexing="ij"), axis=-1
+    ).reshape(-1, channel.ns)
+    joint = channel.Q[None, :, None] * lattice[idx]  # (N, S, U)
+    p_u = joint.sum(axis=1)
+    i_us = _masked_xlog2(joint).sum(axis=(1, 2)) - _masked_xlog2(channel.Q).sum() - _masked_xlog2(p_u).sum(axis=1)
+    kernels = _unique_kernels(channel)
+    best = -np.inf
+    for combo in itertools.combinations_with_replacement(range(len(kernels)), u_size):
+        T = np.stack([kernels[k] for k in combo])  # (U, S, Y)
+        p_uy = np.einsum("nsu,usy->nuy", joint, T)
+        p_y = p_uy.sum(axis=1)
+        i_uy = (
+            _masked_xlog2(p_uy).sum(axis=(1, 2))
+            - _masked_xlog2(p_u).sum(axis=1)
+            - _masked_xlog2(p_y).sum(axis=1)
+        )
+        best = max(best, float((i_uy - i_us).max()))
+    return best
+
+
+def test_gp_grid_matches_per_combination_loop(rng):
+    for _ in range(15):
+        ch = random_channel(rng, max_size=2)
+        for resolution in (3, 6):
+            for u_size in range(1, ch.nx * ch.ns + 1):
+                expected = _reference_gp_grid_oracle(ch, resolution, u_size)
+                assert abs(gp_grid_oracle(ch, resolution, u_size) - expected) <= 1e-12
