@@ -362,16 +362,13 @@ def zero_error_capacity(
     """Zero-error feedback capacity: 0 when the positivity check fails,
     the vanishing-error value otherwise.
 
-    The decoder-only-causal model is rejected under variable-length coding:
-    only a sufficient positivity condition is known there, so no value can
-    be certified.  (Its bounded-length behavior matches the strictly-causal
-    two-sided case and is supported.)  Fixed-length values beyond positivity
-    are out of scope.
+    A verdict that is neither positive nor zero is refused: its condition is
+    only sufficient, so no value can be certified.  Positivity's condition
+    table gives such verdicts only for the decoder-only-causal model under
+    variable-length coding.  (Its bounded-length behavior matches the
+    strictly-causal two-sided case and is supported.)  Fixed-length values
+    beyond positivity are out of scope.
     """
-    if si.encoder is Si.NONE and si.decoder is Si.CAUSAL and regime is Regime.VARIABLE_LENGTH:
-        raise UnsupportedModel(
-            "variable-length zero-error values for the decoder-only-causal model cannot be certified"
-        )
     if regime is Regime.FIXED_LENGTH:
         raise UnsupportedModel("fixed-length zero-error values are out of scope; use bl or vl")
     verdict = positivity(channel, si, regime)
@@ -382,6 +379,10 @@ def zero_error_capacity(
             method="positivity",
             certified_gap=0.0,
             verdict=verdict,
+        )
+    if verdict.decision != POSITIVE:
+        raise UnsupportedModel(
+            "variable-length zero-error values for the decoder-only-causal model cannot be certified"
         )
     inner = vanishing_capacity(channel, si, tol=tol, max_iter=max_iter)
     return replace(inner, verdict=verdict)

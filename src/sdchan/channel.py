@@ -20,14 +20,59 @@ from .errors import ParseError, UnsupportedModel, ValidationError
 ROW_SUM_TOL = 1e-9
 
 
+@dataclass(frozen=True)
+class Check:
+    name: str
+    passed: bool
+    detail: str = ""
+
+
 def _frozen_array(values, dtype=float) -> np.ndarray:
     a = np.array(values, dtype=dtype)
     a.setflags(write=False)
     return a
 
 
-def _default_labels(prefix: str, n: int) -> tuple[str, ...]:
-    return tuple(f"{prefix}{i}" for i in range(n))
+def _set_labels(obj, **sizes: int) -> None:
+    """Store each label field as a tuple of the given size.
+
+    Empty labels default to the field's initial and an index: x0, x1, ...
+    """
+    for name, n in sizes.items():
+        labels = getattr(obj, name)
+        labels = tuple(labels) if labels else tuple(f"{name[0]}{i}" for i in range(n))
+        if len(labels) != n:
+            raise ValidationError(f"{name} has {len(labels)} entries, expected {n}")
+        object.__setattr__(obj, name, labels)
+
+
+_ENTRY_RANGE_OK = Check("entry_range", True)
+_ROW_STOCHASTIC_OK = Check("row_stochastic", True)
+
+
+def _stochastic_checks(W: np.ndarray) -> tuple[Check, Check]:
+    """The entry_range and row_stochastic checks of W, whose last axis is the output.
+
+    Each looks up its first offending index only when it fails, so a valid
+    matrix costs one reduction per check.
+    """
+    axes = ("s", "x", "y")[-W.ndim:]
+    out_of_range = ~((W >= 0.0) & (W <= 1.0))  # NaN compares false both ways
+    if out_of_range.any():
+        at = np.unravel_index(np.argmax(out_of_range), W.shape)
+        where = "".join(f"[{a}={int(i)}]" for a, i in zip(axes, at))
+        entry = Check("entry_range", False, f"W{where}={W[at]!r} outside [0, 1]")
+    else:
+        entry = _ENTRY_RANGE_OK
+    sums = W.sum(axis=-1)
+    off = np.abs(sums - 1.0) > ROW_SUM_TOL
+    if off.any():
+        at = np.unravel_index(np.argmax(off), off.shape)
+        where = ", ".join(f"{a}={int(i)}" for a, i in zip(axes, at))
+        rows = Check("row_stochastic", False, f"row ({where}) sums to {sums[at]!r}")
+    else:
+        rows = _ROW_STOCHASTIC_OK
+    return entry, rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,15 +102,7 @@ class SdDmc:
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "Q", Q)
         ns, nx, ny = W.shape
-        for name, labels, n, prefix in (
-            ("x_labels", self.x_labels, nx, "x"),
-            ("y_labels", self.y_labels, ny, "y"),
-            ("s_labels", self.s_labels, ns, "s"),
-        ):
-            labels = tuple(labels) if labels else _default_labels(prefix, n)
-            if len(labels) != n:
-                raise ValidationError(f"{name} has {len(labels)} entries, expected {n}")
-            object.__setattr__(self, name, labels)
+        _set_labels(self, x_labels=nx, y_labels=ny, s_labels=ns)
 
     @property
     def ns(self) -> int:
@@ -110,23 +147,11 @@ class Dmc:
         nx, ny = W.shape
         if nx < 1 or ny < 1:
             raise ValidationError("DMC needs at least one input and one output")
-        out_of_range = ~((W >= 0.0) & (W <= 1.0))  # NaN compares false both ways
-        if out_of_range.any():
-            bad = tuple(int(i) for i in np.argwhere(out_of_range)[0])
-            raise ValidationError(f"entry W{bad} outside [0, 1]")
-        sums = W.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
-            x = int(np.argmax(np.abs(sums - 1.0)))
-            raise ValidationError(f"row x={x} sums to {sums[x]!r}, not 1 within {ROW_SUM_TOL}")
+        for check in _stochastic_checks(W):
+            if not check.passed:
+                raise ValidationError(f"{check.name}: {check.detail}")
         object.__setattr__(self, "W", W)
-        for name, labels, n, prefix in (
-            ("x_labels", self.x_labels, nx, "x"),
-            ("y_labels", self.y_labels, ny, "y"),
-        ):
-            labels = tuple(labels) if labels else _default_labels(prefix, n)
-            if len(labels) != n:
-                raise ValidationError(f"{name} has {len(labels)} entries, expected {n}")
-            object.__setattr__(self, name, labels)
+        _set_labels(self, x_labels=nx, y_labels=ny)
 
     @property
     def nx(self) -> int:
@@ -160,10 +185,13 @@ class Si(enum.Enum):
 
     @property
     def level(self) -> int:
-        return _SI_LEVEL[self]
+        """Rank in member order: none < strictly causal < causal < non-causal."""
+        return tuple(Si).index(self)
 
 
-_SI_LEVEL = {Si.NONE: 0, Si.STRICTLY_CAUSAL: 1, Si.CAUSAL: 2, Si.NON_CAUSAL: 3}
+# The nine supported (encoder, decoder) pairs in report order: the eight
+# standard pairs, then decoder-only-causal.
+_MODEL_TOKENS = ("-,-", "sc,-", "c,-", "nc,-", "sc,c", "c,c", "nc,c", "nc,nc", "-,c")
 
 
 @dataclass(frozen=True)
@@ -180,10 +208,8 @@ class SiModel:
     decoder: Si
 
     def __post_init__(self):
-        if (self.encoder, self.decoder) not in _ALLOWED_PAIRS:
-            raise UnsupportedModel(
-                f"state-information pair ({self.encoder.value},{self.decoder.value}) is not supported"
-            )
+        if self.token not in _MODEL_TOKENS:
+            raise UnsupportedModel(f"state-information pair ({self.token}) is not supported")
 
     @classmethod
     def from_token(cls, token: str) -> "SiModel":
@@ -206,33 +232,9 @@ class SiModel:
         return other.__le__(self)
 
 
-_ALLOWED_PAIRS = frozenset(
-    [
-        (Si.NONE, Si.NONE),
-        (Si.STRICTLY_CAUSAL, Si.NONE),
-        (Si.CAUSAL, Si.NONE),
-        (Si.NON_CAUSAL, Si.NONE),
-        (Si.STRICTLY_CAUSAL, Si.CAUSAL),
-        (Si.CAUSAL, Si.CAUSAL),
-        (Si.NON_CAUSAL, Si.CAUSAL),
-        (Si.NON_CAUSAL, Si.NON_CAUSAL),
-        (Si.NONE, Si.CAUSAL),
-    ]
-)
-
-SI_MODELS: tuple[SiModel, ...] = (
-    SiModel(Si.NONE, Si.NONE),
-    SiModel(Si.STRICTLY_CAUSAL, Si.NONE),
-    SiModel(Si.CAUSAL, Si.NONE),
-    SiModel(Si.NON_CAUSAL, Si.NONE),
-    SiModel(Si.STRICTLY_CAUSAL, Si.CAUSAL),
-    SiModel(Si.CAUSAL, Si.CAUSAL),
-    SiModel(Si.NON_CAUSAL, Si.CAUSAL),
-    SiModel(Si.NON_CAUSAL, Si.NON_CAUSAL),
-)
-
-DECODER_ONLY_CAUSAL = SiModel(Si.NONE, Si.CAUSAL)
-ALL_MODELS: tuple[SiModel, ...] = SI_MODELS + (DECODER_ONLY_CAUSAL,)
+ALL_MODELS: tuple[SiModel, ...] = tuple(SiModel.from_token(t) for t in _MODEL_TOKENS)
+SI_MODELS: tuple[SiModel, ...] = ALL_MODELS[:-1]
+DECODER_ONLY_CAUSAL = ALL_MODELS[-1]
 
 
 class Regime(enum.Enum):
@@ -248,13 +250,6 @@ class Regime(enum.Enum):
             return cls(token.strip())
         except ValueError:
             raise UnsupportedModel(f"unknown regime token {token!r}") from None
-
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -288,21 +283,7 @@ def validate(channel: SdDmc) -> ValidationReport:
         )
     )
 
-    W = channel.W
-    bad_entry = np.argwhere(~((W >= 0.0) & (W <= 1.0)))  # NaN compares false both ways
-    if bad_entry.size:
-        s, x, y = (int(v) for v in bad_entry[0])
-        checks.append(Check("entry_range", False, f"W[s={s}][x={x}][y={y}]={W[s, x, y]!r} outside [0, 1]"))
-    else:
-        checks.append(Check("entry_range", True))
-
-    sums = W.sum(axis=2)
-    bad_rows = np.argwhere(np.abs(sums - 1.0) > ROW_SUM_TOL)
-    if bad_rows.size:
-        s, x = (int(v) for v in bad_rows[0])
-        checks.append(Check("row_stochastic", False, f"row (s={s}, x={x}) sums to {sums[s, x]!r}"))
-    else:
-        checks.append(Check("row_stochastic", True))
+    checks.extend(_stochastic_checks(channel.W))
 
     q_ok = bool(np.all(channel.Q > 0.0) and abs(channel.Q.sum() - 1.0) <= ROW_SUM_TOL)
     if q_ok:
@@ -313,7 +294,7 @@ def validate(channel: SdDmc) -> ValidationReport:
     else:
         checks.append(Check("state_distribution", False, f"Q sums to {channel.Q.sum()!r}, not 1"))
 
-    reachable = (W != 0.0).any(axis=(0, 1))
+    reachable = (channel.W != 0.0).any(axis=(0, 1))
     if reachable.all():
         checks.append(Check("every_output_reachable", True))
     else:
@@ -328,6 +309,17 @@ def support(channel: SdDmc, x: int, s: int) -> frozenset[int]:
     if not (0 <= x < channel.nx and 0 <= s < channel.ns):
         raise IndexError(f"(x={x}, s={s}) out of range for ({channel.nx} inputs, {channel.ns} states)")
     return frozenset(int(y) for y in np.flatnonzero(channel.W[s, x] != 0.0))
+
+
+def _doc_labels(doc: dict, key: str) -> tuple[str, ...]:
+    """A document's labels: absent, null or [] gives (), else an array of distinct strings."""
+    labels = doc.get(key)
+    if labels is None or labels == []:
+        return ()
+    distinct_strings = isinstance(labels, list) and all(isinstance(v, str) for v in labels)
+    if not distinct_strings or len(set(labels)) < len(labels):
+        raise ParseError(f"channel document key {key!r} must be an array of distinct strings")
+    return tuple(labels)
 
 
 def parse_channel(text: str) -> SdDmc:
@@ -347,9 +339,9 @@ def parse_channel(text: str) -> SdDmc:
         return SdDmc(
             W=np.array(doc["W"], dtype=float),
             Q=np.array(doc["Q"], dtype=float),
-            x_labels=tuple(doc.get("inputs") or ()),
-            y_labels=tuple(doc.get("outputs") or ()),
-            s_labels=tuple(doc.get("states") or ()),
+            x_labels=_doc_labels(doc, "inputs"),
+            y_labels=_doc_labels(doc, "outputs"),
+            s_labels=_doc_labels(doc, "states"),
         )
     except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"channel document has malformed numeric data: {e}") from e

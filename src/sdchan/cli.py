@@ -18,7 +18,6 @@ import hashlib
 import json
 import sys
 import time
-from math import comb
 
 from . import __version__
 from .channel import Dmc, Regime, SiModel, load_channel, parse_channel, validate
@@ -29,8 +28,8 @@ from .capacity import (
     vanishing_capacity,
     zero_error_capacity,
 )
-from .oracles import OracleReport, confusable_all_pairs_fl, gp_grid_oracle, grid_capacity
-from .positivity import POSITIVE, POSITIVE_SUFFICIENT, ZERO, bl_positivity, positivity
+from .oracles import OracleReport, confusable_all_pairs_fl, gp_grid_oracle, grid_capacity, lattice_size
+from .positivity import POSITIVE, POSITIVE_SUFFICIENT, UNKNOWN, ZERO, bl_positivity, positivity
 from .protocols import PROTOCOLS, Trace, monte_carlo
 from .reductions import (
     average_states,
@@ -54,6 +53,9 @@ _EXIT_CODES = (
     (OSError, EXIT_IO),
 )
 
+# ``check`` verdict -> exit code.
+_CHECK_EXIT_CODES = {POSITIVE: EXIT_OK, POSITIVE_SUFFICIENT: EXIT_OK, ZERO: EXIT_ZERO, UNKNOWN: EXIT_UNKNOWN}
+
 
 def _read_file(path: str) -> str:
     try:
@@ -63,11 +65,7 @@ def _read_file(path: str) -> str:
         raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _emit(report: dict, verbose: bool, summary: str = "") -> None:
+def _emit(report: dict, verbose: bool, summary: str) -> None:
     # Serialize in full before writing: a non-finite number raises here, so
     # no half-written or non-JSON report reaches stdout.
     try:
@@ -75,19 +73,8 @@ def _emit(report: dict, verbose: bool, summary: str = "") -> None:
     except ValueError as e:
         raise SdchanError(f"report holds a non-finite number: {e}") from None
     sys.stdout.write(text + "\n")
-    if verbose and summary:
+    if verbose:
         print(summary, file=sys.stderr)
-
-
-def _report(command: str, digest: str, parameters: dict, results, started: float) -> dict:
-    return {
-        "tool_version": __version__,
-        "channel_sha256": digest,
-        "command": command,
-        "parameters": parameters,
-        "results": results,
-        "wall_clock_s": time.perf_counter() - started,
-    }
 
 
 def _dmc_jsonable(dmc: Dmc) -> dict:
@@ -177,14 +164,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_validate(args, text: str, started: float) -> int:
+def _cmd_validate(args, text: str):
     report = validate(parse_channel(text))
-    out = _report("validate", _digest(text), {"path": args.path}, report.to_jsonable(), started)
-    _emit(out, args.verbose, "valid" if report.passed else "invalid: " + report.failures()[0].name)
-    return EXIT_OK if report.passed else EXIT_INVALID
+    summary = "valid" if report.passed else "invalid: " + report.failures()[0].name
+    return {"path": args.path}, report.to_jsonable(), summary, EXIT_OK if report.passed else EXIT_INVALID
 
 
-def _cmd_reduce(args, text: str, started: float) -> int:
+def _cmd_reduce(args, text: str):
     channel = load_channel(text)
     if args.kind == "average":
         results = _dmc_jsonable(average_states(channel))
@@ -196,27 +182,20 @@ def _cmd_reduce(args, text: str, started: float) -> int:
         results = _dmc_jsonable(joint_output_channel(channel))
     else:
         results = _dmc_jsonable(extend_with_termination(average_states(channel)))
-    out = _report("reduce", _digest(text), {"kind": args.kind}, results, started)
-    _emit(out, args.verbose, f"{args.kind}: {len(results['inputs'])}x{len(results['outputs'])}")
-    return EXIT_OK
+    summary = f"{args.kind}: {len(results['inputs'])}x{len(results['outputs'])}"
+    return {"kind": args.kind}, results, summary, EXIT_OK
 
 
-def _cmd_check(args, text: str, started: float) -> int:
+def _cmd_check(args, text: str):
     channel = load_channel(text)
     si = SiModel.from_token(args.si)
     verdict = positivity(channel, si, Regime.from_token(args.regime))
-    out = _report(
-        "check", _digest(text), {"si": args.si, "regime": args.regime}, verdict.to_jsonable(), started
-    )
-    _emit(out, args.verbose, f"{verdict.decision} via {verdict.condition}")
-    if verdict.decision in (POSITIVE, POSITIVE_SUFFICIENT):
-        return EXIT_OK
-    if verdict.decision == ZERO:
-        return EXIT_ZERO
-    return EXIT_UNKNOWN
+    params = {"si": args.si, "regime": args.regime}
+    summary = f"{verdict.decision} via {verdict.condition}"
+    return params, verdict.to_jsonable(), summary, _CHECK_EXIT_CODES[verdict.decision]
 
 
-def _cmd_capacity(args, text: str, started: float) -> int:
+def _cmd_capacity(args, text: str):
     channel = load_channel(text)
     si = SiModel.from_token(args.si)
     if args.quantity == "vanishing":
@@ -226,12 +205,10 @@ def _cmd_capacity(args, text: str, started: float) -> int:
             channel, si, Regime.from_token(args.regime), tol=args.tol, max_iter=args.max_iter
         )
     params = {k: getattr(args, k) for k in ("si", "quantity", "regime", "tol", "max_iter", "restarts")}
-    out = _report("capacity", _digest(text), params, result.to_jsonable(), started)
-    _emit(out, args.verbose, f"{result.value:.6f} bits via {result.method}")
-    return EXIT_OK
+    return params, result.to_jsonable(), f"{result.value:.6f} bits via {result.method}", EXIT_OK
 
 
-def _cmd_simulate(args, text: str, started: float) -> int:
+def _cmd_simulate(args, text: str):
     channel = load_channel(text)
     si = SiModel.from_token(args.si)
     trial, bits = PROTOCOLS[args.protocol](channel, si, args.msg_bits, args.n1)
@@ -241,12 +218,11 @@ def _cmd_simulate(args, text: str, started: float) -> int:
         with open(args.trace_path, "w", encoding="utf-8") as f:
             f.write(trace.to_jsonl() + "\n")
     params = {k: getattr(args, k) for k in ("protocol", "si", "trials", "seed", "msg_bits", "n1")}
-    out = _report("simulate", _digest(text), params, stats.to_jsonable(), started)
-    _emit(out, args.verbose, f"errors={stats.errors} mean_tau={stats.mean_tau:.4f}")
-    return EXIT_OK if stats.errors == 0 else EXIT_INVALID
+    summary = f"errors={stats.errors} mean_tau={stats.mean_tau:.4f}"
+    return params, stats.to_jsonable(), summary, EXIT_OK if stats.errors == 0 else EXIT_INVALID
 
 
-def _cmd_oracle(args, text: str, started: float) -> int:
+def _cmd_oracle(args, text: str):
     channel = load_channel(text)
     if args.which == "confusable":
         oracle_value = confusable_all_pairs_fl(channel, args.decoder_sees_state, args.n)
@@ -271,7 +247,7 @@ def _cmd_oracle(args, text: str, started: float) -> int:
             module_value=module_value,
             tolerance=1e-3,
             agreement=abs(oracle_value - module_value) <= 1e-3,
-            search_space=len_lattice(args.resolution, dmc.nx),
+            search_space=lattice_size(args.resolution, dmc.nx),
         )
     else:
         u_size = channel.nx * channel.ns if args.u_size is None else args.u_size
@@ -283,18 +259,15 @@ def _cmd_oracle(args, text: str, started: float) -> int:
             module_value=module_value,
             tolerance=1e-3,
             agreement=module_value >= oracle_value - 1e-3,
-            search_space=len_lattice(args.resolution, u_size) ** channel.ns,
+            search_space=lattice_size(args.resolution, u_size) ** channel.ns,
         )
     params = {k: getattr(args, k) for k in ("which", "n", "decoder_sees_state", "resolution", "u_size")}
-    out = _report("oracle", _digest(text), params, report.to_jsonable(), started)
-    _emit(out, args.verbose, f"agreement={report.agreement}")
-    return EXIT_OK if report.agreement else EXIT_INVALID
+    summary = f"agreement={report.agreement}"
+    return params, report.to_jsonable(), summary, EXIT_OK if report.agreement else EXIT_INVALID
 
 
-def len_lattice(resolution: int, dim: int) -> int:
-    return comb(resolution + dim - 1, dim - 1)
-
-
+# Subcommand -> handler(args, channel text) -> (parameters, results, verbose
+# summary, exit code); ``main`` wraps every result in one report envelope.
 _HANDLERS = {
     "validate": _cmd_validate,
     "reduce": _cmd_reduce,
@@ -325,7 +298,18 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_fuse_si(list(argv)))
     started = time.perf_counter()
     try:
-        return _HANDLERS[args.subcommand](args, _read_file(args.path), started)
+        text = _read_file(args.path)
+        parameters, results, summary, code = _HANDLERS[args.subcommand](args, text)
+        report = {
+            "tool_version": __version__,
+            "channel_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            "command": args.subcommand,
+            "parameters": parameters,
+            "results": results,
+            "wall_clock_s": time.perf_counter() - started,
+        }
+        _emit(report, args.verbose, summary)
+        return code
     except (SdchanError, OSError) as e:
         print(json.dumps({"error": str(e)}))
         return next(code for kind, code in _EXIT_CODES if isinstance(e, kind))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
@@ -84,6 +85,11 @@ def confusable_all_pairs_fl(
     return True
 
 
+def lattice_size(resolution: int, dim: int) -> int:
+    """Number of distributions on ``dim`` letters with entries k/resolution."""
+    return comb(resolution + dim - 1, dim - 1)
+
+
 @lru_cache(maxsize=16)
 def _simplex_lattice(resolution: int, dim: int) -> np.ndarray:
     """All distributions with entries k/resolution, as a (count, dim) array."""
@@ -112,9 +118,7 @@ def grid_capacity(channel: Dmc, resolution: int, budget: int = GRID_BUDGET) -> f
     nx = channel.nx
     if nx > 4:
         raise BudgetExceeded(f"grid oracle limited to 4 inputs, got {nx}")
-    from math import comb
-
-    count = comb(resolution + nx - 1, nx - 1)
+    count = lattice_size(resolution, nx)
     if count > budget:
         raise BudgetExceeded(f"lattice has {count} points (budget {budget})")
     P = _simplex_lattice(resolution, nx)  # (N, nx)
@@ -138,11 +142,9 @@ def gp_grid_oracle(
         raise BudgetExceeded("gp grid oracle limited to 3 inputs and 3 states")
     if u_size > channel.nx * channel.ns:
         raise BudgetExceeded(f"u_size {u_size} exceeds the cardinality bound {channel.nx * channel.ns}")
-    from math import comb
-
     kernels = _unique_kernels(channel)
     n_functions = comb(len(kernels) + u_size - 1, u_size)
-    n_points = comb(resolution + u_size - 1, u_size - 1) ** channel.ns
+    n_points = lattice_size(resolution, u_size) ** channel.ns
     if n_functions * n_points > budget:
         raise BudgetExceeded(
             f"{n_functions} maps x {n_points} lattice points exceeds budget {budget}"

@@ -84,15 +84,8 @@ class ProtocolStats:
         }
 
 
-def _draw(row: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF sample over the stored row order."""
-    cdf = np.cumsum(row)
-    idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-    return min(idx, len(row) - 1)
-
-
 def _sample(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``_draw`` for arrays: one draw per uniform in ``u``.
+    """Inverse-CDF samples over the stored row order, one per uniform in ``u``.
 
     ``cdf`` is one row shared by every draw, or one row per draw.
     """
@@ -104,11 +97,11 @@ def step(channel: SdDmc, x: int, s: int, rng: np.random.Generator) -> int:
     """One channel use: sample y given (x, s).  State sampling is the caller's job."""
     if not (0 <= x < channel.nx and 0 <= s < channel.ns):
         raise IndexError(f"(x={x}, s={s}) out of range")
-    return _draw(channel.W[s, x], rng)
+    return int(_sample(np.cumsum(channel.W[s, x]), rng.random(1))[0])
 
 
 def sample_state(channel: SdDmc, rng: np.random.Generator) -> int:
-    return _draw(channel.Q, rng)
+    return int(_sample(np.cumsum(channel.Q), rng.random(1))[0])
 
 
 # A bit sender: (bits[n], rng, trace, offset) -> (decoded[n], tau[n]).  The

@@ -26,19 +26,21 @@ def enumerate_strategy_letters(nx: int, ns: int) -> list[StrategyLetter]:
     return list(itertools.product(range(nx), repeat=ns))
 
 
-def average_states(channel: SdDmc) -> Dmc:
-    """Marginalize the state: rows are the Q-weighted averages of per-state rows."""
-    W = np.einsum("s,sxy->xy", channel.Q, channel.W)
+def _normalized_dmc(W: np.ndarray, x_labels: tuple[str, ...], y_labels: tuple[str, ...]) -> Dmc:
+    """The DMC of Q-averaged rows W, renormalized; an input with no mass is an error."""
     mass = W.sum(axis=1, keepdims=True)
     empty = np.flatnonzero(mass == 0.0)
     if empty.size:
         x = empty[0]
-        raise ValidationError(
-            f"row_stochastic: input {channel.x_labels[x]!r} (x={x}) has all-zero rows in every state"
-        )
+        raise ValidationError(f"row_stochastic: input {x_labels[x]!r} (x={x}) has all-zero rows in every state")
     # Renormalize away accumulated rounding so the result passes the DMC check.
-    W = W / mass
-    return Dmc(W=W, x_labels=channel.x_labels, y_labels=channel.y_labels)
+    return Dmc(W=W / mass, x_labels=x_labels, y_labels=y_labels)
+
+
+def average_states(channel: SdDmc) -> Dmc:
+    """Marginalize the state: rows are the Q-weighted averages of per-state rows."""
+    W = np.einsum("s,sxy->xy", channel.Q, channel.W)
+    return _normalized_dmc(W, channel.x_labels, channel.y_labels)
 
 
 def shannon_strategy_channel(
@@ -57,10 +59,8 @@ def shannon_strategy_channel(
         )
     letters = enumerate_strategy_letters(channel.nx, channel.ns)
     T = channel.W[np.arange(channel.ns), np.array(letters)]  # T[i, s] = W[s][u_i(s)]
-    W = np.matmul(channel.Q, T)
-    W = W / W.sum(axis=1, keepdims=True)
     labels = tuple("u" + "".join(str(x) for x in u) for u in letters)
-    return Dmc(W=W, x_labels=labels, y_labels=channel.y_labels), letters
+    return _normalized_dmc(np.matmul(channel.Q, T), labels, channel.y_labels), letters
 
 
 def joint_output_channel(channel: SdDmc) -> Dmc:
@@ -68,11 +68,10 @@ def joint_output_channel(channel: SdDmc) -> Dmc:
     ns, nx, ny = channel.W.shape
     # [x][(y, s)] with index y * ns + s
     W = np.einsum("s,sxy->xys", channel.Q, channel.W).reshape(nx, ny * ns)
-    W = W / W.sum(axis=1, keepdims=True)
     labels = tuple(
         f"({channel.y_labels[y]},{channel.s_labels[s]})" for y in range(ny) for s in range(ns)
     )
-    return Dmc(W=W, x_labels=channel.x_labels, y_labels=labels)
+    return _normalized_dmc(W, channel.x_labels, labels)
 
 
 def joint_output_index(channel: SdDmc, y: int, s: int) -> int:

@@ -14,6 +14,7 @@ from sdchan import (
     gelfand_pinsker_capacity,
     joint_output_channel,
     mutual_information,
+    positivity,
     shannon_strategy_capacity,
     shannon_strategy_channel,
     shannon_zef_fl_capacity,
@@ -386,8 +387,14 @@ def test_zero_error_triv_everywhere():
 def test_zero_error_unsupported_cases():
     with pytest.raises(UnsupportedModel):
         zero_error_capacity(ch_ex1(), SiModel.from_token("-,-"), Regime.FIXED_LENGTH)
-    with pytest.raises(UnsupportedModel):
-        zero_error_capacity(ch_ex1(), SiModel.from_token("-,c"), Regime.VARIABLE_LENGTH)
+    # -,c under variable length: only a sufficient condition is known, so a
+    # positive_sufficient verdict (ch_ex1) and an unknown one (ch_ex3) are
+    # both refused.
+    decoder_only = SiModel.from_token("-,c")
+    for channel, decision in ((ch_ex1(), "positive_sufficient"), (ch_ex3(), "unknown")):
+        assert positivity(channel, decoder_only, Regime.VARIABLE_LENGTH).decision == decision
+        with pytest.raises(UnsupportedModel, match="decoder-only-causal model cannot be certified"):
+            zero_error_capacity(channel, decoder_only, Regime.VARIABLE_LENGTH)
     # Bounded-length decoder-only-causal is supported (it matches sc,c).
     z = zero_error_capacity(ch_ex2(), SiModel.from_token("-,c"), Regime.BOUNDED_LENGTH)
     assert abs(z.value - 1.0) < 1e-8

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from sdchan import (
+    ALL_MODELS,
+    DECODER_ONLY_CAUSAL,
+    SI_MODELS,
     Dmc,
     ParseError,
     Regime,
@@ -18,6 +21,7 @@ from sdchan import (
     validate,
 )
 from sdchan.cli import main
+from sdchan.positivity import _ROUTES
 from conftest import ch_ex1, ch_triv, random_channel
 
 
@@ -66,6 +70,58 @@ def test_hostile_document_is_a_parse_error_exit_2(tmp_path, capsys, text):
     path.write_text(text)
     assert main(["validate", str(path)]) == 2
     assert "error" in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    ["ab", {"a": 1, "b": 2}, [[1], [2]], [1, 1], ["a", "a"]],
+    ids=["string", "object", "nested-lists", "duplicate-numbers", "duplicate-strings"],
+)
+def test_labels_must_be_distinct_strings(tmp_path, capsys, labels):
+    for key in ("inputs", "outputs", "states"):
+        doc = json.loads(serialize(ch_ex1()))
+        doc[key] = labels
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["reduce", str(path), "--kind", "average"]) == 2
+        assert f"{key!r} must be an array of distinct strings" in json.loads(capsys.readouterr().out)["error"]
+
+
+def test_absent_null_or_empty_labels_get_defaults():
+    for labels in ("absent", None, []):
+        doc = json.loads(serialize(ch_ex1()))
+        for key in ("inputs", "outputs", "states"):
+            if labels == "absent":
+                del doc[key]
+            else:
+                doc[key] = labels
+        ch = load_channel(json.dumps(doc))
+        assert (ch.x_labels, ch.y_labels, ch.s_labels) == (("x0", "x1"), ("y0", "y1"), ("s0", "s1"))
+
+
+def test_dmc_rejects_exactly_what_validate_rejects(rng):
+    # Dmc and validate share one entry-range and row-sum check; on a one-state
+    # channel they must agree matrix by matrix, within-tolerance drift included.
+    faults = ("none", "nan", "negative", "above_one", "drift_in_tol", "drift_out_of_tol")
+    for i in range(300):
+        W = rng.dirichlet(np.ones(int(rng.integers(1, 4))), size=int(rng.integers(1, 4)))
+        x, y = int(rng.integers(W.shape[0])), int(rng.integers(W.shape[1]))
+        fault = faults[i % len(faults)]
+        if fault == "nan":
+            W[x, y] = np.nan
+        elif fault == "negative":
+            W[x, y] = -0.25
+        elif fault == "above_one":
+            W[x, y] = 1.25
+        elif fault.startswith("drift"):
+            W[x] *= 1.0 + (1e-12 if fault == "drift_in_tol" else 1e-6)
+        failed = [c.name for c in validate(SdDmc(W=W[None], Q=[1.0])).failures()
+                  if c.name in ("entry_range", "row_stochastic")]
+        if failed:
+            with pytest.raises(ValidationError, match=f"^{failed[0]}: "):
+                Dmc(W=W)
+        else:
+            Dmc(W=W)
 
 
 def test_no_silent_renormalization():
@@ -167,6 +223,13 @@ def test_si_model_tokens_and_order():
         SiModel.from_token("c,sc")
     with pytest.raises(UnsupportedModel):
         SiModel.from_token("bogus")
+
+
+def test_one_si_model_list():
+    assert SI_MODELS + (DECODER_ONLY_CAUSAL,) == ALL_MODELS
+    assert tuple(_ROUTES) == tuple(m.token for m in ALL_MODELS)
+    assert DECODER_ONLY_CAUSAL.token == "-,c"
+    assert [si.level for si in Si] == [0, 1, 2, 3]
 
 
 def test_regime_tokens():

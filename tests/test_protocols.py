@@ -38,6 +38,21 @@ def test_step_frequency():
     assert abs(hits / n - 0.5) < 0.005  # binomial 3 sigma
 
 
+def test_step_and_sample_state_invert_one_uniform_each(rng):
+    # Both draw through the batched sampler; the seeded stream must stay the
+    # scalar inverse CDF, one rng.random() per draw.
+    for _ in range(20):
+        ch = random_channel(rng)
+        seed = int(rng.integers(1 << 32))
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            s = sample_state(ch, a)
+            assert s == min(int(np.searchsorted(np.cumsum(ch.Q), b.random(), side="right")), ch.ns - 1)
+            x = int(rng.integers(ch.nx))
+            y = min(int(np.searchsorted(np.cumsum(ch.W[s, x]), b.random(), side="right")), ch.ny - 1)
+            assert step(ch, x, s, a) == y
+
+
 def test_step_index_errors():
     rng = np.random.default_rng(3)
     with pytest.raises(IndexError):

@@ -52,6 +52,28 @@ def test_average_empty_input_row_names_the_input():
             average_states(ch)
 
 
+@pytest.mark.parametrize(
+    "channel, reductions",
+    [
+        # State 0 gives input 0 no output and state 1 gives input 1 none, so
+        # only the strategy letter (0, 1) has an empty row.
+        (SdDmc(W=[[[0.0, 0.0], [0.5, 0.5]], [[1.0, 0.0], [0.0, 0.0]]], Q=[0.5, 0.5]),
+         [(shannon_strategy_channel, "input 'u01' \\(x=1\\)")]),
+        (SdDmc(W=[[[0.0, 0.0], [0.5, 0.5]]], Q=[1.0]),
+         [(average_states, "input 'x0' \\(x=0\\)"),
+          (shannon_strategy_channel, "input 'u0' \\(x=0\\)"),
+          (joint_output_channel, "input 'x0' \\(x=0\\)")]),
+    ],
+    ids=["two-state", "one-state"],
+)
+def test_every_reduction_rejects_an_empty_row(channel, reductions):
+    # The suite turns RuntimeWarning into an error, so a 0/0 renormalization
+    # would fail here before any ValidationError.
+    for reduce, row in reductions:
+        with pytest.raises(ValidationError, match="row_stochastic: " + row):
+            reduce(channel)
+
+
 def test_strategy_letters_lexicographic():
     letters = enumerate_strategy_letters(2, 2)
     assert letters == [(0, 0), (0, 1), (1, 0), (1, 1)]
