@@ -339,7 +339,10 @@ def vanishing_capacity(
     tol: float = BA_TOL,
     max_iter: int = BA_MAX_ITER,
 ) -> CapacityResult:
-    """Vanishing-error capacity (feedback and code-length regime are immaterial)."""
+    """Vanishing-error capacity (feedback and code-length regime are immaterial).
+
+    ``tol`` bounds the Blahut-Arimoto bracket only; the nc,- ascent stops at GP_TOL.
+    """
     enc, dec = si.encoder, si.decoder
     if dec is Si.NONE:
         if enc in (Si.NONE, Si.STRICTLY_CAUSAL):

@@ -23,6 +23,7 @@ from . import __version__
 from .channel import Dmc, Regime, SiModel, load_channel, parse_channel, validate
 from .errors import ParseError, PrecondFailed, SdchanError, ValidationError
 from .capacity import (
+    GP_TOL,
     blahut_arimoto,
     gelfand_pinsker_capacity,
     vanishing_capacity,
@@ -138,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--si", required=True)
     p.add_argument("--quantity", default="vanishing", choices=["vanishing", "zero-error"])
     p.add_argument("--regime", default="vl", choices=["fl", "bl", "vl"])
-    p.add_argument("--tol", type=_positive_float, default=1e-9)
+    p.add_argument("--tol", type=_positive_float, default=1e-9,
+                   help=f"Blahut-Arimoto bracket width only; the nc,- ascent always stops at {GP_TOL:g}")
     p.add_argument("--max-iter", type=_int_at_least(1), default=100_000)
     # Kept so existing command lines still parse; the nc,- ascent is deterministic.
     p.add_argument("--restarts", type=_int_at_least(0), default=32, help="no effect")
@@ -211,9 +213,9 @@ def _cmd_capacity(args, text: str):
 def _cmd_simulate(args, text: str):
     channel = load_channel(text)
     si = SiModel.from_token(args.si)
-    trial, bits = PROTOCOLS[args.protocol](channel, si, args.msg_bits, args.n1)
+    trial = PROTOCOLS[args.protocol](channel, si, args.msg_bits, args.n1)
     trace = Trace() if args.trace_path else None
-    stats = monte_carlo(trial, args.trials, args.seed, bits_per_message=bits, trace=trace)
+    stats = monte_carlo(trial, args.trials, args.seed, trace=trace)
     if trace is not None:
         with open(args.trace_path, "w", encoding="utf-8") as f:
             f.write(trace.to_jsonl() + "\n")

@@ -28,6 +28,9 @@ ZERO = "zero"
 POSITIVE_SUFFICIENT = "positive_sufficient"
 UNKNOWN = "unknown"
 
+# Largest output alphabet the partition search scans (2**(|Y|-1) bipartitions).
+MAX_PARTITION_OUTPUTS = 20
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -94,15 +97,15 @@ def check_nocvlpos(channel: SdDmc) -> Optional[dict]:
     return {"kind": "state_group", "x": x, "x_prime": x2, "y": y, "states": states}
 
 
-def partition_exists(channel: SdDmc, max_outputs: int = 20) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+def partition_exists(channel: SdDmc) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Output bipartition (Y0, Y1) deterministically separable in every state.
 
     Y0 is the side containing output 0; candidates are scanned in increasing
     binary encoding of the membership of outputs 1..|Y|-1 in Y1.
     """
     ny = channel.ny
-    if ny > max_outputs:
-        raise AlphabetTooLarge(f"partition search over {ny} outputs exceeds the cap of {max_outputs}")
+    if ny > MAX_PARTITION_OUTPUTS:
+        raise AlphabetTooLarge(f"partition search over {ny} outputs exceeds the cap of {MAX_PARTITION_OUTPUTS}")
     nonzero = channel.W != 0.0
     for mask in range(1, 1 << (ny - 1)):
         in_y1 = np.array([y > 0 and bool(mask >> (y - 1) & 1) for y in range(ny)])

@@ -2,12 +2,13 @@
 
 Every protocol here is zero-error by construction: a decoding error in any
 trial is a bug, and the Monte-Carlo driver treats it as one (hard count,
-no tolerance).  Sampling is inverse-CDF in stored row order.  Trials run in
-batches: each protocol factory finds its witness and builds its channel
-rows once, and its trial draws and decodes every slot of ``n`` trials as
-arrays.  ``monte_carlo`` runs fixed chunks of ``CHUNK_TRIALS`` trials, each on
-its own substream derived from ``(seed, chunk)``, so ``(seed, trials)``
-fixes the report.
+no tolerance).  Sampling is inverse-CDF in stored row order.  Each
+protocol is one ``Trial``, built by a factory that finds its witness and its
+channel rows once.  The bit protocols draw and decode every slot of ``n``
+trials as arrays; the two-phase protocol draws a phase-1 codebook per trial
+in a Python loop, then acknowledges and resends as arrays.  ``monte_carlo``
+runs fixed chunks of ``CHUNK_TRIALS`` trials, each on its own substream
+derived from ``(seed, chunk)``, so ``(seed, trials)`` fixes the report.
 """
 
 from __future__ import annotations
@@ -104,23 +105,39 @@ def sample_state(channel: SdDmc, rng: np.random.Generator) -> int:
     return int(_sample(np.cumsum(channel.Q), rng.random(1))[0])
 
 
-# A bit sender: (bits[n], rng, trace, offset) -> (decoded[n], tau[n]).  The
-# trace, if given, records the slots of bits[0], numbered on from offset.
-BitSender = Callable[..., tuple[np.ndarray, np.ndarray]]
+@dataclass(frozen=True)
+class Trial:
+    """A zero-error protocol: ``trial(rng, n, trace)`` -> (ok[n], tau[n]).
+
+    ``send(msgs, rng, trace)`` sends one ``msg_bits``-bit message per trial
+    and returns (decoded, tau), then any further per-trial arrays; the
+    trace, if given, records msgs[0].  ``round_p`` is the per-round stopping
+    probability of a two-slot bit protocol, whose stopping time is
+    2 * Geometric(round_p); None where no closed form is known.
+    """
+
+    send: Callable[..., tuple[np.ndarray, ...]]
+    msg_bits: int = 1
+    round_p: Optional[float] = None
+
+    def __call__(self, rng: np.random.Generator, n: int, trace: Optional[Trace] = None):
+        msgs = rng.integers(1 << self.msg_bits, size=n)
+        decoded, tau = self.send(msgs, rng, trace)[:2]
+        return decoded == msgs, tau
 
 
-def _two_slot_sender(play_round: Callable) -> BitSender:
+def _two_slot_sender(play_round: Callable) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
     """Bit sender that repeats two-slot rounds until the decoder stops.
 
     ``play_round(zero, rng)`` plays one round for the trials still running
     (``zero`` marks those sending 0) and returns ``(slots, done, decoded)``:
     an (s, x, y) triple of arrays per slot, with s None where the state is
-    not drawn, the trials whose decoder stops, and the bit it decodes.
+    not drawn, the trials whose decoder stops, and the bit it decodes.  The
+    sender's trace numbers its slots on from ``offset``.
     """
 
     def send(bits, rng, trace=None, offset=0):
-        decoded = np.empty(len(bits), dtype=np.int64)
-        tau = np.empty(len(bits), dtype=np.int64)
+        decoded, tau = np.empty((2, len(bits)), dtype=np.int64)
         live = np.arange(len(bits))
         n = 0
         while live.size:
@@ -141,8 +158,8 @@ def _two_slot_sender(play_round: Callable) -> BitSender:
     return send
 
 
-def _disprover(channel: Dmc) -> tuple[BitSender, float]:
-    """Zero-error bit sender over a DMC with a disprover output, and its p.
+def disprover_trial(channel: Dmc) -> Trial:
+    """Zero-error bit protocol over a DMC with a disprover output.
 
     Two-slot rounds: (x, x') encodes 0 and (x', x) encodes 1, where y is
     impossible from x and possible from x'.  The decoder stops on a round
@@ -169,11 +186,11 @@ def _disprover(channel: Dmc) -> tuple[BitSender, float]:
             raise RuntimeError("impossible output pattern observed; channel violates its zeros")
         return ((None, first, y1), (None, second, y2)), hit1 != hit2, hit1
 
-    return _two_slot_sender(play_round), float(channel.W[x_alt, y])
+    return Trial(_two_slot_sender(play_round), round_p=float(channel.W[x_alt, y]))
 
 
-def _theorem5(channel: SdDmc) -> tuple[BitSender, float]:
-    """Zero-error bit sender when only the decoder sees the (causal) states.
+def theorem5_trial(channel: SdDmc) -> Trial:
+    """Zero-error bit protocol when only the decoder sees the (causal) states.
 
     Requires a state-group witness (x, x', y, S*): x' can produce y exactly
     in the states of S*, where y disproves x.  Rounds send (x, x') for 0 and
@@ -206,25 +223,7 @@ def _theorem5(channel: SdDmc) -> tuple[BitSender, float]:
         return ((s1, first, y1), (s2, second, y2)), done, decided1
 
     p = float(channel.Q[in_group] @ channel.W[in_group, x_alt, y])
-    return _two_slot_sender(play_round), p
-
-
-def run_disprover_bit(
-    channel: Dmc, bit: int, rng: np.random.Generator, trace: Optional[Trace] = None
-) -> tuple[int, int]:
-    """Send one bit with zero error over a DMC that has a disprover output."""
-    send, _ = _disprover(channel)
-    decoded, tau = send(np.array([bit]), rng, trace)
-    return int(decoded[0]), int(tau[0])
-
-
-def run_theorem5_bit(
-    channel: SdDmc, bit: int, rng: np.random.Generator, trace: Optional[Trace] = None
-) -> tuple[int, int]:
-    """One bit with zero error when only the decoder sees the (causal) states."""
-    send, _ = _theorem5(channel)
-    decoded, tau = send(np.array([bit]), rng, trace)
-    return int(decoded[0]), int(tau[0])
+    return Trial(_two_slot_sender(play_round), round_p=p)
 
 
 def reduced_dmc(channel: SdDmc, si: SiModel) -> Dmc:
@@ -236,15 +235,7 @@ def reduced_dmc(channel: SdDmc, si: SiModel) -> Dmc:
     return joint_output_channel(channel)
 
 
-@dataclass(frozen=True)
-class HanSatoRun:
-    message: int
-    decoded: int
-    tau: int
-    phase1_correct: bool
-
-
-def _han_sato(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int]):
+def han_sato_trial(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int] = None) -> Trial:
     """Two-phase zero-error transmission of a multi-bit message.
 
     Phase 1 sends the message with a random fixed-length code (distinct
@@ -253,9 +244,7 @@ def _han_sato(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int]):
     feedback.  One zero-error bit then acknowledges the outcome; on a
     negative acknowledgment the message is resent bit by bit with the
     zero-error bit protocol, so the final decision is always correct.
-
-    Returns ``run(msgs, rng, trace) -> (decoded, tau, phase1_correct)`` over
-    a batch of messages; the trace records the message msgs[0].
+    The sender also returns ``ack``, the trials whose phase 1 was right.
     """
     if si not in SI_MODELS:
         raise UnsupportedModel("two-phase protocol is not defined for the decoder-only model")
@@ -276,9 +265,9 @@ def _han_sato(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int]):
     with np.errstate(divide="ignore"):
         log_w = np.log(dmc.W)
     cdf = np.cumsum(dmc.W, axis=1)
-    send, _ = _disprover(dmc)
+    send_bits = disprover_trial(dmc).send
 
-    def run(msgs, rng, trace=None):
+    def send(msgs, rng, trace=None):
         guess = np.empty(len(msgs), dtype=np.int64)
         for i, msg in enumerate(msgs):
             codebook = _distinct_codewords(n_msgs, dmc.nx, n1, rng)
@@ -290,36 +279,20 @@ def _han_sato(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int]):
                 for t in range(n1):
                     trace.record(t + 1, None, int(sent[t]), int(outputs[t]))
         ack = guess == msgs
-        _, tau = send(ack.astype(np.int64), rng, trace, offset=n1)
+        _, tau = send_bits(ack.astype(np.int64), rng, trace, offset=n1)
         tau += n1
         decoded = np.where(ack, guess, 0)
         resent = np.flatnonzero(~ack)
         resent_trace = trace if resent.size and resent[0] == 0 else None
         for i in range(msg_bits):
-            bits, t_bit = send((msgs[resent] >> (msg_bits - 1 - i)) & 1, rng, resent_trace, offset=int(tau[0]))
+            bits, t_bit = send_bits((msgs[resent] >> (msg_bits - 1 - i)) & 1, rng, resent_trace, offset=int(tau[0]))
             decoded[resent] = (decoded[resent] << 1) | bits
             tau[resent] += t_bit
         if trace is not None:
             trace.message, trace.decoded, trace.tau = int(msgs[0]), int(decoded[0]), int(tau[0])
         return decoded, tau, ack
 
-    return run
-
-
-def run_han_sato(
-    channel: SdDmc,
-    si: SiModel,
-    msg_bits: int,
-    rng: np.random.Generator,
-    n1: Optional[int] = None,
-    msg: Optional[int] = None,
-    trace: Optional[Trace] = None,
-) -> HanSatoRun:
-    """One two-phase transmission of ``msg`` (drawn from ``rng`` if None)."""
-    run = _han_sato(channel, si, msg_bits, n1)
-    msgs = rng.integers(1 << msg_bits, size=1) if msg is None else np.array([msg])
-    decoded, tau, ack = run(msgs, rng, trace)
-    return HanSatoRun(message=int(msgs[0]), decoded=int(decoded[0]), tau=int(tau[0]), phase1_correct=bool(ack[0]))
+    return Trial(send, msg_bits=msg_bits)
 
 
 def _distinct_codewords(m: int, nx: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -335,30 +308,50 @@ def _distinct_codewords(m: int, nx: int, n: int, rng: np.random.Generator) -> np
     return np.stack(list(first.values()))
 
 
+def _send_one(trial: Trial, msg: Optional[int], rng: np.random.Generator, trace: Optional[Trace]) -> tuple:
+    """Send one message (drawn from ``rng`` if None): (msg, then send's values), as Python scalars."""
+    if msg is not None and not 0 <= msg < 1 << trial.msg_bits:
+        raise ValueError(f"message {msg} is outside 0..{(1 << trial.msg_bits) - 1}")
+    msgs = rng.integers(1 << trial.msg_bits, size=1) if msg is None else np.array([msg])
+    return tuple(a[0].item() for a in (msgs, *trial.send(msgs, rng, trace)))
+
+
+def run_disprover_bit(
+    channel: Dmc, bit: int, rng: np.random.Generator, trace: Optional[Trace] = None
+) -> tuple[int, int]:
+    """Send one bit with zero error over a DMC that has a disprover output."""
+    return _send_one(disprover_trial(channel), bit, rng, trace)[1:]
+
+
+def run_theorem5_bit(
+    channel: SdDmc, bit: int, rng: np.random.Generator, trace: Optional[Trace] = None
+) -> tuple[int, int]:
+    """One bit with zero error when only the decoder sees the (causal) states."""
+    return _send_one(theorem5_trial(channel), bit, rng, trace)[1:]
+
+
 @dataclass(frozen=True)
-class Trial:
-    """A batched protocol trial: ``trial(rng, n, trace)`` -> (ok[n], tau[n]).
-
-    The trace, if given, records the first of the n trials.  ``round_p`` is
-    the per-round stopping probability of a two-slot bit protocol, whose
-    stopping time is 2 * Geometric(round_p); None where no closed form is
-    known.
-    """
-
-    run: Callable[..., tuple[np.ndarray, np.ndarray]]
-    round_p: Optional[float] = None
-
-    def __call__(self, rng: np.random.Generator, n: int, trace: Optional[Trace] = None):
-        return self.run(rng, n, trace)
+class HanSatoRun:
+    message: int
+    decoded: int
+    tau: int
+    phase1_correct: bool
 
 
-def monte_carlo(
-    trial: Trial, trials: int, seed: int, bits_per_message: int = 1, trace: Optional[Trace] = None
-) -> ProtocolStats:
+def run_han_sato(
+    channel: SdDmc, si: SiModel, msg_bits: int, rng: np.random.Generator,
+    n1: Optional[int] = None, msg: Optional[int] = None, trace: Optional[Trace] = None,
+) -> HanSatoRun:
+    """One two-phase transmission of ``msg`` (drawn from ``rng`` if None)."""
+    return HanSatoRun(*_send_one(han_sato_trial(channel, si, msg_bits, n1), msg, rng, trace))
+
+
+def monte_carlo(trial: Trial, trials: int, seed: int, trace: Optional[Trace] = None) -> ProtocolStats:
     """Run ``trials`` independent trials in chunks of CHUNK_TRIALS.
 
     Chunk c draws from the substream (seed, c); ``trace`` records trial 0.
-    Stopping times are summed as exact integers.
+    Stopping times are summed as exact integers; the rate counts the
+    trial's ``msg_bits`` per message.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -376,43 +369,15 @@ def monte_carlo(
         errors=errors,
         mean_tau=mean,
         var_tau=(trials * total_sq - total * total) / trials**2,
-        rate_bits_per_use=bits_per_message / mean,
+        rate_bits_per_use=trial.msg_bits / mean,
         exact_mean_tau=None if p is None else 2 / p,
         exact_var_tau=None if p is None else 4 * (1 - p) / p**2,
     )
 
 
-def _bit_trial(send: BitSender, p: float) -> Trial:
-    def run(rng: np.random.Generator, n: int, trace: Optional[Trace] = None):
-        bits = rng.integers(2, size=n)
-        decoded, tau = send(bits, rng, trace)
-        return decoded == bits, tau
-
-    return Trial(run, round_p=p)
-
-
-def disprover_trial(channel: Dmc) -> Trial:
-    return _bit_trial(*_disprover(channel))
-
-
-def theorem5_trial(channel: SdDmc) -> Trial:
-    return _bit_trial(*_theorem5(channel))
-
-
-def han_sato_trial(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int] = None) -> Trial:
-    send_messages = _han_sato(channel, si, msg_bits, n1)
-
-    def run(rng: np.random.Generator, n: int, trace: Optional[Trace] = None):
-        msgs = rng.integers(1 << msg_bits, size=n)
-        decoded, tau, _ = send_messages(msgs, rng, trace)
-        return decoded == msgs, tau
-
-    return Trial(run)
-
-
-# Protocol name -> (channel, si, msg_bits, n1) -> (trial, bits per message).
-PROTOCOLS: dict[str, Callable[[SdDmc, SiModel, int, Optional[int]], tuple[Trial, int]]] = {
-    "disprover": lambda channel, si, msg_bits, n1: (disprover_trial(reduced_dmc(channel, si)), 1),
-    "theorem5": lambda channel, si, msg_bits, n1: (theorem5_trial(channel), 1),
-    "han-sato": lambda channel, si, msg_bits, n1: (han_sato_trial(channel, si, msg_bits, n1=n1), msg_bits),
+# Protocol name -> (channel, si, msg_bits, n1) -> trial.
+PROTOCOLS: dict[str, Callable[[SdDmc, SiModel, int, Optional[int]], Trial]] = {
+    "disprover": lambda channel, si, msg_bits, n1: disprover_trial(reduced_dmc(channel, si)),
+    "theorem5": lambda channel, si, msg_bits, n1: theorem5_trial(channel),
+    "han-sato": han_sato_trial,
 }

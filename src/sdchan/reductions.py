@@ -50,7 +50,8 @@ def shannon_strategy_channel(
 
     The row for u is the Q-average of the rows W[s][u(s)].  Letters are
     indexed lexicographically; the second return value maps row index to
-    the underlying letter.
+    the underlying letter.  Labels join the digits of u(s), with a "."
+    between them once an input index can have two digits.
     """
     n_letters = channel.nx ** channel.ns
     if n_letters > cap:
@@ -59,7 +60,8 @@ def shannon_strategy_channel(
         )
     letters = enumerate_strategy_letters(channel.nx, channel.ns)
     T = channel.W[np.arange(channel.ns), np.array(letters)]  # T[i, s] = W[s][u_i(s)]
-    labels = tuple("u" + "".join(str(x) for x in u) for u in letters)
+    sep = "." if channel.nx > 10 else ""
+    labels = tuple("u" + sep.join(str(x) for x in u) for u in letters)
     return _normalized_dmc(np.matmul(channel.Q, T), labels, channel.y_labels), letters
 
 

@@ -69,7 +69,7 @@ def theorem5_stats():
 @pytest.fixture(scope="module")
 def han_sato_stats():
     trial = han_sato_trial(ch_ex1(), SiModel.from_token("-,-"), 4, n1=HS_N1)
-    return monte_carlo(trial, trials=10_000, seed=7, bits_per_message=4)
+    return monte_carlo(trial, trials=10_000, seed=7)
 
 
 def test_criterion_1_example_1_suite():

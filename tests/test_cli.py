@@ -202,6 +202,48 @@ def test_simulate_trace_export(capsys, ex1_path, tmp_path):
                 assert report["results"]["mean_tau"] == lines[-1]["tau"]
 
 
+# One report per protocol on ch_ex1, pinned so that a change to any random
+# stream shows: (extra argv, mean_tau, var_tau, trace lines).
+SIMULATE_GOLDEN = {
+    "disprover": (["--seed", "42"], 2.62, 1.4556, [
+        '{"n": 1, "s": null, "x": 0, "y": 0, "decision": null}',
+        '{"n": 2, "s": null, "x": 1, "y": 1, "decision": 0}',
+        '{"message": 0, "decoded": 0, "tau": 2}',
+    ]),
+    "theorem5": (["--seed", "42"], 2.77, 2.5871, [
+        '{"n": 1, "s": 1, "x": 0, "y": 0, "decision": null}',
+        '{"n": 2, "s": 1, "x": 1, "y": 1, "decision": 0}',
+        '{"message": 0, "decoded": 0, "tau": 2}',
+    ]),
+    # Trial 0 is decoded wrongly in phase 1, so its trace holds the negative
+    # acknowledgment and the two resent bits.
+    "han-sato": (["--seed", "2", "--si", "-,-", "--msg-bits", "2", "--n1", "2"], 5.91, 7.5719, [
+        '{"n": 1, "s": null, "x": 1, "y": 1, "decision": null}',
+        '{"n": 2, "s": null, "x": 1, "y": 0, "decision": null}',
+        '{"n": 3, "s": null, "x": 0, "y": 0, "decision": null}',
+        '{"n": 4, "s": null, "x": 1, "y": 1, "decision": 0}',
+        '{"n": 5, "s": null, "x": 1, "y": 1, "decision": null}',
+        '{"n": 6, "s": null, "x": 0, "y": 0, "decision": 1}',
+        '{"n": 7, "s": null, "x": 1, "y": 1, "decision": null}',
+        '{"n": 8, "s": null, "x": 0, "y": 0, "decision": 1}',
+        '{"message": 3, "decoded": 3, "tau": 8}',
+    ]),
+}
+
+
+@pytest.mark.parametrize("protocol", list(SIMULATE_GOLDEN))
+def test_simulate_golden_reports(capsys, ex1_path, tmp_path, protocol):
+    extra, mean_tau, var_tau, trace_lines = SIMULATE_GOLDEN[protocol]
+    trace_path = tmp_path / "trace.jsonl"
+    code, report = run_cli(
+        capsys, "simulate", ex1_path, "--protocol", protocol, "--trials", "200", *extra, "--trace-path", str(trace_path)
+    )
+    res = report["results"]
+    assert code == 0 and res["errors"] == 0
+    assert (res["mean_tau"], res["var_tau"]) == (mean_tau, var_tau)
+    assert trace_path.read_text().splitlines() == trace_lines
+
+
 def test_simulate_trace_path_unwritable(capsys, ex1_path, tmp_path):
     trace_path = tmp_path / "missing" / "trace.jsonl"
     code, report = run_cli(

@@ -177,7 +177,6 @@ def test_rate_accounting():
         han_sato_trial(ch_triv(), SiModel.from_token("-,-"), 4, n1=4),
         trials=50,
         seed=1,
-        bits_per_message=4,
     )
     assert stats.mean_tau == 6.0
     assert stats.rate_bits_per_use == 4 / 6
@@ -259,6 +258,18 @@ def test_monte_carlo_chunks_use_distinct_substreams():
     two = monte_carlo(trial, trials=2 * CHUNK_TRIALS, seed=5)
     one = monte_carlo(trial, trials=CHUNK_TRIALS, seed=5)
     assert two.mean_tau != one.mean_tau
+
+
+def test_single_message_runs_reject_out_of_range_messages():
+    rng = np.random.default_rng(19)
+    with pytest.raises(ValueError):
+        run_disprover_bit(average_states(ch_ex1()), 2, rng)
+    with pytest.raises(ValueError):
+        run_theorem5_bit(ch_ex1(), -1, rng)
+    for msg in (-1, 8, 9):
+        with pytest.raises(ValueError):
+            run_han_sato(ch_ex1(), SiModel.from_token("-,-"), 3, rng, msg=msg)
+    assert run_han_sato(ch_ex1(), SiModel.from_token("-,-"), 3, rng, msg=7).decoded == 7
 
 
 def test_han_sato_codebook_cap():

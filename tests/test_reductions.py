@@ -92,6 +92,18 @@ def test_strategy_channel_ex1():
     assert lifted.W[u, 1] == 0.0
 
 
+def test_strategy_labels_are_distinct_past_ten_inputs():
+    # With 12 inputs, u = (1, 11) and (11, 1) both ran together to "u111".
+    W = np.zeros((2, 12, 2))
+    W[:, :, 0] = 1.0
+    lifted, letters = shannon_strategy_channel(SdDmc(W=W, Q=[0.5, 0.5]))
+    assert len(set(lifted.x_labels)) == len(letters) == 144
+    assert lifted.x_labels[letters.index((1, 11))] == "u1.11"
+    # Up to 10 inputs the labels keep their run-together digits.
+    lifted, letters = shannon_strategy_channel(SdDmc(W=W[:, :10], Q=[0.5, 0.5]))
+    assert lifted.x_labels[letters.index((1, 9))] == "u19"
+
+
 def test_strategy_channel_cap():
     with pytest.raises(AlphabetTooLarge):
         shannon_strategy_channel(ch_ex1(), cap=3)
