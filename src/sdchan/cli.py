@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -210,16 +211,23 @@ def _cmd_capacity(args, text: str):
     return params, result.to_jsonable(), f"{result.value:.6f} bits via {result.method}", EXIT_OK
 
 
+# Protocol name -> the ``simulate`` options it reads, which are the only ones
+# its report echoes: its factory's parameters after the channel.
+_PROTOCOL_OPTIONS = {name: list(inspect.signature(f).parameters)[1:] for name, f in PROTOCOLS.items()}
+
+
 def _cmd_simulate(args, text: str):
     channel = load_channel(text)
     si = SiModel.from_token(args.si)
-    trial = PROTOCOLS[args.protocol](channel, si, args.msg_bits, args.n1)
+    reads = _PROTOCOL_OPTIONS[args.protocol]
+    trial = PROTOCOLS[args.protocol](channel, **{k: si if k == "si" else getattr(args, k) for k in reads})
     trace = Trace() if args.trace_path else None
     stats = monte_carlo(trial, args.trials, args.seed, trace=trace)
     if trace is not None:
         with open(args.trace_path, "w", encoding="utf-8") as f:
             f.write(trace.to_jsonl() + "\n")
-    params = {k: getattr(args, k) for k in ("protocol", "si", "trials", "seed", "msg_bits", "n1")}
+    params = {k: getattr(args, k) for k in ("protocol", "si", "trials", "seed", "msg_bits", "n1")
+              if k in ("protocol", "trials", "seed", *reads)}
     summary = f"errors={stats.errors} mean_tau={stats.mean_tau:.4f}"
     return params, stats.to_jsonable(), summary, EXIT_OK if stats.errors == 0 else EXIT_INVALID
 

@@ -5,8 +5,10 @@ trial is a bug, and the Monte-Carlo driver treats it as one (hard count,
 no tolerance).  Sampling is inverse-CDF in stored row order.  Each
 protocol is one ``Trial``, built by a factory that finds its witness and its
 channel rows once.  The bit protocols draw and decode every slot of ``n``
-trials as arrays; the two-phase protocol draws a phase-1 codebook per trial
-in a Python loop, then acknowledges and resends as arrays.  ``monte_carlo``
+trials as arrays.  The two-phase protocol makes its phase-1 draws (codebook,
+then channel uniforms) one trial at a time in stream order, samples and
+decodes them as arrays per block of trials, whose size ``MAX_CODEBOOK_ENTRIES``
+bounds, then acknowledges and resends as arrays.  ``monte_carlo``
 runs fixed chunks of ``CHUNK_TRIALS`` trials, each on its own substream
 derived from ``(seed, chunk)``, so ``(seed, trials)`` fixes the report.
 """
@@ -28,7 +30,8 @@ from .reductions import average_states, joint_output_channel, shannon_strategy_c
 # Trials per Monte-Carlo chunk: bounds the arrays a chunk holds at any --trials.
 CHUNK_TRIALS = 8192
 
-# Largest two-phase codebook, in letters (codewords x blocklength), built per trial.
+# Largest two-phase codebook, in letters (codewords x blocklength), built per
+# trial; a phase-1 block of several trials holds no array of more bytes.
 MAX_CODEBOOK_ENTRIES = 1 << 20
 
 
@@ -90,7 +93,7 @@ def _sample(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     ``cdf`` is one row shared by every draw, or one row per draw.
     """
-    idx = (cdf <= u[:, None]).sum(axis=-1)
+    idx = (cdf <= u[..., None]).sum(axis=-1)
     return np.minimum(idx, cdf.shape[-1] - 1)
 
 
@@ -245,6 +248,12 @@ def han_sato_trial(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int]
     negative acknowledgment the message is resent bit by bit with the
     zero-error bit protocol, so the final decision is always correct.
     The sender also returns ``ack``, the trials whose phase 1 was right.
+
+    Phase 1 draws each trial's codebook and then its n1 channel uniforms,
+    trial by trial in stream order, so the random stream is that of a
+    per-trial loop.  Sampling and decoding run once per block of trials,
+    and no block array of several trials exceeds ``MAX_CODEBOOK_ENTRIES``
+    bytes.
     """
     if si not in SI_MODELS:
         raise UnsupportedModel("two-phase protocol is not defined for the decoder-only model")
@@ -266,18 +275,29 @@ def han_sato_trial(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int]
         log_w = np.log(dmc.W)
     cdf = np.cumsum(dmc.W, axis=1)
     send_bits = disprover_trial(dmc).send
+    # Trials per phase-1 block.  The block arrays (codebooks, sampled CDF
+    # rows, log-likelihood terms) have 8-byte entries, and each is held to
+    # MAX_CODEBOOK_ENTRIES bytes: a block at the letter cap would hold 8 MiB
+    # per array, which raised the peak RSS of a 256-message run by 60%.  A
+    # block holds at least one trial, as the per-trial code did.
+    block = max(MAX_CODEBOOK_ENTRIES // (8 * max(n_msgs, dmc.ny) * max(n1, 1)), 1)
 
     def send(msgs, rng, trace=None):
         guess = np.empty(len(msgs), dtype=np.int64)
-        for i, msg in enumerate(msgs):
-            codebook = _distinct_codewords(n_msgs, dmc.nx, n1, rng)
-            sent = codebook[msg]
-            outputs = _sample(cdf[sent], rng.random(n1))
+        for start in range(0, len(msgs), block):
+            m = min(block, len(msgs) - start)
+            codebooks = np.empty((m, n_msgs, n1), dtype=np.int64)
+            u = np.empty((m, n1))
+            for i in range(m):
+                codebooks[i] = _distinct_codewords(n_msgs, dmc.nx, n1, rng)
+                u[i] = rng.random(n1)
+            sent = codebooks[np.arange(m), msgs[start:start + m]]
+            outputs = _sample(cdf[sent], u)
             # argmax breaks ties toward the lowest index
-            guess[i] = np.argmax(log_w[codebook, outputs].sum(axis=1))
-            if i == 0 and trace is not None:
+            guess[start:start + m] = log_w[codebooks, outputs[:, None]].sum(axis=2).argmax(axis=1)
+            if start == 0 and trace is not None:
                 for t in range(n1):
-                    trace.record(t + 1, None, int(sent[t]), int(outputs[t]))
+                    trace.record(t + 1, None, int(sent[0, t]), int(outputs[0, t]))
         ack = guess == msgs
         _, tau = send_bits(ack.astype(np.int64), rng, trace, offset=n1)
         tau += n1
@@ -299,13 +319,20 @@ def _distinct_codewords(m: int, nx: int, n: int, rng: np.random.Generator) -> np
     """m distinct random codewords of length n over an nx-letter alphabet.
 
     They are the first m distinct rows of an i.i.d. uniform stream, drawn in
-    batches of the number still missing.
+    batches of the number still missing.  A first batch with no repeated
+    row is returned as drawn.
     """
+    rows = rng.integers(nx, size=(m, n))
+    # One bytes object per row, hashed in C.
+    if len(set(rows.view(f"V{rows.itemsize * n}").ravel().tolist())) == m:
+        return rows
     first = {}
-    while len(first) < m:
-        for row in rng.integers(nx, size=(m - len(first), n)):
+    while True:
+        for row in rows:
             first.setdefault(row.tobytes(), row)
-    return np.stack(list(first.values()))
+        if len(first) == m:
+            return np.stack(list(first.values()))
+        rows = rng.integers(nx, size=(m - len(first), n))
 
 
 def _send_one(trial: Trial, msg: Optional[int], rng: np.random.Generator, trace: Optional[Trace]) -> tuple:
@@ -375,9 +402,10 @@ def monte_carlo(trial: Trial, trials: int, seed: int, trace: Optional[Trace] = N
     )
 
 
-# Protocol name -> (channel, si, msg_bits, n1) -> trial.
-PROTOCOLS: dict[str, Callable[[SdDmc, SiModel, int, Optional[int]], Trial]] = {
-    "disprover": lambda channel, si, msg_bits, n1: disprover_trial(reduced_dmc(channel, si)),
-    "theorem5": lambda channel, si, msg_bits, n1: theorem5_trial(channel),
+# Protocol name -> factory(channel, *options) -> trial.  The parameters after
+# ``channel`` name the ``simulate`` options the protocol reads.
+PROTOCOLS: dict[str, Callable[..., Trial]] = {
+    "disprover": lambda channel, si: disprover_trial(reduced_dmc(channel, si)),
+    "theorem5": theorem5_trial,
     "han-sato": han_sato_trial,
 }

@@ -8,6 +8,7 @@ into a joint output, and adjoining a noiseless termination symbol.
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 
@@ -66,12 +67,18 @@ def shannon_strategy_channel(
 
 
 def joint_output_channel(channel: SdDmc) -> Dmc:
-    """Fold the state into the output: outputs are (y, s) pairs, y-major."""
+    """Fold the state into the output: outputs are (y, s) pairs, y-major.
+
+    The pair is labelled "(y,s)", with both parts JSON-quoted when some
+    output or state label holds a comma, so that distinct pairs keep
+    distinct labels.
+    """
     ns, nx, ny = channel.W.shape
     # [x][(y, s)] with index y * ns + s
     W = np.einsum("s,sxy->xys", channel.Q, channel.W).reshape(nx, ny * ns)
+    quote = json.dumps if any("," in label for label in channel.y_labels + channel.s_labels) else str
     labels = tuple(
-        f"({channel.y_labels[y]},{channel.s_labels[s]})" for y in range(ny) for s in range(ns)
+        f"({quote(channel.y_labels[y])},{quote(channel.s_labels[s])})" for y in range(ny) for s in range(ns)
     )
     return _normalized_dmc(W, channel.x_labels, labels)
 

@@ -136,6 +136,28 @@ def test_reduce_average(capsys, ex1_path):
     assert report["results"]["W"] == [[1.0, 0.0], [0.25, 0.75]]
 
 
+def test_reduce_joint_output_labels_stay_distinct(capsys, ex1_path, tmp_path):
+    doc = json.loads(serialize(ch_ex1()))
+    doc["outputs"], doc["states"] = ["a,b", "a"], ["c", "b,c"]
+    path = tmp_path / "commas.json"
+    path.write_text(json.dumps(doc))
+    _, report = run_cli(capsys, "reduce", str(path), "--kind", "joint-output")
+    assert report["results"]["outputs"] == ['("a,b","c")', '("a,b","b,c")', '("a","c")', '("a","b,c")']
+    # Labels without commas are left as they were.
+    _, report = run_cli(capsys, "reduce", ex1_path, "--kind", "joint-output")
+    assert report["results"]["outputs"] == ["(y0,s0)", "(y0,s1)", "(y1,s0)", "(y1,s1)"]
+
+
+@pytest.mark.parametrize("protocol, echoed", [
+    ("disprover", ["protocol", "si", "trials", "seed"]),
+    ("theorem5", ["protocol", "trials", "seed"]),
+    ("han-sato", ["protocol", "si", "trials", "seed", "msg_bits", "n1"]),
+])
+def test_simulate_echoes_only_the_options_its_protocol_reads(capsys, ex1_path, protocol, echoed):
+    _, report = run_cli(capsys, "simulate", ex1_path, "--protocol", protocol, "--trials", "10")
+    assert list(report["parameters"]) == echoed
+
+
 def test_simulate_theorem5(capsys, ex1_path):
     code, report = run_cli(
         capsys, "simulate", ex1_path, "--protocol", "theorem5", "--trials", "2000", "--seed", "42"

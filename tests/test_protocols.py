@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,68 @@ def test_batched_kernels_match_per_trial_loop():
                 decoded, ref_tau = _reference_bits(channel, protocol, bits, bits_rng)
                 assert ok.tolist() == [d == b for d, b in zip(decoded, bits)]
                 assert tau.tolist() == ref_tau
+
+
+def _reference_han_sato(channel, si, msg_bits, n1, msgs, rng):
+    """The two-phase sender with phase 1 run one trial at a time: per trial,
+    the first distinct rows of an i.i.d. stream drawn in batches of the
+    number still missing, n1 uniforms, and an ML decode (lowest index wins)."""
+    dmc = reduced_dmc(channel, si)
+    n_msgs = 1 << msg_bits
+    with np.errstate(divide="ignore"):
+        log_w = np.log(dmc.W)
+    guess = np.empty(len(msgs), dtype=np.int64)
+    for i, msg in enumerate(msgs):
+        first = {}
+        while len(first) < n_msgs:
+            for row in rng.integers(dmc.nx, size=(n_msgs - len(first), n1)):
+                first.setdefault(row.tobytes(), row)
+        codebook = np.stack(list(first.values()))
+        outputs = [_inverse_cdf(dmc.W[x], u) for x, u in zip(codebook[msg], rng.random(n1))]
+        guess[i] = np.argmax(log_w[codebook, outputs].sum(axis=1))
+    ack = guess == msgs
+    send_bits = disprover_trial(dmc).send
+    _, tau = send_bits(ack.astype(np.int64), rng)
+    tau += n1
+    decoded = np.where(ack, guess, 0)
+    resent = np.flatnonzero(~ack)
+    for i in range(msg_bits):
+        bits, t_bit = send_bits((msgs[resent] >> (msg_bits - 1 - i)) & 1, rng)
+        decoded[resent] = (decoded[resent] << 1) | bits
+        tau[resent] += t_bit
+    return decoded, tau, ack
+
+
+@pytest.mark.parametrize("token", ["-,-", "c,-", "sc,c"])
+@pytest.mark.parametrize(
+    "msg_bits, n1, trials", [(0, 0, 40), (0, 3, 40), (2, 2, 40), (3, 5, 40), (4, 16, 40), (8, 64, 150)]
+)
+def test_han_sato_phase1_matches_per_trial_loop(token, msg_bits, n1, trials):
+    # (2, 2) on a 2-input reduced DMC draws every codeword, so duplicates
+    # are redrawn; (8, 64) spans nineteen blocks of 8 trials.
+    si = SiModel.from_token(token)
+    send = han_sato_trial(ch_ex1(), si, msg_bits, n1).send
+    for seed in range(3):
+        msgs = np.random.default_rng([seed, 1]).integers(1 << msg_bits, size=trials)
+        got = send(msgs, np.random.default_rng(seed))
+        ref = _reference_han_sato(ch_ex1(), si, msg_bits, n1, msgs, np.random.default_rng(seed))
+        for a, b in zip(got, ref):
+            assert a.tolist() == b.tolist()
+
+
+def test_han_sato_phase1_memory_is_bounded():
+    # Codebooks for all 256 trials at once would take 256 * 2**8 * 64 int64
+    # letters (32 MiB), and their log-likelihoods as much again.
+    trial = han_sato_trial(ch_ex1(), SiModel.from_token("-,-"), 8, n1=64)
+    bound = 4 * MAX_CODEBOOK_ENTRIES * 8
+    tracemalloc.start()
+    try:
+        stats = monte_carlo(trial, trials=256, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.errors == 0
+    assert peak < bound
 
 
 def test_stopping_time_interval_coverage():
