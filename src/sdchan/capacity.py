@@ -118,14 +118,11 @@ def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITE
     W = channel.W
     nx = channel.nx
     support = W > 0
-    with np.errstate(divide="ignore"):
-        log2_W = np.log2(W)
 
     def evaluate(r):
         q_y = r @ W
         # d[x] = D(W(.|x) || q) in bits; structural zeros of W contribute 0.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(support, W * (log2_W - np.log2(q_y)), 0.0).sum(axis=1)
+        d = np.where(support, W * (log2_W - np.log2(q_y)), 0.0).sum(axis=1)
         upper = d.max()
         return float(r @ d), float(upper), d - upper
 
@@ -133,7 +130,11 @@ def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITE
         scaled = r * np.exp2(mu * shifted_d)
         return scaled / scaled.sum()
 
-    r, lower, upper, iterations = _adaptive_ascent(np.full(nx, 1.0 / nx), evaluate, propose, tol, max_iter)
+    # One error state for the whole ascent, not one per evaluation: log2 of a
+    # structural zero of W is -inf, and support masks it out of d.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log2_W = np.log2(W)
+        r, lower, upper, iterations = _adaptive_ascent(np.full(nx, 1.0 / nx), evaluate, propose, tol, max_iter)
     value = max(lower, 0.0)
     # At an exact optimum max_x D_x can round an ulp below I(r).
     gap = max(upper - value, 0.0)
@@ -200,33 +201,6 @@ def shannon_strategy_capacity(channel: SdDmc, tol: float = BA_TOL, max_iter: int
     )
 
 
-def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
-    """ln sum exp(x) along ``axis``; an all -inf slice gives -inf.  On arrays
-    this small it costs a fraction of scipy.special.logsumexp per call, and
-    the ascent makes three calls a step."""
-    m = x.max(axis=axis, keepdims=True)
-    m = np.where(np.isfinite(m), m, 0.0)
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(x - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
-
-
-def _gp_scores(
-    log_P: np.ndarray, log_Q: np.ndarray, T: np.ndarray, log_T: np.ndarray, support: np.ndarray
-) -> np.ndarray:
-    """a(u, s) = sum_y T(y|u,s) ln q(u|y), with q(u|y) the posterior of U given Y.
-
-    log_P holds ln P(u|s) with shape (U, S); T and log_T hold the kernels
-    T(y|u,s) and their logs with shape (U, S, Y); support[u, y] says whether
-    some state gives output y to letter u.  The sums over states and letters
-    run in the log domain, so a letter whose mass underflows keeps a finite,
-    very negative ln q instead of a reset one.
-    """
-    log_p_uy = _logsumexp(log_T + (log_P + log_Q)[:, :, None], axis=1)
-    with np.errstate(invalid="ignore"):
-        log_q = np.where(support, log_p_uy - _logsumexp(log_p_uy, axis=0), 0.0)
-    return np.einsum("usy,uy->us", T, log_q)
-
-
 def gelfand_pinsker_capacity(channel: SdDmc, tol: float = GP_TOL, max_iter: int = BA_MAX_ITER) -> CapacityResult:
     """max over P(u|s) of I(U;Y) - I(U;S): the non-causal encoder's capacity.
 
@@ -249,27 +223,42 @@ def gelfand_pinsker_capacity(channel: SdDmc, tol: float = GP_TOL, max_iter: int 
     T = channel.W[np.arange(ns), np.array(letters)]  # (letters, S, Y): T[u, s] = W[s][u(s)]
     _, first = np.unique(T.reshape(len(letters), -1), axis=0, return_index=True)
     keep = np.sort(first)
-    T = T[keep]
+    # Outputs that no letter reaches get no mass under any P(u|s); without
+    # them every column of ln p(u, y) has a finite normaliser.
+    T = T[keep][:, :, (T > 0).any(axis=(0, 1))]
+    Q = channel.Q
     with np.errstate(divide="ignore"):
         log_T = np.log(T)
-        log_Q = np.log(channel.Q)
+        log_Q = np.log(Q)
     support = (T > 0).any(axis=1)
-    # g(u, s) = a(u, s) - ln P(u|s) is the gradient of the objective (in nats,
-    # up to a per-state constant and the factor Q(s)); the objective is
-    # sum_s Q(s) sum_u P(u|s) g(u, s), and concavity bounds the optimum by
-    # sum_s Q(s) max_u g(u, s).
+    ln2 = np.log(2.0)
+
     def evaluate(log_P):
-        a = _gp_scores(log_P, log_Q, T, log_T, support)
+        """Bounds in bits at ln P(u|s) (shape (U, S)), and the step's direction (a, g).
+
+        a(u, s) = sum_y T(y|u,s) ln q(u|y), with q(u|y) the posterior of U
+        given Y; support[u, y] says whether some state gives output y to
+        letter u.  g(u, s) = a(u, s) - ln P(u|s) is the gradient of the
+        objective (in nats, up to a per-state constant and the factor Q(s));
+        the objective is sum_s Q(s) sum_u P(u|s) g(u, s), and concavity
+        bounds the optimum by sum_s Q(s) max_u g(u, s).  The sums over states
+        and letters run in the log domain, so a letter whose mass underflows
+        keeps a finite, very negative ln q instead of a reset one;
+        np.logaddexp gives -inf for an all -inf slice without a warning.
+        """
+        log_p_uy = np.logaddexp.reduce(log_T + (log_P + log_Q)[:, :, None], axis=1)
+        log_q = np.where(support, log_p_uy - np.logaddexp.reduce(log_p_uy, axis=0), 0.0)
+        a = (T @ log_q[:, :, None])[:, :, 0]
         g = a - log_P
-        lower = float(np.einsum("us,us,s->", np.exp(log_P), g, channel.Q) / np.log(2))
-        upper = float(channel.Q @ g.max(axis=0) / np.log(2))
+        lower = float((np.exp(log_P) * g).sum(axis=0) @ Q / ln2)
+        upper = float(g.max(axis=0) @ Q / ln2)
         return lower, upper, (a, g)
 
     def propose(log_P, direction, mu):
         # ln P + mu (a - ln P), written so that mu = 1 gives a exactly.
         a, g = direction
         x = a + (mu - 1.0) * g
-        return x - _logsumexp(x, axis=0)
+        return x - np.logaddexp.reduce(x, axis=0)
 
     start = np.full((len(keep), ns), -np.log(len(keep)))
     log_P, lower, upper, iterations = _adaptive_ascent(start, evaluate, propose, tol, max_iter)

@@ -323,16 +323,18 @@ def _distinct_codewords(m: int, nx: int, n: int, rng: np.random.Generator) -> np
     row is returned as drawn.
     """
     rows = rng.integers(nx, size=(m, n))
+    if n == 0:
+        return rows  # the empty word; the caller asks for m = 1 only, as nx**0 = 1
     # One bytes object per row, hashed in C.
     if len(set(rows.view(f"V{rows.itemsize * n}").ravel().tolist())) == m:
         return rows
-    first = {}
     while True:
-        for row in rows:
-            first.setdefault(row.tobytes(), row)
-        if len(first) == m:
-            return np.stack(list(first.values()))
-        rows = rng.integers(nx, size=(m - len(first), n))
+        # The distinct rows so far, in order of first occurrence.
+        _, first = np.unique(rows.view(f"V{rows.itemsize * n}").ravel(), return_index=True)
+        rows = rows[np.sort(first)]
+        if len(rows) == m:
+            return rows
+        rows = np.concatenate([rows, rng.integers(nx, size=(m - len(rows), n))])
 
 
 def _send_one(trial: Trial, msg: Optional[int], rng: np.random.Generator, trace: Optional[Trace]) -> tuple:

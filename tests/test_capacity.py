@@ -320,6 +320,73 @@ def test_gp_ascent_converges_when_letter_masses_underflow():
     assert r.warnings == ()
 
 
+def _reference_gp_ascent(ch, max_iter):
+    """The same adaptive-step GP ascent with max-shifted log-sum-exps and einsums.
+
+    Returns (value, gap, capped) as ``gelfand_pinsker_capacity`` reports them.
+    """
+    _, letters = shannon_strategy_channel(ch)
+    T = ch.W[np.arange(ch.ns), np.array(letters)]
+    _, first = np.unique(T.reshape(len(letters), -1), axis=0, return_index=True)
+    T = T[np.sort(first)]
+    with np.errstate(divide="ignore"):
+        log_T = np.log(T)
+        log_Q = np.log(ch.Q)
+    support = (T > 0).any(axis=1)
+
+    def logsumexp(x, axis):
+        m = x.max(axis=axis, keepdims=True)
+        m = np.where(np.isfinite(m), m, 0.0)
+        with np.errstate(divide="ignore"):
+            return np.log(np.exp(x - m).sum(axis=axis)) + np.squeeze(m, axis=axis)
+
+    def bounds(log_P):
+        log_p_uy = logsumexp(log_T + (log_P + log_Q)[:, :, None], axis=1)
+        with np.errstate(invalid="ignore"):
+            log_q = np.where(support, log_p_uy - logsumexp(log_p_uy, axis=0), 0.0)
+        a = np.einsum("usy,uy->us", T, log_q)
+        g = a - log_P
+        lower = float(np.einsum("us,us,s->", np.exp(log_P), g, ch.Q) / np.log(2))
+        return lower, float(ch.Q @ g.max(axis=0) / np.log(2)), a, g
+
+    log_P = np.full((len(T), ch.ns), -np.log(len(T)))
+    lower, upper, a, g = bounds(log_P)
+    iterations, mu = 1, 1.0
+    while upper - lower >= GP_TOL and iterations < max_iter:
+        x = a + (mu - 1.0) * g
+        trial = x - logsumexp(x, axis=0)
+        t_lower, t_upper, t_a, t_g = bounds(trial)
+        iterations += 1
+        if mu == 1.0 or (t_lower >= lower and t_upper - t_lower <= upper - lower):
+            log_P, lower, upper, a, g = trial, t_lower, t_upper, t_a, t_g
+            mu *= 2.0
+        else:
+            mu = 1.0
+    value = max(lower, 0.0)
+    return value, max(upper - value, 0.0), upper - lower >= GP_TOL
+
+
+def test_gp_ascent_matches_log_sum_exp_reference():
+    # Seeded random channels, criterion 9's draw 70 (letter masses underflow)
+    # and a channel with an output no input reaches.  The cap keeps the
+    # reference quick; a few draws stop at it.
+    rng = np.random.default_rng(15)
+    channels = [random_channel(rng) for _ in range(30)]
+    rng = np.random.default_rng(909)
+    for _ in range(71):
+        draw_70 = random_channel(rng)
+    W = np.zeros((2, 2, 3))
+    W[:, :, :2] = ch_ex1().W
+    channels += [draw_70, SdDmc(W=W, Q=ch_ex1().Q)]
+    for ch in channels:
+        r = gelfand_pinsker_capacity(ch, max_iter=3_000)
+        value, gap, capped = _reference_gp_ascent(ch, max_iter=3_000)
+        assert r.value <= value + gap + 1e-12
+        assert value <= r.value + r.certified_gap + 1e-12
+        assert abs(r.value - value) < GP_TOL
+        assert bool(r.warnings) == capped
+
+
 def test_lp_identity():
     r = shannon_zef_fl_capacity(average_states(ch_triv()))
     assert abs(r.value - 1.0) < 1e-9

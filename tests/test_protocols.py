@@ -273,11 +273,13 @@ def _reference_han_sato(channel, si, msg_bits, n1, msgs, rng):
 
 @pytest.mark.parametrize("token", ["-,-", "c,-", "sc,c"])
 @pytest.mark.parametrize(
-    "msg_bits, n1, trials", [(0, 0, 40), (0, 3, 40), (2, 2, 40), (3, 5, 40), (4, 16, 40), (8, 64, 150)]
+    "msg_bits, n1, trials",
+    [(0, 0, 40), (0, 3, 40), (2, 2, 40), (3, 5, 40), (4, 16, 40), (8, 16, 150), (8, 64, 150)],
 )
 def test_han_sato_phase1_matches_per_trial_loop(token, msg_bits, n1, trials):
     # (2, 2) on a 2-input reduced DMC draws every codeword, so duplicates
-    # are redrawn; (8, 64) spans nineteen blocks of 8 trials.
+    # are redrawn; (8, 16) repeats a row in the first batch of about 37% of
+    # trials on a 2-input reduced DMC; (8, 64) spans nineteen blocks of 8 trials.
     si = SiModel.from_token(token)
     send = han_sato_trial(ch_ex1(), si, msg_bits, n1).send
     for seed in range(3):
