@@ -27,7 +27,6 @@ from .channel import (
 from .errors import (
     AlphabetTooLarge,
     BudgetExceeded,
-    NoConvergence,
     ParseError,
     PrecondFailed,
     SdchanError,

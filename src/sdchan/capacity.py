@@ -4,7 +4,8 @@ All values are in bits (base-2 logarithms, with 0*log(0) = 0).  Every
 vanishing-error value comes from one of two optimizers: Blahut-Arimoto on a
 DMC, or the concave Gelfand-Pinsker ascent for the non-causal encoder.  Each
 result carries the gap between its own upper and lower bounds, so its value
-is a certified bracket [value, value + gap].
+is a certified bracket [value, value + gap]; one that stops at its iteration
+cap returns its wider bracket with a warning.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import Dmc, Regime, SdDmc, Si, SiModel
-from .errors import NoConvergence, UnsupportedModel
+from .errors import UnsupportedModel
 from .positivity import (
     POSITIVE,
     ZERO,
@@ -36,7 +37,10 @@ GP_TOL = 1e-7
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """A capacity value in bits plus the distribution achieving it."""
+    """A capacity value in bits plus the distribution achieving it.
+
+    ``warnings`` has one line per optimizer run stopped at its iteration cap.
+    """
 
     value: float
     maximizer: dict
@@ -76,8 +80,8 @@ def mutual_information(p_x: np.ndarray, W: np.ndarray) -> float:
     return float(h_y - h_y_given_x)
 
 
-def _adaptive_ascent(point, evaluate, propose, tol: float, max_iter: int):
-    """Monotone ascent with an adaptive step; returns (point, lower, upper, evaluations).
+def _adaptive_ascent(name: str, point, evaluate, propose, tol: float, max_iter: int):
+    """Monotone ascent with an adaptive step; returns (point, bracket).
 
     ``evaluate(point)`` gives the certified bounds (lower, upper) at ``point``
     and the direction ``propose`` needs; ``propose(point, direction, mu)`` is
@@ -85,9 +89,12 @@ def _adaptive_ascent(point, evaluate, propose, tol: float, max_iter: int):
     proposal is accepted when its lower bound does not drop and its bracket
     does not widen, and mu then doubles; otherwise it is rejected and mu
     resets to 1, whose plain update is always taken (it ascends in exact
-    arithmetic).  The bounds returned are those of the point returned.
-    Every evaluation, rejected proposals included, counts against
-    ``max_iter``.
+    arithmetic).  Every evaluation, rejected proposals included, counts
+    against ``max_iter``.
+
+    ``bracket`` holds the ``CapacityResult`` fields value, certified_gap,
+    iterations and warnings at the point returned; a gap still at or above
+    ``tol`` at ``max_iter`` adds one warning naming ``name``.
     """
     lower, upper, direction = evaluate(point)
     evaluations = 1
@@ -101,7 +108,11 @@ def _adaptive_ascent(point, evaluate, propose, tol: float, max_iter: int):
             mu *= 2.0
         else:
             mu = 1.0
-    return point, lower, upper, evaluations
+    value = max(lower, 0.0)
+    # At an exact optimum the upper bound can round an ulp below the lower one.
+    gap = max(upper - value, 0.0)
+    warnings = (f"{name} gap {gap:.3e} above tol {tol:.3e} after {max_iter} iterations",) if gap >= tol else ()
+    return point, {"value": value, "certified_gap": gap, "iterations": evaluations, "warnings": warnings}
 
 
 def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITER) -> CapacityResult:
@@ -113,7 +124,7 @@ def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITE
     doubles mu while its proposals are accepted and resets it to 1 when one
     is not.  Stops when the bracket at the current point is narrower than
     ``tol``; ``iterations`` counts the evaluations of d, rejected proposals
-    included.
+    included.  At ``max_iter`` the bracket is returned with a warning.
     """
     W = channel.W
     nx = channel.nx
@@ -134,23 +145,8 @@ def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITE
     # structural zero of W is -inf, and support masks it out of d.
     with np.errstate(divide="ignore", invalid="ignore"):
         log2_W = np.log2(W)
-        r, lower, upper, iterations = _adaptive_ascent(np.full(nx, 1.0 / nx), evaluate, propose, tol, max_iter)
-    value = max(lower, 0.0)
-    # At an exact optimum max_x D_x can round an ulp below I(r).
-    gap = max(upper - value, 0.0)
-    result = CapacityResult(
-        value=value,
-        maximizer={"P_X": r.tolist()},
-        method="blahut_arimoto",
-        iterations=iterations,
-        certified_gap=gap,
-    )
-    if gap >= tol:
-        raise NoConvergence(
-            f"blahut_arimoto gap {gap:.3e} above tol {tol:.3e} after {max_iter} iterations",
-            result=result,
-        )
-    return result
+        r, bracket = _adaptive_ascent("blahut_arimoto", np.full(nx, 1.0 / nx), evaluate, propose, tol, max_iter)
+    return CapacityResult(maximizer={"P_X": r.tolist()}, method="blahut_arimoto", **bracket)
 
 
 def capacity_cond_iid(
@@ -162,13 +158,16 @@ def capacity_cond_iid(
     is the Q-average of per-state capacities.  Without it, a single input
     distribution is used; since the input is then independent of the state,
     the objective equals the capacity of the joint-output channel, and the
-    same certified alternating optimizer applies.
+    same certified alternating optimizer applies.  The per-state bracket is
+    the Q-average of the per-state brackets, and it keeps the warning of
+    each state whose run stopped at ``max_iter``.
     """
     if per_state_input:
         total = 0.0
         gap = 0.0
         iters = 0
         rows = []
+        warnings = ()
         for s in range(channel.ns):
             sub = blahut_arimoto(
                 Dmc(W=channel.W[s], x_labels=channel.x_labels, y_labels=channel.y_labels),
@@ -179,12 +178,14 @@ def capacity_cond_iid(
             gap += channel.Q[s] * sub.certified_gap
             iters = max(iters, sub.iterations)
             rows.append(sub.maximizer["P_X"])
+            warnings += tuple(f"state {s}: {w}" for w in sub.warnings)
         return CapacityResult(
             value=total,
             maximizer={"P_X_given_S": rows},
             method="per_state_blahut_arimoto",
             iterations=iters,
             certified_gap=gap,
+            warnings=warnings,
         )
     inner = blahut_arimoto(joint_output_channel(channel), tol=tol, max_iter=max_iter)
     return replace(inner, method="joint_output_blahut_arimoto")
@@ -217,16 +218,20 @@ def gelfand_pinsker_capacity(channel: SdDmc, tol: float = GP_TOL, max_iter: int 
     strategy-lift capacities, which the non-causal encoder can only match or
     beat.  ``iterations`` counts the score evaluations, rejected proposals
     included.  At ``max_iter`` the bracket is returned with a warning.
+
+    States of probability zero are dropped at set-up: ``P_U_given_S`` has a
+    row, and each letter of ``f`` an input, per state of positive probability.
     """
     _, letters = shannon_strategy_channel(channel)
-    ns = channel.ns
-    T = channel.W[np.arange(ns), np.array(letters)]  # (letters, S, Y): T[u, s] = W[s][u(s)]
+    states = np.flatnonzero(channel.Q > 0)
+    letters = np.array(letters)[:, states]
+    T = channel.W[states, letters]  # (letters, S, Y): T[u, i] = W[s][u(s)] for s = states[i]
     _, first = np.unique(T.reshape(len(letters), -1), axis=0, return_index=True)
     keep = np.sort(first)
     # Outputs that no letter reaches get no mass under any P(u|s); without
     # them every column of ln p(u, y) has a finite normaliser.
     T = T[keep][:, :, (T > 0).any(axis=(0, 1))]
-    Q = channel.Q
+    Q = channel.Q[states]
     with np.errstate(divide="ignore"):
         log_T = np.log(T)
         log_Q = np.log(Q)
@@ -260,19 +265,12 @@ def gelfand_pinsker_capacity(channel: SdDmc, tol: float = GP_TOL, max_iter: int 
         x = a + (mu - 1.0) * g
         return x - np.logaddexp.reduce(x, axis=0)
 
-    start = np.full((len(keep), ns), -np.log(len(keep)))
-    log_P, lower, upper, iterations = _adaptive_ascent(start, evaluate, propose, tol, max_iter)
-    warnings = ()
-    if upper - lower >= tol:
-        warnings = (f"gelfand_pinsker gap {upper - lower:.3e} above tol {tol:.3e} after {max_iter} iterations",)
-    value = max(lower, 0.0)
+    start = np.full((len(keep), len(states)), -np.log(len(keep)))
+    log_P, bracket = _adaptive_ascent("gelfand_pinsker", start, evaluate, propose, tol, max_iter)
     return CapacityResult(
-        value=value,
-        maximizer={"P_U_given_S": np.exp(log_P).T.tolist(), "f": [list(letters[i]) for i in keep]},
+        maximizer={"P_U_given_S": np.exp(log_P).T.tolist(), "f": letters[keep].tolist()},
         method="gp_ascent",
-        iterations=iterations,
-        certified_gap=max(upper - value, 0.0),
-        warnings=warnings,
+        **bracket,
     )
 
 

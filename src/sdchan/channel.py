@@ -228,9 +228,6 @@ class SiModel:
     def __le__(self, other: "SiModel") -> bool:
         return self.encoder.level <= other.encoder.level and self.decoder.level <= other.decoder.level
 
-    def __ge__(self, other: "SiModel") -> bool:
-        return other.__le__(self)
-
 
 ALL_MODELS: tuple[SiModel, ...] = tuple(SiModel.from_token(t) for t in _MODEL_TOKENS)
 SI_MODELS: tuple[SiModel, ...] = ALL_MODELS[:-1]

@@ -4,10 +4,13 @@ Exit codes (on an error, a JSON ``{"error": ...}`` object replaces the report):
 0 success: valid channel, positive verdict, no decoding error, oracle agrees;
 1 invalid channel, a simulation decoding error, or an oracle disagreement;
 2 bad argument, file IO or parse error (a non-UTF-8 file included), unsupported
-SI/regime/model, oversize alphabet, oracle budget or two-phase codebook cap
-exceeded, optimizer non-convergence, or a non-finite number in the report;
-3 ``check`` verdict zero; 4 ``check`` verdict unknown;
-5 ``simulate`` protocol precondition fails.
+  SI/regime/model, oversize alphabet, oracle budget or two-phase codebook cap
+  exceeded, or a non-finite number in the report;
+3 ``check`` verdict zero;
+4 ``check`` verdict unknown;
+5 ``simulate`` protocol precondition fails;
+6 ``capacity`` optimizer stopped at ``--max-iter`` before its bracket closed:
+  the report holds the bracket reached and a warning.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ EXIT_IO = 2
 EXIT_ZERO = 3
 EXIT_UNKNOWN = 4
 EXIT_PRECOND = 5
+EXIT_CAPPED = 6
 
 # First match wins, so subclasses precede SdchanError.
 _EXIT_CODES = (
@@ -208,7 +212,9 @@ def _cmd_capacity(args, text: str):
             channel, si, Regime.from_token(args.regime), tol=args.tol, max_iter=args.max_iter
         )
     params = {k: getattr(args, k) for k in ("si", "quantity", "regime", "tol", "max_iter", "restarts")}
-    return params, result.to_jsonable(), f"{result.value:.6f} bits via {result.method}", EXIT_OK
+    # Only an optimizer stopped at its iteration cap leaves a warning.
+    code = EXIT_CAPPED if result.warnings else EXIT_OK
+    return params, result.to_jsonable(), f"{result.value:.6f} bits via {result.method}", code
 
 
 # Protocol name -> the ``simulate`` options it reads, which are the only ones

@@ -24,15 +24,9 @@ class BudgetExceeded(SdchanError):
     """A brute-force oracle was asked for more work than its budget allows."""
 
 
+# Never raised (a capped optimizer returns its bracket); the benchmark's tracer imports it.
 class NoConvergence(SdchanError):
-    """An iterative optimizer hit its iteration cap before reaching tolerance.
-
-    The partial result (with its certified gap) is attached as ``result``.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
+    """An iterative optimizer hit its iteration cap before reaching tolerance."""
 
 
 class PrecondFailed(SdchanError):

@@ -209,8 +209,8 @@ class _Condition:
 # those names (for instance by a tracer) sees every call.
 _CONDITIONS = {
     "dmc_disprover": _Condition("letters", {"x": "x", "y": "y"},
-        lambda ch: _letters(("x", "y"), _first(ch.W == 0.0)),
-        lambda ch, w: ch.W[w["x"], w["y"]] == 0.0),
+        lambda ch: _letters(("x", "y"), _first((ch.W == 0.0) & ch.W.any(axis=0))),
+        lambda ch, w: ch.W[w["x"], w["y"]] == 0.0 and ch.W[:, w["y"]].any()),
     "dmc_disjoint_pair": _Condition("letters", {"x": "x", "x_prime": "x"},
         lambda ch: _letters(("x", "x_prime"), _first_disjoint_pair(ch.W != 0.0)),
         lambda ch, w: _rows_disjoint(ch.W != 0.0, w["x"], w["x_prime"])),
@@ -268,9 +268,9 @@ def _decide(channel: SdDmc | Dmc, condition: str, si: Optional[str] = None, regi
 
 
 def check_dmc_vl(channel: Dmc) -> Verdict:
-    """Positive iff the matrix has a structural zero (a disprover output).
+    """Positive iff the matrix has a structural zero in a column some input reaches.
 
-    Assumes every output of the DMC is reachable from some input.
+    An output no input reaches (an all-zero column) disproves nothing.
     """
     return _decide(channel, "dmc_disprover")
 

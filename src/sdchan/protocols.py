@@ -170,13 +170,10 @@ def disprover_trial(channel: Dmc) -> Trial:
     the bit.  Both outputs equal to y is structurally impossible.  A round
     stops with probability p = W[x', y].
     """
-    # A reduced DMC may have outputs no input reaches (a joint (y, s) that is
-    # impossible in state s); their all-zero columns disprove nothing.
-    reachable = np.flatnonzero(channel.W.any(axis=0))
-    verdict = check_dmc_vl(Dmc(W=channel.W[:, reachable]))
+    verdict = check_dmc_vl(channel)
     if verdict.decision != POSITIVE:
         raise PrecondFailed("channel has no disprover output (no structural zero)")
-    x, y = verdict.witness["x"], int(reachable[verdict.witness["y"]])
+    x, y = verdict.witness["x"], verdict.witness["y"]
     x_alt = int(np.argmax(channel.W[:, y] != 0.0))
     cdf = np.cumsum(channel.W, axis=1)
 

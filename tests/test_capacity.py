@@ -3,7 +3,6 @@ import pytest
 
 from sdchan import (
     Dmc,
-    NoConvergence,
     Regime,
     SdDmc,
     SiModel,
@@ -57,12 +56,49 @@ def test_ba_lower_bound_vs_feasible_points(rng):
 
 
 def test_ba_no_convergence_returns_partial():
+    # At the cap BA returns the bracket of the point it reached, with a
+    # warning, and the bracket still holds the capacity.
     z = Dmc(W=[[1.0, 0.0], [0.25, 0.75]])
-    with pytest.raises(NoConvergence) as exc:
-        blahut_arimoto(z, max_iter=1)
-    partial = exc.value.result
-    assert partial.value >= 0.0
-    assert partial.certified_gap > 1e-9
+    partial = blahut_arimoto(z, max_iter=1)
+    converged = blahut_arimoto(z)
+    assert partial.iterations == 1
+    assert abs(partial.value - mutual_information(np.full(2, 0.5), z.W)) < 1e-15
+    assert partial.certified_gap > BA_TOL
+    assert partial.value <= converged.value <= partial.value + partial.certified_gap
+    assert partial.maximizer == {"P_X": [0.5, 0.5]}
+    assert partial.warnings == (
+        f"blahut_arimoto gap {partial.certified_gap:.3e} above tol {BA_TOL:.3e} after 1 iterations",
+    )
+    assert converged.warnings == ()
+
+
+def test_capped_strategy_capacity_reports_letters():
+    # A capped lift keeps the strategy maximizer and method, not the raw
+    # BA fields.
+    r = shannon_strategy_capacity(ch_ex1(), max_iter=1)
+    lifted, letters = shannon_strategy_channel(ch_ex1())
+    assert r.method == "strategy_blahut_arimoto"
+    assert r.maximizer == {"P_U": [0.25] * 4, "strategies": [list(u) for u in letters]}
+    inner = blahut_arimoto(lifted, max_iter=1)
+    assert (r.value, r.certified_gap, r.warnings) == (inner.value, inner.certified_gap, inner.warnings)
+    assert len(r.warnings) == 1 and r.certified_gap > BA_TOL
+
+
+def test_capped_per_state_capacity_sums_brackets():
+    # On ch_ex1 state 1 (the identity) converges at the uniform start and
+    # state 0 (the Z channel) stops at the cap; the result is the Q-average
+    # of both brackets and keeps state 0's warning.
+    ch = ch_ex1()
+    r = capacity_cond_iid(ch, True, max_iter=1)
+    per_state = [blahut_arimoto(Dmc(W=ch.W[s]), max_iter=1) for s in range(ch.ns)]
+    assert r.method == "per_state_blahut_arimoto"
+    assert r.value == sum(q * sub.value for q, sub in zip(ch.Q, per_state))
+    assert r.certified_gap == sum(q * sub.certified_gap for q, sub in zip(ch.Q, per_state))
+    assert r.maximizer == {"P_X_given_S": [sub.maximizer["P_X"] for sub in per_state]}
+    assert per_state[1].warnings == ()
+    assert r.warnings == tuple(f"state 0: {w}" for w in per_state[0].warnings)
+    converged = capacity_cond_iid(ch, True)
+    assert r.value <= converged.value <= r.value + r.certified_gap
 
 
 def _reference_blahut_arimoto(W, max_iter):
@@ -125,21 +161,14 @@ def _ba_matrices(ch):
     return dmcs + [Dmc(W=ch.W[s]) for s in range(ch.ns)]
 
 
-def _ba_partial(dmc, **kwargs):
-    try:
-        return blahut_arimoto(dmc, **kwargs)
-    except NoConvergence as e:
-        return e.result
-
-
 def test_ba_matches_per_input_loop(rng):
     # Random channels with structural zeros.  The iteration cap keeps the
-    # loop reference quick; a capped run is compared through its partial
-    # result.
+    # loop reference quick; a capped run is compared through the bracket it
+    # returns.
     max_iter = 300
     for _ in range(50):
         for dmc in _ba_matrices(random_channel(rng)):
-            r = _ba_partial(dmc, max_iter=max_iter)
+            r = blahut_arimoto(dmc, max_iter=max_iter)
             value, gap, iterations = _reference_blahut_arimoto(dmc.W, max_iter)
             assert r.iterations == iterations
             assert abs(r.value - value) <= 1e-15
@@ -165,7 +194,7 @@ def test_ba_bracket_overlaps_fixed_step_bracket(rng):
     # covers rounding in the two bound evaluations.
     for _ in range(50):
         for dmc in _ba_matrices(random_channel(rng)):
-            r = _ba_partial(dmc)
+            r = blahut_arimoto(dmc)
             value, gap = _fixed_step_blahut_arimoto(dmc.W)
             assert r.value <= value + gap + 1e-12
             assert value <= r.value + r.certified_gap + 1e-12
@@ -188,7 +217,7 @@ def test_values_never_decrease_with_max_iter(rng):
     for _ in range(4):
         ch = random_channel(rng)
         dmcs = _ba_matrices(ch)
-        ba = [[_ba_partial(dmc, max_iter=k).value for dmc in dmcs] for k in range(1, 31)]
+        ba = [[blahut_arimoto(dmc, max_iter=k).value for dmc in dmcs] for k in range(1, 31)]
         gp = [gelfand_pinsker_capacity(ch, max_iter=k).value for k in range(1, 31)]
         assert np.all(np.diff(np.array(ba), axis=0) >= -1e-15)
         assert np.all(np.diff(gp) >= -1e-15)
@@ -253,10 +282,7 @@ def test_gp_floor_on_averaged(rng):
         ch = random_channel(rng)
         gp = gelfand_pinsker_capacity(ch)
         upper = gp.value + gp.certified_gap
-        try:
-            lift = shannon_strategy_capacity(ch)
-        except NoConvergence as e:
-            lift = e.result
+        lift = shannon_strategy_capacity(ch)
         assert upper >= blahut_arimoto(average_states(ch)).value - 1e-12
         assert upper >= lift.value - 1e-12
 
@@ -318,6 +344,18 @@ def test_gp_ascent_converges_when_letter_masses_underflow():
     r = gelfand_pinsker_capacity(ch)
     assert r.certified_gap < GP_TOL
     assert r.warnings == ()
+
+
+def test_gp_drops_zero_probability_states():
+    # State 1 never occurs, and output 2 is reachable only there, so its
+    # ln p(u, y) column would be -inf for every letter.  The value is that of
+    # W[:1], the identity on outputs 0 and 1.
+    ch = SdDmc(W=[[[1, 0, 0], [0, 1, 0]], [[0, 0, 1], [0, 0, 1]]], Q=[1, 0])
+    r = gelfand_pinsker_capacity(ch)
+    assert abs(r.value - 1.0) < GP_TOL
+    assert np.isfinite(r.certified_gap) and r.certified_gap < GP_TOL
+    assert r.warnings == ()
+    assert r.maximizer["f"] == [[0], [1]] and len(r.maximizer["P_U_given_S"]) == 1
 
 
 def _reference_gp_ascent(ch, max_iter):

@@ -219,6 +219,7 @@ def test_si_model_tokens_and_order():
     assert SiModel.from_token("-,-") <= SiModel.from_token("nc,nc")
     assert SiModel.from_token("sc,-") <= SiModel.from_token("c,-")
     assert not (SiModel.from_token("c,-") <= SiModel.from_token("sc,c"))
+    assert SiModel.from_token("nc,c") >= SiModel.from_token("sc,-")
     with pytest.raises(UnsupportedModel):
         SiModel.from_token("c,sc")
     with pytest.raises(UnsupportedModel):

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import time
@@ -116,6 +117,27 @@ def test_capacity_triv(capsys, tmp_path):
     code, report = run_cli(capsys, "capacity", str(path), "--si", "c,c")
     assert code == 0
     assert abs(report["results"]["value_bits"] - 1.0) < 1e-8
+
+
+@pytest.mark.parametrize("si", ["-,-", "c,-", "c,c", "nc,-"])
+def test_capacity_at_iteration_cap_reports_bracket_exit_6(capsys, ex1_path, si):
+    # BA (the first three) and the GP ascent (nc,-) both stop after one
+    # evaluation on ex1 and report the bracket they reached.
+    code, report = run_cli(capsys, "capacity", ex1_path, "--si", si, "--max-iter", "1")
+    assert code == 6
+    res = report["results"]
+    assert res["value_bits"] > 0.0 and res["gap"] > 1e-9
+    assert res["iterations"] == 1
+    assert len(res["warnings"]) == 1 and "after 1 iterations" in res["warnings"][0]
+
+
+def test_every_exit_code_is_documented():
+    # README's exit-code table and the module docstring are the contract.
+    codes = {v for k, v in vars(sdchan.cli).items() if k.startswith("EXIT_")}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("Exit codes"):].split("\n\n")[1]
+    assert {int(c) for c in re.findall(r"^\| (\d+) \|", table, re.M)} == codes
+    assert {int(c) for c in re.findall(r"^(\d+) ", sdchan.cli.__doc__, re.M)} == codes
 
 
 def test_capacity_oversize_strategy_alphabet_exit_2(capsys, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 
 from sdchan import (
     AlphabetTooLarge,
+    Dmc,
     POSITIVE,
     POSITIVE_SUFFICIENT,
     Regime,
@@ -34,6 +35,16 @@ def test_dmc_vl_identity():
 
 def test_dmc_vl_bsc_zero():
     assert check_dmc_vl(bsc(0.3)).decision == ZERO
+
+
+def test_dmc_vl_unreachable_column_disproves_nothing():
+    # Output 2 is reachable from no input, and inputs 0 and 1 are equal, so
+    # the capacity is zero; the zero column is no disprover.
+    dmc = Dmc(W=[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
+    v = check_dmc_vl(dmc)
+    assert v.decision == ZERO and v.witness is None
+    forged = Verdict(POSITIVE, "dmc_disprover", {"kind": "letters", "x": 0, "y": 2})
+    assert verify_witness(dmc, forged) is False
 
 
 def test_dmc_vl_averaged_ex1():
@@ -257,7 +268,7 @@ def _loop_witness(ch, condition):
 
     if condition == "dmc_disprover":
         avg = average_states(ch).W
-        return first({"x": x, "y": y} for x in X for y in Y if avg[x, y] == 0.0)
+        return first({"x": x, "y": y} for x in X for y in Y if avg[x, y] == 0.0 and avg[:, y].any())
     if condition in ("dmc_disjoint_pair", "averaged_disjoint_pair"):
         avg = average_states(ch)
         return first({"x": x, "x_prime": x2} for x in X for x2 in X if x < x2 and not avg.support(x) & avg.support(x2))
