@@ -202,7 +202,7 @@ def shannon_strategy_capacity(channel: SdDmc, tol: float = BA_TOL, max_iter: int
     )
 
 
-def gelfand_pinsker_capacity(channel: SdDmc, tol: float = GP_TOL, max_iter: int = BA_MAX_ITER) -> CapacityResult:
+def gelfand_pinsker_capacity(channel: SdDmc, max_iter: int = BA_MAX_ITER) -> CapacityResult:
     """max over P(u|s) of I(U;Y) - I(U;S): the non-causal encoder's capacity.
 
     U ranges over the distinct per-state kernels W[s][u(s)][.] of the
@@ -210,7 +210,7 @@ def gelfand_pinsker_capacity(channel: SdDmc, tol: float = GP_TOL, max_iter: int 
     the objective, so no auxiliary alphabet does better.  The objective is
     concave in P(u|s) (Dupuis, Yu & Willems, ISIT 2004); it is ascended from
     the uniform point until the Frank-Wolfe gap, an upper bound on the
-    distance to the optimum, drops below ``tol``.  The step proposes
+    distance to the optimum, drops below ``GP_TOL``.  The step proposes
     ln P' = normalize(ln P + mu (a - ln P)); mu = 1 is the alternating
     closed-form update, and ``_adaptive_ascent`` adapts mu.  The capacity
     lies in [value, value + certified_gap], both computed at the returned
@@ -266,7 +266,7 @@ def gelfand_pinsker_capacity(channel: SdDmc, tol: float = GP_TOL, max_iter: int 
         return x - np.logaddexp.reduce(x, axis=0)
 
     start = np.full((len(keep), len(states)), -np.log(len(keep)))
-    log_P, bracket = _adaptive_ascent("gelfand_pinsker", start, evaluate, propose, tol, max_iter)
+    log_P, bracket = _adaptive_ascent("gelfand_pinsker", start, evaluate, propose, GP_TOL, max_iter)
     return CapacityResult(
         maximizer={"P_U_given_S": np.exp(log_P).T.tolist(), "f": letters[keep].tolist()},
         method="gp_ascent",
@@ -274,17 +274,16 @@ def gelfand_pinsker_capacity(channel: SdDmc, tol: float = GP_TOL, max_iter: int 
     )
 
 
-def shannon_zef_fl_capacity(channel: Dmc, ignore_positivity: bool = False) -> CapacityResult:
+def shannon_zef_fl_capacity(channel: Dmc) -> CapacityResult:
     """Fixed-length zero-error feedback capacity of a DMC.
 
     Solves min over the input simplex of the maximum total probability
     assigned to any output's compatible-input set, as a linear program;
-    the capacity is -log2 of the optimum.  Returns 0 when no two inputs
-    have disjoint supports (unless ``ignore_positivity`` requests the raw
-    LP value as a diagnostic).
+    the capacity is -log2 of the optimum.  Returns 0 without solving when
+    no two inputs have disjoint supports.
     """
     verdict = check_dmc_fl_feedback(channel)
-    if verdict.decision != POSITIVE and not ignore_positivity:
+    if verdict.decision != POSITIVE:
         return CapacityResult(
             value=0.0,
             maximizer={"P_X": None},

@@ -75,6 +75,16 @@ def _stochastic_checks(W: np.ndarray) -> tuple[Check, Check]:
     return entry, rows
 
 
+def support_pattern(channel: SdDmc) -> np.ndarray:
+    """[s][x][y]: whether output y can occur from input x in state s.
+
+    This is W != 0 with every state of probability zero supporting nothing,
+    since such a state never occurs.  Every positivity question and every
+    reduction's structural zeros are read from this pattern.
+    """
+    return (channel.W != 0.0) & (channel.Q > 0.0)[:, None, None]
+
+
 @dataclass(frozen=True, eq=False)
 class SdDmc:
     """A state-dependent discrete memoryless channel.

@@ -27,6 +27,8 @@ from . import __version__
 from .channel import Dmc, Regime, SiModel, load_channel, parse_channel, validate
 from .errors import ParseError, PrecondFailed, SdchanError, ValidationError
 from .capacity import (
+    BA_MAX_ITER,
+    BA_TOL,
     GP_TOL,
     blahut_arimoto,
     gelfand_pinsker_capacity,
@@ -144,9 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--si", required=True)
     p.add_argument("--quantity", default="vanishing", choices=["vanishing", "zero-error"])
     p.add_argument("--regime", default="vl", choices=["fl", "bl", "vl"])
-    p.add_argument("--tol", type=_positive_float, default=1e-9,
+    p.add_argument("--tol", type=_positive_float, default=BA_TOL,
                    help=f"Blahut-Arimoto bracket width only; the nc,- ascent always stops at {GP_TOL:g}")
-    p.add_argument("--max-iter", type=_int_at_least(1), default=100_000)
+    p.add_argument("--max-iter", type=_int_at_least(1), default=BA_MAX_ITER)
     # Kept so existing command lines still parse; the nc,- ascent is deterministic.
     p.add_argument("--restarts", type=_int_at_least(0), default=32, help="no effect")
 

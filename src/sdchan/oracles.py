@@ -56,10 +56,13 @@ def confusable_all_pairs_fl(
     input-sequence pairs and output sequences, with per-slot state scans.
     """
     nx, ny, ns = channel.nx, channel.ny, channel.ns
-    n_inputs = nx**n
-    work = n_inputs * (n_inputs - 1) // 2 * ny**n * n * ns
-    if work > budget:
-        raise BudgetExceeded(f"confusability scan needs ~{work} elementary checks (budget {budget})")
+    # There are at least 2**n input sequences, so an n past the budget's bit
+    # length is over budget, and nx**n is not formed for it.
+    if n > budget.bit_length() or (nx**n * (nx**n - 1) // 2) * ny**n * n * ns > budget:
+        raise BudgetExceeded(
+            f"confusability scan at n={n} over {nx} inputs, {ny} outputs and {ns} states "
+            f"exceeds the budget of {budget} elementary checks"
+        )
     nz = channel.W != 0.0  # [s][x][y]
     inputs = list(itertools.product(range(nx), repeat=n))
     outputs = list(itertools.product(range(ny), repeat=n))
@@ -90,6 +93,14 @@ def lattice_size(resolution: int, dim: int) -> int:
     return comb(resolution + dim - 1, dim - 1)
 
 
+def _lattice_over(resolution: int, dim: int, budget: int) -> bool:
+    """lattice_size(resolution, dim) > budget, without forming a size far above it.
+
+    On two or more letters the lattice has more than ``resolution`` points.
+    """
+    return (dim > 1 and resolution >= budget) or lattice_size(resolution, dim) > budget
+
+
 @lru_cache(maxsize=16)
 def _simplex_lattice(resolution: int, dim: int) -> np.ndarray:
     """All distributions with entries k/resolution, as a (count, dim) array."""
@@ -118,9 +129,8 @@ def grid_capacity(channel: Dmc, resolution: int, budget: int = GRID_BUDGET) -> f
     nx = channel.nx
     if nx > 4:
         raise BudgetExceeded(f"grid oracle limited to 4 inputs, got {nx}")
-    count = lattice_size(resolution, nx)
-    if count > budget:
-        raise BudgetExceeded(f"lattice has {count} points (budget {budget})")
+    if _lattice_over(resolution, nx, budget):
+        raise BudgetExceeded(f"lattice of resolution {resolution} on {nx} inputs exceeds the budget of {budget}")
     P = _simplex_lattice(resolution, nx)  # (N, nx)
     W = channel.W
     row_term = _xlog2(W).sum(axis=1)  # sum_y W log2 W per input
@@ -144,10 +154,11 @@ def gp_grid_oracle(
         raise BudgetExceeded(f"u_size {u_size} exceeds the cardinality bound {channel.nx * channel.ns}")
     kernels = _unique_kernels(channel)
     n_functions = comb(len(kernels) + u_size - 1, u_size)
-    n_points = lattice_size(resolution, u_size) ** channel.ns
-    if n_functions * n_points > budget:
+    over = _lattice_over(resolution, u_size, budget)
+    if over or n_functions * lattice_size(resolution, u_size) ** channel.ns > budget:
         raise BudgetExceeded(
-            f"{n_functions} maps x {n_points} lattice points exceeds budget {budget}"
+            f"gp grid of {len(kernels)} kernels at |U|={u_size}, lattice resolution {resolution} and "
+            f"{channel.ns} states exceeds the budget of {budget} (map, point) pairs"
         )
     lattice = _simplex_lattice(resolution, u_size)  # (L, U)
 

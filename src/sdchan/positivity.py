@@ -1,9 +1,11 @@
 """Positivity of zero-error feedback capacities, with machine-checkable witnesses.
 
-Every checker works on the structural zero/nonzero support pattern of the
-channel only.  A ``positive`` verdict always carries a witness that
-:func:`verify_witness` re-validates against the channel; witness selection
-is lexicographic-first, so verdicts are deterministic.
+Every search and every verifier reads only the structural support pattern:
+``channel.support_pattern`` for a state-dependent channel, W != 0 for a DMC.
+A state of probability zero supports nothing, and an output no input
+reaches disproves nothing.  A ``positive`` verdict always carries a witness
+that :func:`verify_witness` re-validates against the channel; witness
+selection is lexicographic-first, so verdicts are deterministic.
 
 Two tables hold the design.  ``_ROUTES`` is the one place that maps each
 state-information model to its variable-length and bounded-length
@@ -19,9 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .channel import Dmc, Regime, SdDmc, SiModel
+from .channel import Dmc, Regime, SdDmc, SiModel, support_pattern
 from .errors import AlphabetTooLarge, UnsupportedModel
-from .reductions import average_states
 
 POSITIVE = "positive"
 ZERO = "zero"
@@ -87,7 +88,7 @@ def check_nocvlpos(channel: SdDmc) -> Optional[dict]:
     the set of states in which x' can produce y.  A witness requires the
     group to be nonempty and y to be impossible from x throughout the group.
     """
-    nonzero = (channel.W != 0.0).transpose(2, 1, 0)  # [y][x][s]
+    nonzero = support_pattern(channel).transpose(2, 1, 0)  # [y][x][s]
     clash = nonzero @ nonzero.transpose(0, 2, 1)  # [y][x][x']: both possible in some state
     hit = _first((nonzero.any(axis=2)[:, None, :] & ~clash).transpose(1, 2, 0))
     if hit is None:
@@ -106,7 +107,7 @@ def partition_exists(channel: SdDmc) -> Optional[tuple[tuple[int, ...], tuple[in
     ny = channel.ny
     if ny > MAX_PARTITION_OUTPUTS:
         raise AlphabetTooLarge(f"partition search over {ny} outputs exceeds the cap of {MAX_PARTITION_OUTPUTS}")
-    nonzero = channel.W != 0.0
+    nonzero = support_pattern(channel)
     for mask in range(1, 1 << (ny - 1)):
         in_y1 = np.array([y > 0 and bool(mask >> (y - 1) & 1) for y in range(ny)])
         if _separates(nonzero, in_y1):
@@ -118,17 +119,24 @@ def _letters(names: tuple[str, ...], hit: Optional[tuple[int, ...]]) -> Optional
     return None if hit is None else dict(zip(names, hit))
 
 
+def _all_state_disprover(channel: SdDmc) -> Optional[dict]:
+    # (x, y) with y impossible from x in every state but possible from some input.
+    can = support_pattern(channel).any(axis=0)  # [x][y]
+    return _letters(("x", "y"), _first(~can & can.any(axis=0)))
+
+
 def _strategy_disprover(channel: SdDmc) -> Optional[dict]:
-    # y such that every state has some input that cannot produce y;
-    # the witness strategy letter picks the first such input per state.
-    zero = channel.W == 0.0  # [s][x][y]
-    hit = _first(zero.any(axis=1).all(axis=0))
+    # y possible from some input, such that every state has some input that cannot
+    # produce y; the witness strategy letter picks the first such input per state.
+    nonzero = support_pattern(channel)
+    zero = ~nonzero  # [s][x][y]
+    hit = _first(zero.any(axis=1).all(axis=0) & nonzero.any(axis=(0, 1)))
     return None if hit is None else {"y": hit[0], "u": [int(x) for x in zero[:, :, hit[0]].argmax(axis=1)]}
 
 
 def _in_state_disprover(channel: SdDmc) -> Optional[dict]:
     # (y, x, x', s) with y impossible from x but possible from x' in state s.
-    zero = (channel.W == 0.0).transpose(2, 1, 0)  # [y][x][s]
+    zero = ~support_pattern(channel).transpose(2, 1, 0)  # [y][x][s]
     hit = _first(zero[:, :, None, :] & ~zero[:, None, :, :])
     return None if hit is None else {"x": hit[1], "x_prime": hit[2], "y": hit[0], "s": hit[3]}
 
@@ -148,7 +156,7 @@ def _state_pairs(channel: SdDmc, cross: bool) -> list[tuple[str, int, int]]:
 def _pair_table(channel: SdDmc, cross: bool) -> Optional[dict]:
     # Per key, the first (x, x') with x in state s and x' in state s' disjoint;
     # the letters may coincide only when the states differ.
-    nonzero = channel.W != 0.0
+    nonzero = support_pattern(channel)
     table = {}
     for key, s, s2 in _state_pairs(channel, cross):
         pair = _first_disjoint_pair(nonzero[s]) if s == s2 else _first(_disjoint(nonzero[s], nonzero[s2]))
@@ -160,15 +168,21 @@ def _pair_table(channel: SdDmc, cross: bool) -> Optional[dict]:
 
 def _all_state_rows(channel: SdDmc) -> np.ndarray:
     """[x][(s, y)]: the supports of input x in every state, side by side."""
-    return (channel.W != 0.0).transpose(1, 0, 2).reshape(channel.nx, -1)
+    return support_pattern(channel).transpose(1, 0, 2).reshape(channel.nx, -1)
 
 
 def _rows_disjoint(rows: np.ndarray, x: int, x2: int) -> bool:
     return not (rows[x] & rows[x2]).any()
 
 
+def _disproves(column: np.ndarray, x) -> bool:
+    """Output column [s][x] of the support pattern: some input produces the
+    output, and input x (in state s, x[s] if x is a list) never does."""
+    return column.any() and not column[np.arange(len(column)), x].any()
+
+
 def _verify_state_group(channel: SdDmc, w: dict) -> bool:
-    group, column = set(w["states"]), channel.W[:, :, w["y"]]
+    group, column = set(w["states"]), support_pattern(channel)[:, :, w["y"]]
     can = {int(s) for s in np.flatnonzero(column[:, w["x_prime"]])}
     return bool(group) and group == can and not column[list(group), w["x"]].any()
 
@@ -177,14 +191,14 @@ def _verify_partition(channel: SdDmc, w: dict) -> bool:
     y0, y1 = set(w["y0"]), set(w["y1"])
     if y0 | y1 != set(range(channel.ny)) or y0 & y1 or not y0 or not y1:
         return False
-    return _separates(channel.W != 0.0, np.isin(np.arange(channel.ny), list(y1)))
+    return _separates(support_pattern(channel), np.isin(np.arange(channel.ny), list(y1)))
 
 
 def _verify_pair_table(channel: SdDmc, w: dict, cross: bool) -> bool:
     states = {key: (s, s2) for key, s, s2 in _state_pairs(channel, cross)}
     if set(w["pairs"]) != set(states):
         return False
-    nonzero = channel.W != 0.0
+    nonzero = support_pattern(channel)
     return not any((nonzero[states[k][0], x] & nonzero[states[k][1], x2]).any() for k, (x, x2) in w["pairs"].items())
 
 
@@ -204,9 +218,8 @@ class _Condition:
     decisions: tuple[str, str] = (POSITIVE, ZERO)
 
 
-# Rows reach check_nocvlpos, partition_exists, check_dmc_fl_feedback and
-# average_states through module globals at call time, so a rebinding of
-# those names (for instance by a tracer) sees every call.
+# Rows call check_nocvlpos and partition_exists through module globals, so a
+# rebinding of either (for instance by a tracer) sees every call.
 _CONDITIONS = {
     "dmc_disprover": _Condition("letters", {"x": "x", "y": "y"},
         lambda ch: _letters(("x", "y"), _first((ch.W == 0.0) & ch.W.any(axis=0))),
@@ -215,20 +228,20 @@ _CONDITIONS = {
         lambda ch: _letters(("x", "x_prime"), _first_disjoint_pair(ch.W != 0.0)),
         lambda ch, w: _rows_disjoint(ch.W != 0.0, w["x"], w["x_prime"])),
     "all_state_disprover": _Condition("letters", {"x": "x", "y": "y"},
-        lambda ch: _letters(("x", "y"), _first((ch.W == 0.0).all(axis=0))),
-        lambda ch, w: (ch.W[:, w["x"], w["y"]] == 0.0).all()),
+        _all_state_disprover,
+        lambda ch, w: _disproves(support_pattern(ch)[:, :, w["y"]], w["x"])),
     "strategy_disprover": _Condition("strategy", {"y": "y", "u": "x[]"},
         _strategy_disprover,
-        lambda ch, w: len(w["u"]) == ch.ns and (ch.W[range(ch.ns), w["u"], w["y"]] == 0.0).all()),
+        lambda ch, w: len(w["u"]) == ch.ns and _disproves(support_pattern(ch)[:, :, w["y"]], w["u"])),
     "in_state_disprover": _Condition("letters", {"x": "x", "x_prime": "x", "y": "y", "s": "s"},
         _in_state_disprover,
-        lambda ch, w: ch.W[w["s"], w["x"], w["y"]] == 0.0 and ch.W[w["s"], w["x_prime"], w["y"]] != 0.0),
+        lambda ch, w: support_pattern(ch)[w["s"], [w["x"], w["x_prime"]], w["y"]].tolist() == [False, True]),
     "state_group_disprover": _Condition("state_group", {"x": "x", "x_prime": "x", "y": "y", "states": "s[]"},
         lambda ch: check_nocvlpos(ch),
         _verify_state_group, (POSITIVE_SUFFICIENT, UNKNOWN)),
     "averaged_disjoint_pair": _Condition("letters", {"x": "x", "x_prime": "x"},
-        lambda ch: check_dmc_fl_feedback(average_states(ch)).witness,
-        lambda ch, w: _rows_disjoint(average_states(ch).W != 0.0, w["x"], w["x_prime"])),
+        lambda ch: _letters(("x", "x_prime"), _first_disjoint_pair(support_pattern(ch).any(axis=0))),
+        lambda ch, w: _rows_disjoint(support_pattern(ch).any(axis=0), w["x"], w["x_prime"])),
     "output_partition": _Condition("partition", {"y0": "y[]", "y1": "y[]"},
         _output_partition,
         _verify_partition),

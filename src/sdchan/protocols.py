@@ -37,15 +37,16 @@ MAX_CODEBOOK_ENTRIES = 1 << 20
 
 @dataclass
 class Trace:
-    """Per-slot protocol record; the decision slot defines the stopping time."""
+    """Per-slot protocol record, numbered from slot 1; the decision slot defines the stopping time."""
 
     slots: list = field(default_factory=list)
     message: Optional[int] = None
     decoded: Optional[int] = None
     tau: Optional[int] = None
 
-    def record(self, n: int, s: Optional[int], x: int, y: int, decision: Optional[int] = None):
-        self.slots.append({"n": n, "s": s, "x": x, "y": y, "decision": decision})
+    def record(self, s: Optional[int], x: int, y: int, decision: Optional[int] = None):
+        """Append the next slot, numbered one more than the slots already recorded."""
+        self.slots.append({"n": len(self.slots) + 1, "s": s, "x": x, "y": y, "decision": decision})
 
     def to_jsonl(self) -> str:
         lines = [json.dumps(slot) for slot in self.slots]
@@ -136,10 +137,10 @@ def _two_slot_sender(play_round: Callable) -> Callable[..., tuple[np.ndarray, np
     (``zero`` marks those sending 0) and returns ``(slots, done, decoded)``:
     an (s, x, y) triple of arrays per slot, with s None where the state is
     not drawn, the trials whose decoder stops, and the bit it decodes.  The
-    sender's trace numbers its slots on from ``offset``.
+    trace appends trial 0's slots, and its tau is then the number it holds.
     """
 
-    def send(bits, rng, trace=None, offset=0):
+    def send(bits, rng, trace=None):
         decoded, tau = np.empty((2, len(bits)), dtype=np.int64)
         live = np.arange(len(bits))
         n = 0
@@ -150,12 +151,12 @@ def _two_slot_sender(play_round: Callable) -> Callable[..., tuple[np.ndarray, np
                 for k, (s, x, y) in enumerate(slots):
                     state = None if s is None else int(s[0])
                     decision = int(bit[0]) if k == 1 and done[0] else None
-                    trace.record(offset + n - 1 + k, state, int(x[0]), int(y[0]), decision)
+                    trace.record(state, int(x[0]), int(y[0]), decision)
             decoded[live[done]] = bit[done]
             tau[live[done]] = n
             live = live[~done]
         if trace is not None:
-            trace.message, trace.decoded, trace.tau = int(bits[0]), int(decoded[0]), offset + int(tau[0])
+            trace.message, trace.decoded, trace.tau = int(bits[0]), int(decoded[0]), len(trace.slots)
         return decoded, tau
 
     return send
@@ -294,19 +295,19 @@ def han_sato_trial(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int]
             guess[start:start + m] = log_w[codebooks, outputs[:, None]].sum(axis=2).argmax(axis=1)
             if start == 0 and trace is not None:
                 for t in range(n1):
-                    trace.record(t + 1, None, int(sent[0, t]), int(outputs[0, t]))
+                    trace.record(None, int(sent[0, t]), int(outputs[0, t]))
         ack = guess == msgs
-        _, tau = send_bits(ack.astype(np.int64), rng, trace, offset=n1)
+        _, tau = send_bits(ack.astype(np.int64), rng, trace)
         tau += n1
         decoded = np.where(ack, guess, 0)
         resent = np.flatnonzero(~ack)
         resent_trace = trace if resent.size and resent[0] == 0 else None
         for i in range(msg_bits):
-            bits, t_bit = send_bits((msgs[resent] >> (msg_bits - 1 - i)) & 1, rng, resent_trace, offset=int(tau[0]))
+            bits, t_bit = send_bits((msgs[resent] >> (msg_bits - 1 - i)) & 1, rng, resent_trace)
             decoded[resent] = (decoded[resent] << 1) | bits
             tau[resent] += t_bit
         if trace is not None:
-            trace.message, trace.decoded, trace.tau = int(msgs[0]), int(decoded[0]), int(tau[0])
+            trace.message, trace.decoded = int(msgs[0]), int(decoded[0])
         return decoded, tau, ack
 
     return Trial(send, msg_bits=msg_bits)
@@ -322,16 +323,14 @@ def _distinct_codewords(m: int, nx: int, n: int, rng: np.random.Generator) -> np
     rows = rng.integers(nx, size=(m, n))
     if n == 0:
         return rows  # the empty word; the caller asks for m = 1 only, as nx**0 = 1
-    # One bytes object per row, hashed in C.
-    if len(set(rows.view(f"V{rows.itemsize * n}").ravel().tolist())) == m:
+    # One bytes object per row, hashed in C; the dict keeps first occurrences in order.
+    distinct = dict.fromkeys(rows.view(f"V{rows.itemsize * n}").ravel().tolist())
+    if len(distinct) == m:
         return rows
-    while True:
-        # The distinct rows so far, in order of first occurrence.
-        _, first = np.unique(rows.view(f"V{rows.itemsize * n}").ravel(), return_index=True)
-        rows = rows[np.sort(first)]
-        if len(rows) == m:
-            return rows
-        rows = np.concatenate([rows, rng.integers(nx, size=(m - len(rows), n))])
+    while len(distinct) < m:
+        more = rng.integers(nx, size=(m - len(distinct), n))
+        distinct.update(dict.fromkeys(more.view(f"V{more.itemsize * n}").ravel().tolist()))
+    return np.frombuffer(b"".join(distinct), dtype=rows.dtype).reshape(m, n)
 
 
 def _send_one(trial: Trial, msg: Optional[int], rng: np.random.Generator, trace: Optional[Trace]) -> tuple:

@@ -439,15 +439,13 @@ def test_lp_pentagon():
     assert abs(r.value - np.log2(2.5)) < 1e-6
 
 
-def test_lp_guard_and_diagnostic_flag():
-    # Triangle of pairwise-confusable inputs: the capacity is 0, while the
-    # raw program value stays positive and is available as a diagnostic.
+def test_lp_guard_on_confusable_triangle():
+    # Triangle of pairwise-confusable inputs: the capacity is 0, although the
+    # raw program value, log2(1.5), is positive.
     tri = Dmc(W=[[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
     guarded = shannon_zef_fl_capacity(tri)
     assert guarded.value == 0.0
     assert guarded.verdict.decision == "zero"
-    lifted = shannon_zef_fl_capacity(tri, ignore_positivity=True)
-    assert abs(lifted.value - np.log2(1.5)) < 1e-6
 
 
 def test_lp_one_hot():

@@ -361,6 +361,55 @@ def test_oracle_confusable(capsys, ex1_path):
     assert report["results"]["agreement"]
 
 
+@pytest.mark.parametrize("Q, W, argv", [
+    ([1.0], [[[1.0, 0.0], [0.5, 0.5]]], ["--which", "confusable", "--n", "5000"]),
+    ([0.5, 0.5], [[[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [0.0, 1.0]]], ["--which", "gp-grid", "--resolution", "1" * 1500]),
+    ([1.0], [[[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [0.2, 0.8]]], ["--which", "grid-capacity", "--resolution", "1" * 1500]),
+])
+def test_oracle_budget_far_exceeded_is_a_json_error_exit_2(capsys, tmp_path, Q, W, argv):
+    # Each work count has more than 4300 digits, which str() refuses to format.
+    path = tmp_path / "ch.json"
+    path.write_text(json.dumps({"Q": Q, "W": W}))
+    code, report = run_cli(capsys, "oracle", str(path), *argv)
+    assert code == 2
+    assert "exceeds the budget" in report["error"]
+
+
+# Q(s0) * W(y0 | x0, s0) = 1e-400 underflows to 0.0 in floating point, yet
+# input 0 can produce output 0 in state s0 of positive probability.
+UNDERFLOW_CONFUSABLE = {"Q": [1e-300, 1.0], "W": [[[1e-100, 1.0], [1.0, 0.0]], [[0.0, 1.0], [1.0, 0.0]]]}
+UNDERFLOW_NO_ZERO = {"Q": [1e-300, 1.0], "W": [[[1e-100, 1.0], [0.5, 0.5]], [[0.0, 1.0], [0.5, 0.5]]]}
+
+
+def test_underflowed_product_is_no_structural_zero(capsys, tmp_path):
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps(UNDERFLOW_CONFUSABLE))
+    # Every pair of inputs is confusable, so no bounded-length code is zero-error.
+    for si in ("-,-", "sc,-", "c,-"):
+        code, report = run_cli(capsys, "check", str(path), "--si", si, "--regime", "bl")
+        assert (code, report["results"]["decision"]) == (3, "zero"), si
+    code, report = run_cli(capsys, "capacity", str(path), "--si", "-,-", "--quantity", "zero-error", "--regime", "bl")
+    assert (code, report["results"]["value_bits"]) == (0, 0.0)
+    code, report = run_cli(capsys, "oracle", str(path), "--which", "confusable", "--n", "2")
+    assert code == 0 and report["results"]["oracle_value"] is True
+
+
+def test_simulate_finds_no_disprover_in_an_underflowed_product(capsys, tmp_path):
+    # Every input can produce every output, so there is no zero-error bit.
+    path = tmp_path / "underflow.json"
+    path.write_text(json.dumps(UNDERFLOW_NO_ZERO))
+    code, report = run_cli(capsys, "simulate", str(path), "--protocol", "disprover", "--si", "-,-", "--trials", "10")
+    assert code == 5 and "error" in report
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line.split()[1:] for line in readme.splitlines() if line.startswith("sdchan ")]
+    assert len(lines) >= 8
+    for argv in lines:
+        build_parser().parse_args(sdchan.cli._fuse_si(argv))
+
+
 def test_report_reproducible(capsys, ex1_path):
     # The second case spans two Monte-Carlo chunks.
     for protocol, trials in (("theorem5", 500), ("disprover", CHUNK_TRIALS + 5)):

@@ -21,6 +21,7 @@ from sdchan import (
     positivity,
     verify_witness,
     vl_positivity,
+    zero_error_capacity,
 )
 from conftest import bsc, ch_ex1, ch_ex2, ch_ex3, ch_triv, pentagon, random_channel
 
@@ -89,6 +90,29 @@ def test_vl_ex1_no_si():
     assert v.decision == POSITIVE
     assert v.witness == {"kind": "letters", "x": 0, "y": 1}
     assert verify_witness(ch_ex1(), v)
+
+
+def test_vl_disprover_needs_a_reachable_output():
+    # Output 2 is reachable from no input and inputs 0 and 1 are equal, so
+    # the capacity is zero; the all-zero column disproves nothing.
+    ch = SdDmc(W=[[[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]], Q=[1.0])
+    for token in ("-,-", "sc,-", "c,-", "nc,-"):
+        v = vl_positivity(ch, SiModel.from_token(token))
+        assert v.decision == ZERO and v.witness is None, token
+    for condition, witness in (("all_state_disprover", {"kind": "letters", "x": 0, "y": 2}),
+                               ("strategy_disprover", {"kind": "strategy", "y": 2, "u": [0]})):
+        assert verify_witness(ch, Verdict(POSITIVE, condition, witness)) is False
+
+
+def test_zero_probability_state_supports_nothing():
+    # State 1 (the identity) never occurs; only the BSC state does.
+    ch = SdDmc(W=[[[0.7, 0.3], [0.3, 0.7]], np.eye(2)], Q=[1.0, 0.0])
+    for token in ("sc,c", "c,c", "nc,c", "nc,nc"):
+        si = SiModel.from_token(token)
+        assert vl_positivity(ch, si).decision == ZERO, token
+        assert zero_error_capacity(ch, si, Regime.VARIABLE_LENGTH).value == 0.0
+    forged = Verdict(POSITIVE, "in_state_disprover", {"kind": "letters", "x": 0, "x_prime": 1, "y": 1, "s": 1})
+    assert verify_witness(ch, forged) is False
 
 
 def test_vl_ex3_two_sided():

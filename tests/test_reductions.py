@@ -42,6 +42,19 @@ def test_average_matches_manual_sum(rng):
         assert np.allclose(avg.W, manual, atol=1e-12)
 
 
+def test_reductions_keep_every_structural_nonzero():
+    # Q(s0) * W(y0 | x0, s0) = 1e-400 underflows to 0.0, but input 0 can
+    # produce output 0 in state s0, so no reduction may make that a zero.
+    ch = SdDmc(W=[[[1e-100, 1.0], [0.5, 0.5]], [[0.0, 1.0], [0.5, 0.5]]], Q=[1e-300, 1.0])
+    assert np.array_equal(average_states(ch).W != 0.0, [[True, True], [True, True]])
+    lifted, letters = shannon_strategy_channel(ch)
+    assert letters == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert np.array_equal(lifted.W != 0.0, np.ones((4, 2), dtype=bool))
+    joint = joint_output_channel(ch)
+    assert joint.W[0, joint_output_index(ch, 0, 0)] > 0.0
+    assert joint.W[0, joint_output_index(ch, 0, 1)] == 0.0
+
+
 def test_average_empty_input_row_names_the_input():
     # Construction checks only shapes, so a library-built channel can have an
     # input that reaches no output in any state.
@@ -104,9 +117,12 @@ def test_strategy_labels_are_distinct_past_ten_inputs():
     assert lifted.x_labels[letters.index((1, 9))] == "u19"
 
 
-def test_strategy_channel_cap():
+def test_strategy_channel_cap(monkeypatch):
+    # 13 binary-input states give 2**13 = 8192 letters, above the cap of 4096;
+    # the cap is checked before any letter is built.
+    monkeypatch.setattr("sdchan.reductions.enumerate_strategy_letters", None)
     with pytest.raises(AlphabetTooLarge):
-        shannon_strategy_channel(ch_ex1(), cap=3)
+        shannon_strategy_channel(SdDmc(W=[np.eye(2)] * 13, Q=np.full(13, 1 / 13)))
 
 
 def test_joint_output_ex3_zero_entry():
