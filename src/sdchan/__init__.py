@@ -14,7 +14,6 @@ from .channel import (
     DECODER_ONLY_CAUSAL,
     Dmc,
     Regime,
-    SI_MODELS,
     SdDmc,
     Si,
     SiModel,

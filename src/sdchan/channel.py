@@ -240,7 +240,6 @@ class SiModel:
 
 
 ALL_MODELS: tuple[SiModel, ...] = tuple(SiModel.from_token(t) for t in _MODEL_TOKENS)
-SI_MODELS: tuple[SiModel, ...] = ALL_MODELS[:-1]
 DECODER_ONLY_CAUSAL = ALL_MODELS[-1]
 
 

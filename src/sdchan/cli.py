@@ -4,8 +4,9 @@ Exit codes (on an error, a JSON ``{"error": ...}`` object replaces the report):
 0 success: valid channel, positive verdict, no decoding error, oracle agrees;
 1 invalid channel, a simulation decoding error, or an oracle disagreement;
 2 bad argument, file IO or parse error (a non-UTF-8 file included), unsupported
-  SI/regime/model, oversize alphabet, oracle budget or two-phase codebook cap
-  exceeded, or a non-finite number in the report;
+  SI/regime/model, oversize alphabet, oracle budget, two-phase codebook cap or
+  protocol work bound (``protocols.MAX_MEAN_ROUNDS``) exceeded, or a non-finite
+  number in the report;
 3 ``check`` verdict zero;
 4 ``check`` verdict unknown;
 5 ``simulate`` protocol precondition fails;

@@ -11,6 +11,11 @@ decodes them as arrays per block of trials, whose size ``MAX_CODEBOOK_ENTRIES``
 bounds, then acknowledges and resends as arrays.  ``monte_carlo``
 runs fixed chunks of ``CHUNK_TRIALS`` trials, each on its own substream
 derived from ``(seed, chunk)``, so ``(seed, trials)`` fixes the report.
+
+Each factory admits its protocol once, on the channel it runs on:
+``reduced_dmc`` decides which state-information models the protocols over a
+reduced DMC serve, the witness check decides positivity there, and
+``_two_slot_sender`` bounds the mean rounds per bit before any is played.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .channel import Dmc, SdDmc, Si, SiModel, SI_MODELS
+from .channel import DECODER_ONLY_CAUSAL, Dmc, SdDmc, Si, SiModel
 from .errors import BudgetExceeded, PrecondFailed, UnsupportedModel
-from .positivity import POSITIVE, check_dmc_vl, check_nocvlpos, vl_positivity
+from .positivity import POSITIVE, check_dmc_vl, check_nocvlpos
 from .reductions import average_states, joint_output_channel, shannon_strategy_channel
 
 # Trials per Monte-Carlo chunk: bounds the arrays a chunk holds at any --trials.
@@ -33,6 +38,11 @@ CHUNK_TRIALS = 8192
 # Largest two-phase codebook, in letters (codewords x blocklength), built per
 # trial; a phase-1 block of several trials holds no array of more bytes.
 MAX_CODEBOOK_ENTRIES = 1 << 20
+
+# Largest mean number of rounds per bit that a two-slot protocol may take,
+# 1 / p for a round stopping probability p.  A round costs about 0.2 us per
+# running trial on a 2-vCPU Xeon, so 10,000 trials at this mean take about 9 s.
+MAX_MEAN_ROUNDS = 1 << 12
 
 
 @dataclass
@@ -130,7 +140,7 @@ class Trial:
         return decoded == msgs, tau
 
 
-def _two_slot_sender(play_round: Callable) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
+def _two_slot_sender(play_round: Callable, p: float) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
     """Bit sender that repeats two-slot rounds until the decoder stops.
 
     ``play_round(zero, rng)`` plays one round for the trials still running
@@ -138,7 +148,17 @@ def _two_slot_sender(play_round: Callable) -> Callable[..., tuple[np.ndarray, np
     an (s, x, y) triple of arrays per slot, with s None where the state is
     not drawn, the trials whose decoder stops, and the bit it decodes.  The
     trace appends trial 0's slots, and its tau is then the number it holds.
+
+    A round stops with probability ``p``, so a bit takes 1 / p rounds on
+    average.  Raises ``BudgetExceeded`` before any round is played when that
+    mean exceeds ``MAX_MEAN_ROUNDS``, p = 0 included: the loop runs until
+    every trial stops.
     """
+    if p * MAX_MEAN_ROUNDS < 1:
+        raise BudgetExceeded(
+            f"round stopping probability {p:.3g} is below 1/{MAX_MEAN_ROUNDS}: "
+            f"a bit would take over {MAX_MEAN_ROUNDS} rounds on average"
+        )
 
     def send(bits, rng, trace=None):
         decoded, tau = np.empty((2, len(bits)), dtype=np.int64)
@@ -187,7 +207,8 @@ def disprover_trial(channel: Dmc) -> Trial:
             raise RuntimeError("impossible output pattern observed; channel violates its zeros")
         return ((None, first, y1), (None, second, y2)), hit1 != hit2, hit1
 
-    return Trial(_two_slot_sender(play_round), round_p=float(channel.W[x_alt, y]))
+    p = float(channel.W[x_alt, y])
+    return Trial(_two_slot_sender(play_round, p), round_p=p)
 
 
 def theorem5_trial(channel: SdDmc) -> Trial:
@@ -224,11 +245,21 @@ def theorem5_trial(channel: SdDmc) -> Trial:
         return ((s1, first, y1), (s2, second, y2)), done, decided1
 
     p = float(channel.Q[in_group] @ channel.W[in_group, x_alt, y])
-    return Trial(_two_slot_sender(play_round), round_p=p)
+    return Trial(_two_slot_sender(play_round, p), round_p=p)
 
 
 def reduced_dmc(channel: SdDmc, si: SiModel) -> Dmc:
-    """The DMC on which a given state-information model's protocols operate."""
+    """The DMC on which a given state-information model's protocols operate.
+
+    This is the one place that decides which models the variable-length
+    protocols serve.  It raises ``UnsupportedModel`` for the decoder-only
+    model: there the decoder stops on states the encoder never sees, and the
+    encoder cannot follow such a stop; ``theorem5_trial`` serves that model.
+    A bounded-length protocol, which never stops early, could run it on
+    ``joint_output_channel`` directly.
+    """
+    if si == DECODER_ONLY_CAUSAL:
+        raise UnsupportedModel(f"no protocol over a reduced DMC serves si={si.token}; theorem5 does")
     if si.decoder is Si.NONE:
         if si.encoder in (Si.NONE, Si.STRICTLY_CAUSAL):
             return average_states(channel)
@@ -247,14 +278,15 @@ def han_sato_trial(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int]
     zero-error bit protocol, so the final decision is always correct.
     The sender also returns ``ack``, the trials whose phase 1 was right.
 
+    ``reduced_dmc`` decides the models it serves, and the disprover bit's
+    witness check on the reduced DMC is its one positivity precondition.
+
     Phase 1 draws each trial's codebook and then its n1 channel uniforms,
     trial by trial in stream order, so the random stream is that of a
     per-trial loop.  Sampling and decoding run once per block of trials,
     and no block array of several trials exceeds ``MAX_CODEBOOK_ENTRIES``
     bytes.
     """
-    if si not in SI_MODELS:
-        raise UnsupportedModel("two-phase protocol is not defined for the decoder-only model")
     if n1 is None:
         n1 = 4 * msg_bits
     # The bit-length test keeps a huge msg_bits from building 1 << msg_bits.
@@ -262,17 +294,14 @@ def han_sato_trial(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int]
         raise BudgetExceeded(
             f"codebook of 2**{msg_bits} codewords of length {n1} exceeds {MAX_CODEBOOK_ENTRIES} letters"
         )
-    verdict = vl_positivity(channel, si)
-    if verdict.decision != POSITIVE:
-        raise PrecondFailed(f"zero-error positivity fails for si={si.token}")
     dmc = reduced_dmc(channel, si)
+    send_bits = disprover_trial(dmc).send
     n_msgs = 1 << msg_bits
     if dmc.nx**n1 < n_msgs:
         raise PrecondFailed(f"blocklength {n1} too short for {n_msgs} distinct codewords")
     with np.errstate(divide="ignore"):
         log_w = np.log(dmc.W)
     cdf = np.cumsum(dmc.W, axis=1)
-    send_bits = disprover_trial(dmc).send
     # Trials per phase-1 block.  The block arrays (codebooks, sampled CDF
     # rows, log-likelihood terms) have 8-byte entries, and each is held to
     # MAX_CODEBOOK_ENTRIES bytes: a block at the letter cap would hold 8 MiB

@@ -6,7 +6,6 @@ import pytest
 from sdchan import (
     ALL_MODELS,
     DECODER_ONLY_CAUSAL,
-    SI_MODELS,
     Dmc,
     ParseError,
     Regime,
@@ -227,7 +226,7 @@ def test_si_model_tokens_and_order():
 
 
 def test_one_si_model_list():
-    assert SI_MODELS + (DECODER_ONLY_CAUSAL,) == ALL_MODELS
+    assert ALL_MODELS[-1] == DECODER_ONLY_CAUSAL
     assert tuple(_ROUTES) == tuple(m.token for m in ALL_MODELS)
     assert DECODER_ONLY_CAUSAL.token == "-,c"
     assert [si.level for si in Si] == [0, 1, 2, 3]

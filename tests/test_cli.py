@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import subprocess
@@ -12,7 +13,7 @@ import sdchan.cli
 from sdchan import SdDmc, serialize
 from sdchan.capacity import CapacityResult
 from sdchan.cli import build_parser, main
-from sdchan.protocols import CHUNK_TRIALS
+from sdchan.protocols import CHUNK_TRIALS, PROTOCOLS
 from conftest import ch_ex1, ch_ex2, ch_ex3, ch_triv
 
 
@@ -193,9 +194,54 @@ def test_simulate_theorem5(capsys, ex1_path):
 def test_simulate_precond_exit_5(capsys, tmp_path):
     path = tmp_path / "bsc.json"
     path.write_text(json.dumps({"Q": [1.0], "W": [[[0.7, 0.3], [0.3, 0.7]]]}))
-    code, report = run_cli(capsys, "simulate", str(path), "--protocol", "disprover", "--trials", "10")
-    assert code == 5
-    assert "error" in report
+    for protocol in ("disprover", "han-sato"):
+        code, report = run_cli(capsys, "simulate", str(path), "--protocol", protocol, "--trials", "10")
+        assert code == 5
+        assert "no disprover output" in report["error"]
+
+
+def test_simulate_refuses_the_decoder_only_model_exit_2(capsys, tmp_path):
+    # Under -,c the decoder stops on states the encoder never sees; only
+    # theorem5 serves that model.
+    path = tmp_path / "ex3.json"
+    path.write_text(serialize(ch_ex3()))
+    for protocol in ("disprover", "han-sato"):
+        code, report = run_cli(capsys, "simulate", str(path), "--protocol", protocol, "--si", "-,c", "--trials", "10")
+        assert code == 2
+        assert "theorem5" in report["error"]
+
+
+# Round stopping probabilities of 1e-300; of 5e-324 over the averaged channel,
+# whose 1e-400 product is floored to the smallest subnormal; and of exactly
+# 0.0 for theorem5, where that product underflows.
+RARE_STOP = [
+    {"Q": [1.0], "W": [[[1.0, 1e-300], [1.0, 0.0]]]},
+    {"Q": [1e-300, 1.0], "W": [[[1.0, 1e-100], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]},
+]
+
+
+@pytest.mark.parametrize("protocol", ["disprover", "theorem5", "han-sato"])
+@pytest.mark.parametrize("doc", RARE_STOP)
+def test_simulate_refuses_rounds_that_almost_never_stop_exit_2(tmp_path, doc, protocol):
+    # In a subprocess with a timeout, so a sender that loops until every
+    # trial stops fails this test instead of hanging the suite.
+    path = tmp_path / "rare.json"
+    path.write_text(json.dumps(doc))
+    src = Path(sdchan.cli.__file__).resolve().parents[1]
+    argv = [sys.executable, "-m", "sdchan.cli", "simulate", str(path), "--protocol", protocol, "--trials", "10"]
+    out = subprocess.run(argv, cwd=src, capture_output=True, text=True, timeout=30)
+    assert out.returncode == 2
+    assert "rounds on average" in json.loads(out.stdout)["error"]
+
+
+def test_simulate_parses_every_option_a_protocol_reads():
+    # _cmd_simulate reads each factory parameter after the channel from args.
+    parser = build_parser()
+    simulate = next(a.choices["simulate"] for a in parser._actions if isinstance(a.choices, dict))
+    options = {a.dest: a for a in simulate._actions}
+    assert options["protocol"].choices == list(PROTOCOLS)
+    for name, factory in PROTOCOLS.items():
+        assert set(list(inspect.signature(factory).parameters)[1:]) <= set(options), name
 
 
 def test_simulate_han_sato(capsys, ex1_path):

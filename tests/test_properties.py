@@ -1,13 +1,18 @@
 """Randomized invariants over the checker lattice and the channel reductions."""
 
 import numpy as np
+import pytest
 
 from sdchan import (
+    BudgetExceeded,
     Dmc,
     POSITIVE,
     POSITIVE_SUFFICIENT,
+    PrecondFailed,
+    SdDmc,
     SiModel,
     UNKNOWN,
+    UnsupportedModel,
     ZERO,
     average_states,
     bl_positivity,
@@ -19,7 +24,8 @@ from sdchan import (
     verify_witness,
     vl_positivity,
 )
-from conftest import random_channel
+from sdchan.protocols import PROTOCOLS
+from conftest import ch_ex3, random_channel
 
 N_CHANNELS = 500
 SI_TOKENS = ("-,-", "sc,-", "c,-", "nc,-", "sc,c", "c,c", "nc,c", "nc,nc")
@@ -129,3 +135,48 @@ def test_witness_soundness():
         for si in SI_ALL + [DEC_ONLY]:
             for verdict in (vl_positivity(ch, si), bl_positivity(ch, si)):
                 assert verify_witness(ch, verdict), (si.token, verdict.condition)
+
+
+def underflow_channels(n=600):
+    """Random channels; in every third, some structural zeros become 1e-200
+    entries and state 0 gets probability 1e-250, so Q(s) W(y|x,s) underflows
+    to 0.0 where the support pattern says y is reachable."""
+    rng = np.random.default_rng(43)
+    out = []
+    for i in range(n):
+        ch = random_channel(rng)
+        if i % 3 == 0:
+            W = np.where((ch.W == 0.0) & (rng.random(ch.W.shape) < 0.5), 1e-200, ch.W)
+            Q = ch.Q.copy()
+            if ch.ns > 1:
+                Q[0] = 1e-250
+            ch = SdDmc(W=W, Q=Q)
+        out.append(ch)
+    return out
+
+
+def _admits(factory, *args) -> bool:
+    """True when the factory builds its trial, False when a precondition fails."""
+    try:
+        factory(*args)
+    except BudgetExceeded:
+        pass  # admitted, but its rounds stop too rarely to run
+    except PrecondFailed:
+        return False
+    return True
+
+
+def test_protocol_admission_agrees_with_positivity():
+    # Each factory admits a protocol once, on the channel it runs on: it must
+    # agree with the positivity checker on every model it serves, and refuse
+    # the decoder-only model except for theorem5.  ex3 has a disprover output
+    # on its joint-output channel, yet its -,c verdict is unknown.
+    for ch in underflow_channels() + [ch_ex3()]:
+        for si in SI_ALL:
+            positive = vl_positivity(ch, si).decision == POSITIVE
+            assert _admits(PROTOCOLS["disprover"], ch, si) == positive, si.token
+            assert _admits(PROTOCOLS["han-sato"], ch, si, 1) == positive, si.token
+        for name, args in (("disprover", ()), ("han-sato", (1,))):
+            with pytest.raises(UnsupportedModel):
+                PROTOCOLS[name](ch, DEC_ONLY, *args)
+        assert _admits(PROTOCOLS["theorem5"], ch) == (check_nocvlpos(ch) is not None)
