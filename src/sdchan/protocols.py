@@ -2,10 +2,14 @@
 
 Every protocol here is zero-error by construction: a decoding error in any
 trial is a bug, and the Monte-Carlo driver treats it as one (hard count,
-no tolerance).  Sampling is inverse-CDF in stored row order.  Each
-protocol is one ``Trial``, built by a factory that finds its witness and its
-channel rows once.  The bit protocols draw and decode every slot of ``n``
-trials as arrays.  The two-phase protocol makes its phase-1 draws (codebook,
+no tolerance).  Sampling is inverse-CDF in stored row order, on tables
+that ``_cdf`` builds, so a structural zero is never sampled.  Each protocol
+is one ``Trial``, built by a factory that finds its witness and its channel
+rows once.  The bit protocols draw every slot of ``n`` trials as arrays and
+decide it by testing its uniform against the interval of the stopping
+output; they sample full outputs only for a traced trial 0.  Every slot
+still takes its uniforms from the stream in the same order as a sampled
+output would.  The two-phase protocol makes its phase-1 draws (codebook,
 then channel uniforms) one trial at a time in stream order, samples and
 decodes them as arrays per block of trials, whose size ``MAX_CODEBOOK_ENTRIES``
 bounds, then acknowledges and resends as arrays.  ``monte_carlo``
@@ -40,8 +44,10 @@ CHUNK_TRIALS = 8192
 MAX_CODEBOOK_ENTRIES = 1 << 20
 
 # Largest mean number of rounds per bit that a two-slot protocol may take,
-# 1 / p for a round stopping probability p.  A round costs about 0.2 us per
-# running trial on a 2-vCPU Xeon, so 10,000 trials at this mean take about 9 s.
+# 1 / p for a round stopping probability p.  On a 2-vCPU Xeon a round costs
+# about 0.05 us per running trial for the disprover bit and 0.2 us for
+# theorem5, whose state draws dominate, so 10,000 trials at this mean take
+# about 2 s and 8 s.
 MAX_MEAN_ROUNDS = 1 << 12
 
 
@@ -99,24 +105,50 @@ class ProtocolStats:
         }
 
 
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """Inverse-CDF table over the last axis of ``probs``, for ``_sample`` and ``_draw``.
+
+    Each row holds its cumulative sums, with every entry equal to the row's
+    total replaced by inf.  A row may sum to slightly less than 1, so a
+    uniform in [total, 1) then goes to the output at which the sum reaches
+    its total, which has positive probability, and never to a structural
+    zero after it.  Rows stay nondecreasing.
+    """
+    cdf = np.cumsum(probs, axis=-1)
+    cdf[cdf >= cdf[..., -1:]] = np.inf
+    return cdf
+
+
 def _sample(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF samples over the stored row order, one per uniform in ``u``.
 
-    ``cdf`` is one row shared by every draw, or one row per draw.
+    ``cdf`` is one ``_cdf`` row per draw.  A sample is the number of the
+    row's entries at or below its uniform, which ``np.searchsorted(row, u,
+    side="right")`` also gives on one shared row.
     """
-    idx = (cdf <= u[..., None]).sum(axis=-1)
-    return np.minimum(idx, cdf.shape[-1] - 1)
+    return (cdf <= u[..., None]).sum(axis=-1)
+
+
+def _draw(cdf_row: np.ndarray, u: float) -> int:
+    """One inverse-CDF sample from a single ``_cdf`` row."""
+    return int(np.searchsorted(cdf_row, u, side="right"))
+
+
+def _interval(cdf: np.ndarray, y: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uniforms that ``_sample`` maps to output ``y``: [lo, hi) per ``_cdf`` row."""
+    lo = cdf[..., y - 1] if y else np.zeros(cdf.shape[:-1])
+    return lo, cdf[..., y]
 
 
 def step(channel: SdDmc, x: int, s: int, rng: np.random.Generator) -> int:
     """One channel use: sample y given (x, s).  State sampling is the caller's job."""
     if not (0 <= x < channel.nx and 0 <= s < channel.ns):
         raise IndexError(f"(x={x}, s={s}) out of range")
-    return int(_sample(np.cumsum(channel.W[s, x]), rng.random(1))[0])
+    return _draw(_cdf(channel.W[s, x]), rng.random())
 
 
 def sample_state(channel: SdDmc, rng: np.random.Generator) -> int:
-    return int(_sample(np.cumsum(channel.Q), rng.random(1))[0])
+    return _draw(_cdf(channel.Q), rng.random())
 
 
 @dataclass(frozen=True)
@@ -143,11 +175,16 @@ class Trial:
 def _two_slot_sender(play_round: Callable, p: float) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
     """Bit sender that repeats two-slot rounds until the decoder stops.
 
-    ``play_round(zero, rng)`` plays one round for the trials still running
-    (``zero`` marks those sending 0) and returns ``(slots, done, decoded)``:
-    an (s, x, y) triple of arrays per slot, with s None where the state is
-    not drawn, the trials whose decoder stops, and the bit it decodes.  The
-    trace appends trial 0's slots, and its tau is then the number it holds.
+    ``play_round(sent, rng, traced)`` plays one round for the trials still
+    running, ``sent`` holding their bits, and returns ``(done, decoded,
+    slots)``: the trials whose decoder stops, and the bit it decodes.  A
+    round decides by testing each slot's uniform against the interval of
+    uniforms that ``_sample`` maps to the stopping output, so it samples no
+    full output.  Only when ``traced`` (trial 0 is still running and a trace
+    is kept) does it sample trial 0's outputs, from the same uniforms, and
+    ``slots`` is then trial 0's (s, x, y) per slot, with s None where the
+    state is not drawn; otherwise ``slots`` is None.  The trace appends
+    them, and its tau is then the number it holds.
 
     A round stops with probability ``p``, so a bit takes 1 / p rounds on
     average.  Raises ``BudgetExceeded`` before any round is played when that
@@ -162,19 +199,20 @@ def _two_slot_sender(play_round: Callable, p: float) -> Callable[..., tuple[np.n
 
     def send(bits, rng, trace=None):
         decoded, tau = np.empty((2, len(bits)), dtype=np.int64)
-        live = np.arange(len(bits))
+        live, sent = np.arange(len(bits)), bits
         n = 0
         while live.size:
-            slots, done, bit = play_round(bits[live] == 0, rng)
+            traced = trace is not None and live[0] == 0
+            done, bit, slots = play_round(sent, rng, traced)
             n += 2
-            if trace is not None and live[0] == 0:
+            if traced:
                 for k, (s, x, y) in enumerate(slots):
-                    state = None if s is None else int(s[0])
-                    decision = int(bit[0]) if k == 1 and done[0] else None
-                    trace.record(state, int(x[0]), int(y[0]), decision)
-            decoded[live[done]] = bit[done]
-            tau[live[done]] = n
-            live = live[~done]
+                    trace.record(s, x, y, int(bit[0]) if k == 1 and done[0] else None)
+            stopped = live[done]
+            decoded[stopped] = bit[done]
+            tau[stopped] = n
+            running = ~done
+            live, sent = live[running], sent[running]
         if trace is not None:
             trace.message, trace.decoded, trace.tau = int(bits[0]), int(decoded[0]), len(trace.slots)
         return decoded, tau
@@ -196,16 +234,20 @@ def disprover_trial(channel: Dmc) -> Trial:
         raise PrecondFailed("channel has no disprover output (no structural zero)")
     x, y = verdict.witness["x"], verdict.witness["y"]
     x_alt = int(np.argmax(channel.W[:, y] != 0.0))
-    cdf = np.cumsum(channel.W, axis=1)
+    cdf = _cdf(channel.W)
+    rows = np.array([[x, x_alt], [x_alt, x]])  # the two slots' inputs, by bit
+    lo, hi = (bound[rows] for bound in _interval(cdf, y))
 
-    def play_round(zero, rng):
-        first, second = np.where(zero, x, x_alt), np.where(zero, x_alt, x)
-        u = rng.random((len(zero), 2))
-        y1, y2 = _sample(cdf[first], u[:, 0]), _sample(cdf[second], u[:, 1])
-        hit1, hit2 = y1 == y, y2 == y
-        if np.any(hit1 & hit2):
+    def play_round(sent, rng, traced):
+        u = rng.random((len(sent), 2))
+        hit = (lo.take(sent, axis=0) <= u) & (u < hi.take(sent, axis=0))  # the slot outputs y
+        hit1, hit2 = hit.T
+        if (hit1 & hit2).any():
             raise RuntimeError("impossible output pattern observed; channel violates its zeros")
-        return ((None, first, y1), (None, second, y2)), hit1 != hit2, hit1
+        slots = None
+        if traced:
+            slots = [(None, int(r), _draw(cdf[r], v)) for r, v in zip(rows[sent[0]], u[0])]
+        return hit1 != hit2, hit1, slots
 
     p = float(channel.W[x_alt, y])
     return Trial(_two_slot_sender(play_round, p), round_p=p)
@@ -228,21 +270,28 @@ def theorem5_trial(channel: SdDmc) -> Trial:
     x, x_alt, y = witness["x"], witness["x_prime"], witness["y"]
     in_group = np.zeros(channel.ns, dtype=bool)
     in_group[witness["states"]] = True
-    q_cdf = np.cumsum(channel.Q)
-    cdf = np.cumsum(channel.W, axis=2)
+    q_cdf = _cdf(channel.Q)
+    cdf = _cdf(channel.W)
+    nx = channel.nx
+    lo, hi = (bound.ravel() for bound in _interval(cdf, y))  # flat over (s, x)
+    rows = np.array([[x, x_alt], [x_alt, x]])  # the two slots' inputs, by bit
 
-    def play_round(zero, rng):
-        first, second = np.where(zero, x, x_alt), np.where(zero, x_alt, x)
-        u = rng.random((len(zero), 4))
-        s1, s2 = _sample(q_cdf, u[:, 0]), _sample(q_cdf, u[:, 1])
-        y1, y2 = _sample(cdf[s1, first], u[:, 2]), _sample(cdf[s2, second], u[:, 3])
-        decided0 = (y2 == y) & in_group[s2]
-        decided1 = ~decided0 & (y1 == y) & in_group[s1]
+    def play_round(sent, rng, traced):
+        u = rng.random((len(sent), 4))
+        s, r, v = np.searchsorted(q_cdf, u[:, :2], side="right"), rows.take(sent, axis=0), u[:, 2:]
+        row = s * nx + r
+        hit = (lo.take(row) <= v) & (v < hi.take(row))
+        stop = hit & in_group.take(s)  # the decoder sees y in a state of the group
+        decided0 = stop[:, 1]
+        decided1 = ~decided0 & stop[:, 0]
         done = decided0 | decided1
         # Encoder's view: outputs only, plus knowledge of its own inputs.
-        if np.any((np.where(zero, y2, y1) == y) != done):
+        if (np.where(sent, hit[:, 0], hit[:, 1]) != done).any():
             raise RuntimeError("encoder and decoder disagree on stopping; witness unsound")
-        return ((s1, first, y1), (s2, second, y2)), done, decided1
+        slots = None
+        if traced:
+            slots = [(int(a), int(b), _draw(cdf[a, b], c)) for a, b, c in zip(s[0], r[0], v[0])]
+        return done, decided1, slots
 
     p = float(channel.Q[in_group] @ channel.W[in_group, x_alt, y])
     return Trial(_two_slot_sender(play_round, p), round_p=p)
@@ -301,7 +350,7 @@ def han_sato_trial(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int]
         raise PrecondFailed(f"blocklength {n1} too short for {n_msgs} distinct codewords")
     with np.errstate(divide="ignore"):
         log_w = np.log(dmc.W)
-    cdf = np.cumsum(dmc.W, axis=1)
+    cdf = _cdf(dmc.W)
     # Trials per phase-1 block.  The block arrays (codebooks, sampled CDF
     # rows, log-likelihood terms) have 8-byte entries, and each is held to
     # MAX_CODEBOOK_ENTRIES bytes: a block at the letter cap would hold 8 MiB

@@ -321,17 +321,67 @@ SIMULATE_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("protocol", list(SIMULATE_GOLDEN))
-def test_simulate_golden_reports(capsys, ex1_path, tmp_path, protocol):
-    extra, mean_tau, var_tau, trace_lines = SIMULATE_GOLDEN[protocol]
+def _check_golden(capsys, path, tmp_path, argv, mean_tau, var_tau, trace_lines):
     trace_path = tmp_path / "trace.jsonl"
-    code, report = run_cli(
-        capsys, "simulate", ex1_path, "--protocol", protocol, "--trials", "200", *extra, "--trace-path", str(trace_path)
-    )
+    code, report = run_cli(capsys, "simulate", path, *argv, "--trace-path", str(trace_path))
     res = report["results"]
     assert code == 0 and res["errors"] == 0
     assert (res["mean_tau"], res["var_tau"]) == (mean_tau, var_tau)
     assert trace_path.read_text().splitlines() == trace_lines
+
+
+@pytest.mark.parametrize("protocol", list(SIMULATE_GOLDEN))
+def test_simulate_golden_reports(capsys, ex1_path, tmp_path, protocol):
+    extra, mean_tau, var_tau, trace_lines = SIMULATE_GOLDEN[protocol]
+    argv = ["--protocol", protocol, "--trials", "200", *extra]
+    _check_golden(capsys, ex1_path, tmp_path, argv, mean_tau, var_tau, trace_lines)
+
+
+# Three inputs, three outputs and two states.  Under every protocol here the
+# stopping output has outputs on both sides of it in its rows, so a round's
+# interval test has two interior edges, which ch_ex1's two-output rows never give.
+THREE_BY_THREE = {
+    "Q": [0.4, 0.6],
+    "W": [
+        [[0.5, 0.0, 0.5], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]],
+        [[0.3, 0.0, 0.7], [0.25, 0.35, 0.4], [0.0, 0.6, 0.4]],
+    ],
+}
+# (argv, mean_tau, var_tau, trace lines) at --trials 600 --seed 3.
+SIMULATE_GOLDEN_3X3 = [
+    (["--protocol", "disprover", "--si", "c,-"], 9.75, 71.9175, [
+        '{"n": 1, "s": null, "x": 1, "y": 1, "decision": null}',
+        '{"n": 2, "s": null, "x": 0, "y": 0, "decision": 1}',
+        '{"message": 1, "decoded": 1, "tau": 2}',
+    ]),
+    (["--protocol", "disprover", "--si", "sc,c"], 10.403333333333334, 80.28398888888889, [
+        '{"n": 1, "s": null, "x": 1, "y": 3, "decision": null}',
+        '{"n": 2, "s": null, "x": 0, "y": 1, "decision": null}',
+        '{"n": 3, "s": null, "x": 1, "y": 5, "decision": null}',
+        '{"n": 4, "s": null, "x": 0, "y": 5, "decision": null}',
+        '{"n": 5, "s": null, "x": 1, "y": 4, "decision": null}',
+        '{"n": 6, "s": null, "x": 0, "y": 5, "decision": null}',
+        '{"n": 7, "s": null, "x": 1, "y": 2, "decision": null}',
+        '{"n": 8, "s": null, "x": 0, "y": 0, "decision": 1}',
+        '{"message": 1, "decoded": 1, "tau": 8}',
+    ]),
+    (["--protocol", "theorem5"], 4.946666666666666, 12.917155555555556, [
+        '{"n": 1, "s": 1, "x": 1, "y": 0, "decision": null}',
+        '{"n": 2, "s": 0, "x": 0, "y": 2, "decision": null}',
+        '{"n": 3, "s": 0, "x": 1, "y": 1, "decision": null}',
+        '{"n": 4, "s": 1, "x": 0, "y": 2, "decision": 1}',
+        '{"message": 1, "decoded": 1, "tau": 4}',
+    ]),
+]
+
+
+@pytest.mark.parametrize("case", SIMULATE_GOLDEN_3X3, ids=lambda case: " ".join(case[0][1::2]))
+def test_simulate_golden_reports_three_outputs(capsys, tmp_path, case):
+    argv, mean_tau, var_tau, trace_lines = case
+    path = tmp_path / "ch.json"
+    path.write_text(json.dumps(THREE_BY_THREE))
+    argv = [*argv, "--trials", "600", "--seed", "3"]
+    _check_golden(capsys, str(path), tmp_path, argv, mean_tau, var_tau, trace_lines)
 
 
 def test_simulate_trace_path_unwritable(capsys, ex1_path, tmp_path):

@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import json
 import tracemalloc
 
@@ -6,6 +8,7 @@ import pytest
 
 from sdchan import (
     BudgetExceeded,
+    Dmc,
     PrecondFailed,
     SdDmc,
     SiModel,
@@ -52,6 +55,43 @@ def test_step_and_sample_state_invert_one_uniform_each(rng):
             x = int(rng.integers(ch.nx))
             y = min(int(np.searchsorted(np.cumsum(ch.W[s, x]), b.random(), side="right")), ch.ny - 1)
             assert step(ch, x, s, a) == y
+
+
+class _FixedUniforms:
+    """Stand-in generator: each call returns the next of the given rows of
+    uniforms, broadcast to the shape asked for (a scalar call gets its first)."""
+
+    def __init__(self, *rows):
+        self.rows = [np.asarray(row, dtype=float) for row in rows]
+
+    def random(self, size=None):
+        row = self.rows.pop(0)
+        return float(row[0]) if size is None else np.broadcast_to(row, size).copy()
+
+
+# (0.6, 0.4 - 1e-10, 0) sums to 1 - 1e-10: a uniform above that sum must not
+# reach output 2, which has probability 0.
+SHORT_ROW = SdDmc(W=[[[0.6, 0.4 - 1e-10, 0.0], [0.0, 0.5, 0.5]]], Q=[1.0])
+
+
+def test_step_never_samples_a_structural_zero():
+    assert step(SHORT_ROW, 0, 0, _FixedUniforms([1 - 5e-11])) == 1
+
+
+def test_theorem5_never_samples_a_structural_zero():
+    # Witness: y = 2 disproves x = 0, and x' = 1 outputs it.  Round 1 must not
+    # stop (outputs 1 and 1); round 2 stops on x''s output 2.
+    send = theorem5_trial(SHORT_ROW).send
+    rng = _FixedUniforms([0.5, 0.5, 1 - 5e-11, 0.25], [0.5, 0.5, 0.25, 0.75])
+    assert [a.tolist() for a in send(np.array([0]), rng)] == [[0], [4]]
+
+
+def test_disprover_never_samples_a_structural_zero():
+    # Ten 0.1s sum to 1 - 2**-53 in floating point; output 10 is impossible
+    # from input 0, so input 0's top uniform must give output 9, not the disprover.
+    dmc = Dmc(W=[[0.1] * 10 + [0.0], [0.5] + [0.0] * 9 + [0.5]])
+    rng = _FixedUniforms([1 - 2**-53, 0.25], [0.25, 0.75])
+    assert [a.tolist() for a in disprover_trial(dmc).send(np.array([0]), rng)] == [[0], [4]]
 
 
 def test_step_index_errors():
@@ -184,13 +224,16 @@ def test_rate_accounting():
 
 
 def _inverse_cdf(row, u):
-    return min(int(np.searchsorted(np.cumsum(row), u, side="right")), len(row) - 1)
+    """The sampled output: a uniform at or above the row's float sum goes to
+    the first output at which the sum is reached, never to a zero after it."""
+    cdf = list(itertools.accumulate(row.tolist()))  # the sums np.cumsum forms, in the same order
+    return min(bisect.bisect_right(cdf, u), bisect.bisect_left(cdf, cdf[-1]))
 
 
 def _reference_bits(channel, protocol, bits, rng):
     """Per-trial loop over the batched kernels' uniforms: one row of
     ``rng.random((live, k))`` per round, in trial order, for the trials
-    still running."""
+    still running.  Also returns trial 0's (s, x, y, decision) per slot."""
     if protocol == "disprover":
         # The first structural zero in a column some input reaches.
         x, y = (int(v) for v in np.argwhere((channel.W == 0.0) & channel.W.any(axis=0))[0])
@@ -200,13 +243,14 @@ def _reference_bits(channel, protocol, bits, rng):
         w = check_nocvlpos(channel)
         x, x_alt, y, group = w["x"], w["x_prime"], w["y"], set(w["states"])
         k = 4
-    decoded, tau = [None] * len(bits), [None] * len(bits)
+    decoded, tau, slots = [None] * len(bits), [None] * len(bits), []
     live, n = list(range(len(bits))), 0
     while live:
         n += 2
         for i, u in zip(list(live), rng.random((len(live), k))):
             first, second = (x, x_alt) if bits[i] == 0 else (x_alt, x)
             if protocol == "disprover":
+                s1 = s2 = None
                 y1, y2 = _inverse_cdf(channel.W[first], u[0]), _inverse_cdf(channel.W[second], u[1])
                 assert not (y1 == y and y2 == y)
                 decided = 0 if y1 != y and y2 == y else 1 if y1 == y and y2 != y else None
@@ -215,10 +259,12 @@ def _reference_bits(channel, protocol, bits, rng):
                 y1, y2 = _inverse_cdf(channel.W[s1, first], u[2]), _inverse_cdf(channel.W[s2, second], u[3])
                 decided = 0 if y2 == y and s2 in group else 1 if y1 == y and s1 in group else None
                 assert ((y2 if bits[i] == 0 else y1) == y) == (decided is not None)
+            if i == 0:
+                slots += [(s1, first, y1, None), (s2, second, y2, decided)]
             if decided is not None:
                 decoded[i], tau[i] = decided, n
                 live.remove(i)
-    return decoded, tau
+    return decoded, tau, slots
 
 
 def test_batched_kernels_match_per_trial_loop():
@@ -226,19 +272,23 @@ def test_batched_kernels_match_per_trial_loop():
     for _ in range(20):
         ch = random_channel(rng)
         cases = [("theorem5", ch, theorem5_trial)]
-        cases += [("disprover", reduced_dmc(ch, SiModel.from_token(t)), disprover_trial) for t in ("-,-", "sc,c")]
+        cases += [
+            ("disprover", reduced_dmc(ch, SiModel.from_token(t)), disprover_trial) for t in ("-,-", "c,-", "sc,c")
+        ]
         for protocol, channel, make in cases:
             try:
                 trial = make(channel)
             except PrecondFailed:
                 continue
             for seed in range(2):
-                ok, tau = trial(np.random.default_rng(seed), 32)
+                trace = Trace()
+                ok, tau = trial(np.random.default_rng(seed), 32, trace)
                 bits_rng = np.random.default_rng(seed)
                 bits = bits_rng.integers(2, size=32)
-                decoded, ref_tau = _reference_bits(channel, protocol, bits, bits_rng)
+                decoded, ref_tau, ref_slots = _reference_bits(channel, protocol, bits, bits_rng)
                 assert ok.tolist() == [d == b for d, b in zip(decoded, bits)]
                 assert tau.tolist() == ref_tau
+                assert [(t["s"], t["x"], t["y"], t["decision"]) for t in trace.slots] == ref_slots
 
 
 def _reference_han_sato(channel, si, msg_bits, n1, msgs, rng):
