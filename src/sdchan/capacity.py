@@ -125,26 +125,31 @@ def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITE
     is not.  Stops when the bracket at the current point is narrower than
     ``tol``; ``iterations`` counts the evaluations of d, rejected proposals
     included.  At ``max_iter`` the bracket is returned with a warning.
+
+    Each evaluation is d = -H(W_x) - sum_y W(y|x) log2 q(y), with q = rW: the
+    row entropies are computed once, so an evaluation is two matrix-vector
+    products and one log2 over the outputs.  Outputs that no input reaches
+    are dropped at set-up; they carry no mass under any r and add nothing
+    to d, so dropping them is exact and leaves every log2 q(y) finite.
     """
     W = channel.W
+    W = W[:, W.any(axis=0)]
+    neg_h = _xlog2(W).sum(axis=1)
     nx = channel.nx
-    support = W > 0
 
     def evaluate(r):
-        q_y = r @ W
-        # d[x] = D(W(.|x) || q) in bits; structural zeros of W contribute 0.
-        d = np.where(support, W * (log2_W - np.log2(q_y)), 0.0).sum(axis=1)
+        d = neg_h - np.dot(W, np.log2(np.dot(r, W)))
         upper = d.max()
-        return float(r @ d), float(upper), d - upper
+        return float(np.dot(r, d)), float(upper), d - upper
 
     def propose(r, shifted_d, mu):
         scaled = r * np.exp2(mu * shifted_d)
         return scaled / scaled.sum()
 
-    # One error state for the whole ascent, not one per evaluation: log2 of a
-    # structural zero of W is -inf, and support masks it out of d.
+    # One error state for the whole ascent, not one per evaluation: an input
+    # mass that an extrapolated proposal underflows to 0 can leave an output
+    # with q(y) = 0, and the proposal is then rejected on its NaN bounds.
     with np.errstate(divide="ignore", invalid="ignore"):
-        log2_W = np.log2(W)
         r, bracket = _adaptive_ascent("blahut_arimoto", np.full(nx, 1.0 / nx), evaluate, propose, tol, max_iter)
     return CapacityResult(maximizer={"P_X": r.tolist()}, method="blahut_arimoto", **bracket)
 

@@ -1,5 +1,11 @@
 """Command-line front end: JSON reports on stdout, exit codes as contracts.
 
+Parsing: a command line that starts with a subcommand is parsed by that
+subcommand's parser alone, and any other goes through the full parser; both
+routes give the same namespace, or the same exit code and stderr (see
+``parse_args``).  ``channel_sha256`` is the SHA-256 of the channel file's
+bytes, which are then decoded strictly as UTF-8.
+
 Exit codes (on an error, a JSON ``{"error": ...}`` object replaces the report):
 0 success: valid channel, positive verdict, no decoding error, oracle agrees;
 1 invalid channel, a simulation decoding error, or an oracle disagreement;
@@ -66,10 +72,12 @@ _EXIT_CODES = (
 _CHECK_EXIT_CODES = {POSITIVE: EXIT_OK, POSITIVE_SUFFICIENT: EXIT_OK, ZERO: EXIT_ZERO, UNKNOWN: EXIT_UNKNOWN}
 
 
-def _read_file(path: str) -> str:
+def _read_file(path: str) -> tuple[str, str]:
+    """The file's text, decoded strictly as UTF-8, and the SHA-256 of its bytes."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return f.read()
+        return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 
@@ -116,8 +124,10 @@ _positive_float.__name__ = "finite float > 0"
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process and shared by every ``main`` call.
 
-    ``parse_args`` leaves it unchanged, so reuse carries nothing from one
-    call to the next; callers must not modify it.
+    Parsing leaves it and its subparsers unchanged, so reuse carries nothing
+    from one call to the next; callers must not modify them.  Its
+    ``subcommands`` attribute maps each subcommand to its own parser, for
+    ``parse_args``; ``build_parser.cache_clear()`` renews both.
     """
     parser = argparse.ArgumentParser(
         prog="sdchan",
@@ -171,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=_int_at_least(1), default=200)
     p.add_argument("--u-size", type=_int_at_least(1), default=None)
 
+    parser.subcommands = sub.choices
     return parser
 
 
@@ -311,17 +322,38 @@ def _fuse_si(argv: list[str]) -> list[str]:
     return out
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` as ``build_parser().parse_args`` does, in one parser pass where it can.
+
+    When ``argv[0]`` names a subcommand, the rest goes straight to that
+    subcommand's parser, and leftovers are reported by the top-level parser
+    with argparse's own message.  Everything else takes the full parser:
+    ``--verbose`` or ``-h`` first, a missing or unknown subcommand, and an
+    argument starting ``--=``, which the top-level parser alone rejects as
+    ambiguous between its own options.
+    """
+    parser = build_parser()
+    argv = _fuse_si(argv)
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None or any(a.startswith("--=") for a in argv[1:]):
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0], verbose=False))
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_fuse_si(list(argv)))
+    args = parse_args(list(argv))
     started = time.perf_counter()
     try:
-        text = _read_file(args.path)
+        text, sha256 = _read_file(args.path)
         parameters, results, summary, code = _HANDLERS[args.subcommand](args, text)
         report = {
             "tool_version": __version__,
-            "channel_sha256": hashlib.sha256(text.encode("utf-8")).hexdigest(),
+            "channel_sha256": sha256,
             "command": args.subcommand,
             "parameters": parameters,
             "results": results,

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from sdchan import (
 )
 import sdchan.capacity
 from sdchan.capacity import BA_TOL, GP_TOL
-from conftest import bsc, ch_ex1, ch_ex2, ch_ex3, ch_triv, pentagon, random_channel
+from conftest import bsc, ch_ex1, ch_ex2, ch_ex3, ch_triv, pentagon, random_channel, stuck_at
 
 SI_ALL = [SiModel.from_token(t) for t in ("-,-", "sc,-", "c,-", "nc,-", "sc,c", "c,c", "nc,c", "nc,nc")]
 
@@ -104,21 +106,23 @@ def test_capped_per_state_capacity_sums_brackets():
 def _reference_blahut_arimoto(W, max_iter):
     """The same adaptive-step ascent with one relative entropy per input, in a Python loop.
 
-    Each input's terms are summed over its whole row, structural zeros
-    included, so the sum rounds as the array expression's does: the accept
-    rule compares lower bounds that differ by a few ulps near convergence.
+    d[x] = -H(W_x) - sum_y W(y|x) log2 q(y) over the outputs some input
+    reaches.  The row reductions (the row entropies, q = rW and the product
+    with log2 q) use the same array calls as the kernel: a BLAS matrix-vector
+    product and numpy's 2-D row sums round unlike per-input 1-D sums, and the
+    accept rule compares lower bounds that differ by a few ulps near
+    convergence.
     """
-    nx, ny = W.shape
+    W = W[:, (W > 0).any(axis=0)]
+    nx = W.shape[0]
+    neg_h = np.where(W > 0, W * np.log2(np.where(W > 0, W, 1.0)), 0.0).sum(axis=1)
 
     def bounds(r):
-        q_y = r @ W
+        cross = np.dot(W, np.log2(np.dot(r, W)))
         d = np.zeros(nx)
         for x in range(nx):
-            mask = W[x] > 0
-            terms = np.zeros(ny)
-            terms[mask] = W[x, mask] * (np.log2(W[x, mask]) - np.log2(q_y[mask]))
-            d[x] = terms.sum()
-        return float(r @ d), float(d.max()), d
+            d[x] = neg_h[x] - cross[x]
+        return float(np.dot(r, d)), float(d.max()), d
 
     r = np.full(nx, 1.0 / nx)
     lower, upper, d = bounds(r)
@@ -173,6 +177,52 @@ def test_ba_matches_per_input_loop(rng):
             assert r.iterations == iterations
             assert abs(r.value - value) <= 1e-15
             assert abs(r.certified_gap - gap) <= 1e-15
+
+
+def test_ba_drops_unreached_outputs_exactly(rng):
+    # An output no input reaches adds nothing to any relative entropy, so BA
+    # with an all-zero column runs exactly as BA without it, and warns of
+    # no log2(0) on the way.
+    pairs = []
+    for _ in range(20):
+        dmc = average_states(random_channel(rng))
+        W = np.insert(dmc.W, rng.integers(dmc.ny + 1, size=2), 0.0, axis=1)
+        pairs.append((Dmc(W=W), dmc))
+    # In state 0 of this channel no input reaches output 2, so the
+    # joint-output channel has an all-zero column for (y2, s0).
+    ch = SdDmc(
+        W=[[[0.6, 0.4, 0.0], [0.0, 1.0, 0.0]], [[0.2, 0.3, 0.5], [0.0, 0.1, 0.9]]],
+        Q=[0.4, 0.6],
+    )
+    joint = joint_output_channel(ch)
+    reached = joint.W.any(axis=0)
+    assert not reached.all()
+    pairs.append((joint, Dmc(W=joint.W[:, reached])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for padded, plain in pairs:
+            a, b = blahut_arimoto(padded), blahut_arimoto(plain)
+            assert (a.value, a.certified_gap, a.iterations) == (b.value, b.certified_gap, b.iterations)
+            assert a.maximizer == b.maximizer
+
+
+def test_every_ba_route_calls_the_module_global(monkeypatch):
+    # The benchmark tracer counts BA runs by wrapping
+    # sdchan.capacity.blahut_arimoto, so each route must look it up there.
+    calls = []
+    original = sdchan.capacity.blahut_arimoto
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sdchan.capacity, "blahut_arimoto", counting)
+    ch = stuck_at()
+    expected = {"-,-": 1, "sc,-": 1, "c,-": 1, "sc,c": 1, "-,c": 1, "c,c": ch.ns, "nc,c": ch.ns, "nc,nc": ch.ns}
+    for token, count in expected.items():
+        calls.clear()
+        vanishing_capacity(ch, SiModel.from_token(token))
+        assert len(calls) == count, token
 
 
 def test_ba_gap_never_negative_at_an_exact_optimum():

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import re
@@ -236,9 +237,7 @@ def test_simulate_refuses_rounds_that_almost_never_stop_exit_2(tmp_path, doc, pr
 
 def test_simulate_parses_every_option_a_protocol_reads():
     # _cmd_simulate reads each factory parameter after the channel from args.
-    parser = build_parser()
-    simulate = next(a.choices["simulate"] for a in parser._actions if isinstance(a.choices, dict))
-    options = {a.dest: a for a in simulate._actions}
+    options = {a.dest: a for a in build_parser().subcommands["simulate"]._actions}
     assert options["protocol"].choices == list(PROTOCOLS)
     for name, factory in PROTOCOLS.items():
         assert set(list(inspect.signature(factory).parameters)[1:]) <= set(options), name
@@ -393,24 +392,24 @@ def test_simulate_trace_path_unwritable(capsys, ex1_path, tmp_path):
     assert "error" in report
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["simulate", "--protocol", "theorem5", "--trials", "0"],
-        ["simulate", "--protocol", "han-sato", "--si", "-,-", "--msg-bits", "-1"],
-        ["capacity", "--si", "nc,-", "--restarts", "-1"],
-        ["oracle", "--which", "grid-capacity", "--resolution", "0"],
-        ["oracle", "--which", "confusable", "--n", "0"],
-        ["oracle", "--which", "gp-grid", "--u-size", "-1"],
-        ["oracle", "--which", "gp-grid", "--u-size", "0"],
-        ["simulate", "--protocol", "han-sato", "--n1", "-3"],
-        ["capacity", "--si", "-,-", "--tol", "inf"],
-        ["capacity", "--si", "-,-", "--tol", "nan"],
-        ["capacity", "--si", "-,-", "--tol", "0"],
-        ["capacity", "--si", "-,-", "--max-iter", "0"],
-        ["simulate", "--protocol", "theorem5", "--seed", "-1"],
-    ],
-)
+BAD_NUMERIC_ARGV = [
+    ["simulate", "--protocol", "theorem5", "--trials", "0"],
+    ["simulate", "--protocol", "han-sato", "--si", "-,-", "--msg-bits", "-1"],
+    ["capacity", "--si", "nc,-", "--restarts", "-1"],
+    ["oracle", "--which", "grid-capacity", "--resolution", "0"],
+    ["oracle", "--which", "confusable", "--n", "0"],
+    ["oracle", "--which", "gp-grid", "--u-size", "-1"],
+    ["oracle", "--which", "gp-grid", "--u-size", "0"],
+    ["simulate", "--protocol", "han-sato", "--n1", "-3"],
+    ["capacity", "--si", "-,-", "--tol", "inf"],
+    ["capacity", "--si", "-,-", "--tol", "nan"],
+    ["capacity", "--si", "-,-", "--tol", "0"],
+    ["capacity", "--si", "-,-", "--max-iter", "0"],
+    ["simulate", "--protocol", "theorem5", "--seed", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_NUMERIC_ARGV)
 def test_bad_numeric_arguments_exit_2(ex1_path, argv):
     with pytest.raises(SystemExit) as info:
         main([argv[0], ex1_path, *argv[1:]])
@@ -423,6 +422,25 @@ def test_non_utf8_channel_file_exit_2(capsys, tmp_path):
     code, report = run_cli(capsys, "validate", str(path))
     assert code == 2
     assert "UTF-8" in report["error"]
+    # The message names the offset of the first bad byte in the file.
+    path.write_bytes(b'{"Q": [1.0], "W": [[[1.0]]], "inputs": ["\xe9"]}')
+    code, report = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    assert report["error"].endswith("not UTF-8 text (invalid continuation byte at byte 41)")
+
+
+def test_channel_sha256_hashes_the_file_bytes(capsys, tmp_path):
+    # A CRLF file is hashed as stored, not after newline translation.  An LF
+    # file's bytes are its text's UTF-8 encoding, so its hash is unchanged.
+    for name, data in (
+        ("crlf.json", b'{"Q": [1.0],\r\n "W": [[[1.0, 0.0], [0.0, 1.0]]]}\r\n'),
+        ("lf.json", b'{"Q": [1.0],\n "W": [[[1.0, 0.0], [0.0, 1.0]]]}\n'),
+    ):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, report = run_cli(capsys, "validate", str(path))
+        assert code == 0
+        assert report["channel_sha256"] == hashlib.sha256(data).hexdigest(), name
 
 
 def test_simulate_han_sato_codebook_cap(capsys, ex1_path):
@@ -504,6 +522,105 @@ def test_readme_cli_examples_parse():
     assert len(lines) >= 8
     for argv in lines:
         build_parser().parse_args(sdchan.cli._fuse_si(argv))
+
+
+def _dispatch_corpus(path):
+    """Command lines for the parse-route test: README examples, those of this file, and malformed ones."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    corpus = [line.split()[1:] for line in readme.splitlines() if line.startswith("sdchan ")]
+    corpus += [[argv[0], path, *argv[1:]] for argv in BAD_NUMERIC_ARGV]
+    golden = [["--protocol", p, "--trials", "200", *SIMULATE_GOLDEN[p][0]] for p in SIMULATE_GOLDEN]
+    golden += [[*case[0], "--trials", "600", "--seed", "3"] for case in SIMULATE_GOLDEN_3X3]
+    corpus += [["simulate", path, *argv, "--trace-path", "t.jsonl"] for argv in golden]
+    corpus += [[cmd, path, *rest] for cmd, *rest in (
+        ["validate"],
+        ["check", "--si", "-,-", "--regime", "vl"],
+        ["check", "--si", "nc,nc", "--regime", "fl"],
+        ["check", "--si", "-,c", "--regime", "vl"],
+        ["check", "--si", "-,-", "--regime", "bl"],
+        ["check", "--si", "-,-", "--regime", "xl"],
+        ["capacity", "--si", "sc,c"],
+        ["capacity", "--si", "-,-", "--quantity", "zero-error", "--regime", "vl"],
+        ["capacity", "--si", "c,-", "--max-iter", "1"],
+        ["capacity", "--si", "-,-", "--tol", "1e-3"],
+        ["capacity", "--si", "-,-", "--quantity", "zero-error", "--regime", "bl"],
+        ["reduce", "--kind", "average"],
+        ["reduce", "--kind", "joint-output"],
+        ["simulate", "--protocol", "han-sato", "--si", "-,-", "--trials", "200", "--seed", "7",
+         "--msg-bits", "4", "--n1", "12"],
+        ["simulate", "--protocol", "disprover", "--si", "-,c", "--trials", "10"],
+        ["simulate", "--protocol", "han-sato", "--msg-bits", "40", "--trials", "1"],
+        ["oracle", "--which", "grid-capacity", "--resolution", "400"],
+        ["oracle", "--which", "confusable", "--n", "2", "--decoder-sees-state"],
+        ["oracle", "--which", "gp-grid", "--resolution", "1" * 1500],
+    )]
+    corpus += [
+        ["--verbose", "check", path, "--si", "-,-", "--regime", "vl"],
+        [],
+        ["--bogus"],
+        ["--verbose"],
+        ["--verb", "validate", path],
+        ["-h"],
+        ["check", "-h"],
+        ["capacity", path, "--help"],
+        ["bogus", path],
+        ["check"],
+        ["check", "--si", "-,-"],
+        ["check", path],
+        ["check", path, "--si"],
+        ["check", path, "extra", "--si", "-,-"],
+        ["check", path, "--si", "-,-", "--bogus"],
+        ["check", path, "--si", "-,-", "--bogus", "1", "two"],
+        ["check", path, "--si", "-,-", "--verbose"],
+        ["check", path, "--si", "-,-", "--verbose=1"],
+        ["check", "--verbose", path, "--si", "-,-"],
+        ["check", path, "--si", "-,-", "-v"],
+        ["check", path, "--reg", "bl", "--si", "-,-"],
+        ["check", path, "--s", "sc,c"],
+        ["capacity", path, "--si", "-,-", "--r", "2"],
+        ["capacity", path, "--si=-,-", "--max-iter=5"],
+        ["check", path, "--si", "-,-", "--=x"],
+        ["check", path, "--si", "-,-", "--", "--=x"],
+        ["check", "--", path, "--si", "-,-"],
+        ["simulate", path, "--protocol", "nope"],
+        ["simulate", path, "--protocol", "theorem5", "--seed", "-1"],
+        ["validate", path, "-"],
+        ["validate", ""],
+    ]
+    return corpus
+
+
+def _parse_outcome(capsys, parse, argv):
+    try:
+        outcome = vars(parse(argv))
+    except SystemExit as e:
+        outcome = e.code
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+def test_both_parse_routes_agree(capsys, ex1_path):
+    # A command line starting with a subcommand is parsed by its subparser
+    # alone; it must give the full parser's namespace, or its exit code,
+    # stdout and stderr byte for byte.
+    corpus = _dispatch_corpus(ex1_path)
+    assert len(corpus) > 60
+    direct = 0
+    for argv in corpus:
+        ours = _parse_outcome(capsys, sdchan.cli.parse_args, list(argv))
+        full = _parse_outcome(capsys, lambda a: build_parser().parse_args(sdchan.cli._fuse_si(a)), list(argv))
+        assert ours == full, argv
+        direct += bool(argv) and argv[0] in build_parser().subcommands
+    assert direct > 50
+
+
+def test_cache_clear_resets_both_parse_routes():
+    first = build_parser()
+    build_parser.cache_clear()
+    second = build_parser()
+    assert second is not first
+    assert set(second.subcommands) == set(sdchan.cli._HANDLERS)
+    assert all(second.subcommands[name] is not first.subcommands[name] for name in first.subcommands)
 
 
 def test_report_reproducible(capsys, ex1_path):
