@@ -60,7 +60,6 @@ from .capacity import (
     blahut_arimoto,
     capacity_cond_iid,
     gelfand_pinsker_capacity,
-    mutual_information,
     shannon_strategy_capacity,
     shannon_zef_fl_capacity,
     vanishing_capacity,

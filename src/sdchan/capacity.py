@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .channel import Dmc, Regime, SdDmc, Si, SiModel
-from .errors import UnsupportedModel
+from .errors import UnsupportedModel, ValidationError
 from .positivity import (
     POSITIVE,
     ZERO,
@@ -28,11 +28,19 @@ from .reductions import (
     average_states,
     joint_output_channel,
     shannon_strategy_channel,
+    strategy_letters,
 )
 
 BA_TOL = 1e-9
 BA_MAX_ITER = 100_000
 GP_TOL = 1e-7
+# Blahut-Arimoto's Newton finish: it is tried once the bracket is narrower
+# than FINISH_GAP, on a face that holds the inputs with more than FACE_SHARE
+# of the largest mass; inputs off the face that are losing mass keep
+# OFF_FACE_KEEP of it.
+FINISH_GAP = 1e-2
+FACE_SHARE = 1e-3
+OFF_FACE_KEEP = 1 / 16
 
 
 @dataclass(frozen=True)
@@ -72,15 +80,7 @@ def _xlog2(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def mutual_information(p_x: np.ndarray, W: np.ndarray) -> float:
-    """I(X;Y) in bits for input distribution p_x over the row-stochastic W."""
-    q_y = p_x @ W
-    h_y = -_xlog2(q_y).sum()
-    h_y_given_x = -(p_x * _xlog2(W).sum(axis=1)).sum()
-    return float(h_y - h_y_given_x)
-
-
-def _adaptive_ascent(name: str, point, evaluate, propose, tol: float, max_iter: int):
+def _adaptive_ascent(name: str, point, evaluate, propose, tol: float, max_iter: int, finish=None):
     """Monotone ascent with an adaptive step; returns (point, bracket).
 
     ``evaluate(point)`` gives the certified bounds (lower, upper) at ``point``
@@ -92,6 +92,22 @@ def _adaptive_ascent(name: str, point, evaluate, propose, tol: float, max_iter: 
     arithmetic).  Every evaluation, rejected proposals included, counts
     against ``max_iter``.
 
+    ``finish(point, direction)``, when given, is a second-order step for the
+    tail.  It is tried after a rejected extrapolation once the bracket is
+    narrower than ``FINISH_GAP``, and returns a candidate point or None.  The
+    candidate is evaluated like any proposal, so it counts in ``iterations``
+    and against ``max_iter``, and it is accepted when its lower bound rises
+    and its upper bound is finite.  Unlike an extrapolation it may widen the
+    bracket: a step to the optimum of a face leaves the inputs off the face
+    some mass, and their divergences can hold the upper bound up for a few
+    steps.  Since the lower bound never drops, the value reported still never
+    decreases as ``max_iter`` grows.  An accepted finish that at least halves
+    the bracket is followed by another finish, as Newton steps converge
+    quadratically near the optimum; any other outcome returns to the plain
+    update.  After k rejected finishes in a row the next 2^k - 1 chances are
+    skipped, so a problem on which the step keeps failing loses few
+    evaluations to it.
+
     ``bracket`` holds the ``CapacityResult`` fields value, certified_gap,
     iterations and warnings at the point returned; a gap still at or above
     ``tol`` at ``max_iter`` adds one warning naming ``name``.
@@ -99,15 +115,36 @@ def _adaptive_ascent(name: str, point, evaluate, propose, tol: float, max_iter: 
     lower, upper, direction = evaluate(point)
     evaluations = 1
     mu = 1.0
+    newton = False  # the last finish at least halved the bracket
+    misses = skip = 0
     while upper - lower >= tol and evaluations < max_iter:
-        trial = propose(point, direction, mu)
+        if not newton:
+            trial = propose(point, direction, mu)
+            t_lower, t_upper, t_direction = evaluate(trial)
+            evaluations += 1
+            if mu == 1.0 or (t_lower >= lower and t_upper - t_lower <= upper - lower):
+                point, lower, upper, direction = trial, t_lower, t_upper, t_direction
+                mu *= 2.0
+                continue
+            mu = 1.0
+            if finish is None or upper - lower >= FINISH_GAP or evaluations >= max_iter:
+                continue
+            if skip:
+                skip -= 1
+                continue
+        trial = finish(point, direction)
+        newton = False
+        if trial is None:
+            continue
         t_lower, t_upper, t_direction = evaluate(trial)
         evaluations += 1
-        if mu == 1.0 or (t_lower >= lower and t_upper - t_lower <= upper - lower):
+        if t_lower > lower and t_upper < np.inf:
+            newton = t_upper - t_lower < (upper - lower) / 2
             point, lower, upper, direction = trial, t_lower, t_upper, t_direction
-            mu *= 2.0
+            misses = 0
         else:
-            mu = 1.0
+            misses += 1
+            skip = 2**misses - 1
     value = max(lower, 0.0)
     # At an exact optimum the upper bound can round an ulp below the lower one.
     gap = max(upper - value, 0.0)
@@ -124,33 +161,96 @@ def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITE
     doubles mu while its proposals are accepted and resets it to 1 when one
     is not.  Stops when the bracket at the current point is narrower than
     ``tol``; ``iterations`` counts the evaluations of d, rejected proposals
-    included.  At ``max_iter`` the bracket is returned with a warning.
+    and finishing steps included.  At ``max_iter`` the bracket is returned
+    with a warning.
 
     Each evaluation is d = -H(W_x) - sum_y W(y|x) log2 q(y), with q = rW: the
     row entropies are computed once, so an evaluation is two matrix-vector
     products and one log2 over the outputs.  Outputs that no input reaches
     are dropped at set-up; they carry no mass under any r and add nothing
     to d, so dropping them is exact and leaves every log2 q(y) finite.
+
+    Once the bracket is narrower than ``FINISH_GAP``, ``_adaptive_ascent``
+    may try a finish: a Newton step for I(r) on a face S of the simplex.  I
+    has gradient d - 1/ln 2 and Hessian H = -W diag(1/q) W^T / ln 2.  S holds
+    the inputs with r_x > FACE_SHARE * max r, and those gaining mass: with d
+    above the midpoint of [I(r), max d], such an input may belong to the
+    optimum however little mass it holds.  Inputs off S keep OFF_FACE_KEEP
+    of their mass (all of it if they are gaining), and S takes the mass shed,
+    m, through the bordered system
+    [H_SS 1; 1^T 0] [dr; lam] = [-(d_S - max d); m].
+    An input with r + dr <= 0 leaves S and the system is solved again; none
+    left, or a singular system, gives no candidate.  Inputs with identical
+    rows count as one input, since I depends only on their summed mass, and
+    S keeps at most as many rows as there are outputs, the heaviest, since
+    more are linearly dependent.  Where the plain step moves mass along a
+    nearly flat direction by a fraction of a per cent per step, this step
+    lands near the optimum of the face in one evaluation.
     """
     W = channel.W
     W = W[:, W.any(axis=0)]
     neg_h = _xlog2(W).sum(axis=1)
-    nx = channel.nx
+    nx, ny = W.shape
+    ln2 = np.log(2.0)
 
     def evaluate(r):
-        d = neg_h - np.dot(W, np.log2(np.dot(r, W)))
+        q = np.dot(r, W)
+        d = neg_h - np.dot(W, np.log2(q))
         upper = d.max()
-        return float(np.dot(r, d)), float(upper), d - upper
+        return float(np.dot(r, d)), float(upper), (d - upper, q)
 
-    def propose(r, shifted_d, mu):
-        scaled = r * np.exp2(mu * shifted_d)
+    def propose(r, direction, mu):
+        scaled = r * np.exp2(mu * direction[0])
         return scaled / scaled.sum()
+
+    group = None  # per input, the first input with the same row; set by the first finish
+
+    def finish(r, direction):
+        nonlocal group
+        if group is None:
+            first = {}
+            group = np.array([first.setdefault(row.tobytes(), x) for x, row in enumerate(W)])
+        shifted_d, q = direction
+        mass = np.bincount(group, r, minlength=nx)
+        # An input whose divergence is above the midpoint of [I(r), max d] is
+        # gaining mass and may belong to the optimum: it joins the face, and
+        # off the face it keeps all of its mass.
+        gaining = shifted_d >= np.dot(r, shifted_d) / 2
+        shed = np.where(gaining, 0.0, 1.0 - OFF_FACE_KEEP)
+        face = np.flatnonzero((mass > FACE_SHARE * mass.max()) | (gaining & (mass > 0.0)))
+        if face.size > ny:
+            # More rows than outputs are linearly dependent: keep the heaviest.
+            face = face[np.argsort(mass[face])[-ny:]]
+        while face.size:
+            # The system times -ln 2: W_S diag(1/q) W_S^T = B B^T.
+            n = face.size
+            B = W[face] / np.sqrt(q)
+            K = np.ones((n + 1, n + 1))
+            K[:n, :n] = np.dot(B, B.T)
+            K[n, n] = 0.0
+            rhs = np.empty(n + 1)
+            rhs[:n] = shifted_d[face] * ln2
+            face_mass = mass[face]
+            rhs[n] = np.dot(shed, r) - np.dot(shed[face], face_mass)
+            try:
+                landed = face_mass + np.linalg.solve(K, rhs)[:n]
+            except np.linalg.LinAlgError:
+                return None
+            if landed.min() > 0.0:
+                scale = 1.0 - shed
+                scale[face] = landed / face_mass
+                trial = r * scale[group]
+                return trial / trial.sum()
+            face = face[landed > 0.0]
+        return None
 
     # One error state for the whole ascent, not one per evaluation: an input
     # mass that an extrapolated proposal underflows to 0 can leave an output
     # with q(y) = 0, and the proposal is then rejected on its NaN bounds.
     with np.errstate(divide="ignore", invalid="ignore"):
-        r, bracket = _adaptive_ascent("blahut_arimoto", np.full(nx, 1.0 / nx), evaluate, propose, tol, max_iter)
+        r, bracket = _adaptive_ascent(
+            "blahut_arimoto", np.full(nx, 1.0 / nx), evaluate, propose, tol, max_iter, finish
+        )
     return CapacityResult(maximizer={"P_X": r.tolist()}, method="blahut_arimoto", **bracket)
 
 
@@ -227,10 +327,17 @@ def gelfand_pinsker_capacity(channel: SdDmc, max_iter: int = BA_MAX_ITER) -> Cap
     States of probability zero are dropped at set-up: ``P_U_given_S`` has a
     row, and each letter of ``f`` an input, per state of positive probability.
     """
-    _, letters = shannon_strategy_channel(channel)
     states = np.flatnonzero(channel.Q > 0)
-    letters = np.array(letters)[:, states]
+    letters = np.array(strategy_letters(channel))[:, states]
     T = channel.W[states, letters]  # (letters, S, Y): T[u, i] = W[s][u(s)] for s = states[i]
+    # A library-built channel can have empty rows; a letter with no output
+    # is no input of the lift, as ``shannon_strategy_channel`` also says.
+    empty = np.flatnonzero(~T.any(axis=(1, 2)))
+    if empty.size:
+        raise ValidationError(
+            f"row_stochastic: strategy letter {letters[empty[0]].tolist()} has all-zero rows"
+            " in every state of positive probability"
+        )
     _, first = np.unique(T.reshape(len(letters), -1), axis=0, return_index=True)
     keep = np.sort(first)
     # Outputs that no letter reaches get no mass under any P(u|s); without

@@ -53,21 +53,30 @@ def average_states(channel: SdDmc) -> Dmc:
     return _normalized_dmc(W, support_pattern(channel).any(axis=0), channel.x_labels, channel.y_labels)
 
 
-def shannon_strategy_channel(channel: SdDmc) -> tuple[Dmc, list[StrategyLetter]]:
-    """Lift to the DMC whose inputs are strategy letters u: state -> input.
+def strategy_letters(channel: SdDmc) -> list[StrategyLetter]:
+    """The strategy letters of ``channel``, in lexicographic order.
 
-    The row for u is the Q-average of the rows W[s][u(s)].  Letters are
-    indexed lexicographically; the second return value maps row index to
-    the underlying letter.  Labels join the digits of u(s), with a "."
-    between them once an input index can have two digits.  An alphabet of
-    more than ``STRATEGY_CAP`` letters raises before any letter is built.
+    An alphabet of more than ``STRATEGY_CAP`` letters raises before any
+    letter is built.
     """
     n_letters = channel.nx ** channel.ns
     if n_letters > STRATEGY_CAP:
         raise AlphabetTooLarge(
             f"strategy alphabet has {n_letters} letters, exceeding the cap of {STRATEGY_CAP}"
         )
-    letters = enumerate_strategy_letters(channel.nx, channel.ns)
+    return enumerate_strategy_letters(channel.nx, channel.ns)
+
+
+def shannon_strategy_channel(channel: SdDmc) -> tuple[Dmc, list[StrategyLetter]]:
+    """Lift to the DMC whose inputs are strategy letters u: state -> input.
+
+    The row for u is the Q-average of the rows W[s][u(s)].  Letters are
+    indexed lexicographically (``strategy_letters``, which enforces
+    ``STRATEGY_CAP``); the second return value maps row index to the
+    underlying letter.  Labels join the digits of u(s), with a "." between
+    them once an input index can have two digits.
+    """
+    letters = strategy_letters(channel)
     at = np.arange(channel.ns), np.array(letters)
     T = channel.W[at]  # T[i, s] = W[s][u_i(s)]
     sep = "." if channel.nx > 10 else ""
