@@ -20,7 +20,6 @@ from .channel import (
     ValidationReport,
     load_channel,
     serialize,
-    support,
     validate,
 )
 from .errors import (

@@ -34,10 +34,11 @@ from .reductions import (
 BA_TOL = 1e-9
 BA_MAX_ITER = 100_000
 GP_TOL = 1e-7
-# Blahut-Arimoto's Newton finish: it is tried once the bracket is narrower
-# than FINISH_GAP, on a face that holds the inputs with more than FACE_SHARE
-# of the largest mass; inputs off the face that are losing mass keep
-# OFF_FACE_KEEP of it.
+# The finishes of both optimizers are tried once the bracket is narrower
+# than FINISH_GAP.  Blahut-Arimoto's Newton step works on a face that holds
+# the inputs with more than FACE_SHARE of the largest mass; inputs off the
+# face that are losing mass keep OFF_FACE_KEEP of it, as do the letters that
+# Gelfand-Pinsker's finish sheds.
 FINISH_GAP = 1e-2
 FACE_SHARE = 1e-3
 OFF_FACE_KEEP = 1 / 16
@@ -92,18 +93,20 @@ def _adaptive_ascent(name: str, point, evaluate, propose, tol: float, max_iter: 
     arithmetic).  Every evaluation, rejected proposals included, counts
     against ``max_iter``.
 
-    ``finish(point, direction)``, when given, is a second-order step for the
-    tail.  It is tried after a rejected extrapolation once the bracket is
-    narrower than ``FINISH_GAP``, and returns a candidate point or None.  The
-    candidate is evaluated like any proposal, so it counts in ``iterations``
-    and against ``max_iter``, and it is accepted when its lower bound rises
-    and its upper bound is finite.  Unlike an extrapolation it may widen the
-    bracket: a step to the optimum of a face leaves the inputs off the face
-    some mass, and their divergences can hold the upper bound up for a few
-    steps.  Since the lower bound never drops, the value reported still never
+    ``finish(point, direction)``, when given, is a step for the tail: a
+    Newton step on a face of the simplex for Blahut-Arimoto, a shedding of
+    the emptying letters for Gelfand-Pinsker.  It is tried after a rejected
+    extrapolation once the bracket is narrower than ``FINISH_GAP``, and
+    returns a candidate point or None.  The candidate is evaluated like any
+    proposal, so it counts in ``iterations`` and against ``max_iter``, and
+    it is accepted when its lower bound rises and its upper bound is finite.
+    Unlike an extrapolation it may widen the bracket: the mass it leaves
+    off the optimum's support can hold the upper bound up for a few steps.
+    Since the lower bound never drops, the value reported still never
     decreases as ``max_iter`` grows.  An accepted finish that at least halves
-    the bracket is followed by another finish, as Newton steps converge
-    quadratically near the optimum; any other outcome returns to the plain
+    the bracket is followed by another finish, as such steps tend to come in
+    runs near the optimum (Newton steps converge quadratically, and a letter
+    may need several sheddings); any other outcome returns to the plain
     update.  After k rejected finishes in a row the next 2^k - 1 chances are
     skipped, so a problem on which the step keeps failing loses few
     evaluations to it.
@@ -115,10 +118,10 @@ def _adaptive_ascent(name: str, point, evaluate, propose, tol: float, max_iter: 
     lower, upper, direction = evaluate(point)
     evaluations = 1
     mu = 1.0
-    newton = False  # the last finish at least halved the bracket
+    again = False  # the last finish at least halved the bracket
     misses = skip = 0
     while upper - lower >= tol and evaluations < max_iter:
-        if not newton:
+        if not again:
             trial = propose(point, direction, mu)
             t_lower, t_upper, t_direction = evaluate(trial)
             evaluations += 1
@@ -133,13 +136,13 @@ def _adaptive_ascent(name: str, point, evaluate, propose, tol: float, max_iter: 
                 skip -= 1
                 continue
         trial = finish(point, direction)
-        newton = False
+        again = False
         if trial is None:
             continue
         t_lower, t_upper, t_direction = evaluate(trial)
         evaluations += 1
         if t_lower > lower and t_upper < np.inf:
-            newton = t_upper - t_lower < (upper - lower) / 2
+            again = t_upper - t_lower < (upper - lower) / 2
             point, lower, upper, direction = trial, t_lower, t_upper, t_direction
             misses = 0
         else:
@@ -322,7 +325,21 @@ def gelfand_pinsker_capacity(channel: SdDmc, max_iter: int = BA_MAX_ITER) -> Cap
     P(u|s), so value + certified_gap also bounds the averaged-channel and
     strategy-lift capacities, which the non-causal encoder can only match or
     beat.  ``iterations`` counts the score evaluations, rejected proposals
-    included.  At ``max_iter`` the bracket is returned with a warning.
+    and finishing steps included.  At ``max_iter`` the bracket is returned
+    with a warning.
+
+    Once the bracket is narrower than ``FINISH_GAP``, ``_adaptive_ascent``
+    may try a finish that sheds the letters the plain step is emptying.  At
+    mu = 1 the step changes ln P(u|s) by g(u, s) - ln Z_s, with ln Z_s the
+    log-sum-exp over u of a(u, s) that ``propose`` normalises by.  A letter
+    for which that is negative in every state is losing mass everywhere;
+    the finish scales its P(u|.) by OFF_FACE_KEEP in every state and
+    renormalises each state in the log domain.  One scale for every state
+    keeps the letter's shape, so q(u|y) and g barely move and the lower
+    bound rises, where the plain step takes hundreds of evaluations to
+    empty such a letter.  No letter is set to zero, which would leave its g
+    undefined.  The bracket stays certified: the candidate is a point like
+    any other, and its bounds come from the same evaluation.
 
     States of probability zero are dropped at set-up: ``P_U_given_S`` has a
     row, and each letter of ``f`` an input, per state of positive probability.
@@ -377,8 +394,16 @@ def gelfand_pinsker_capacity(channel: SdDmc, max_iter: int = BA_MAX_ITER) -> Cap
         x = a + (mu - 1.0) * g
         return x - np.logaddexp.reduce(x, axis=0)
 
+    def finish(log_P, direction):
+        a, g = direction
+        emptying = (g < np.logaddexp.reduce(a, axis=0)).all(axis=1)
+        if not emptying.any():
+            return None
+        x = log_P + np.where(emptying, np.log(OFF_FACE_KEEP), 0.0)[:, None]
+        return x - np.logaddexp.reduce(x, axis=0)
+
     start = np.full((len(keep), len(states)), -np.log(len(keep)))
-    log_P, bracket = _adaptive_ascent("gelfand_pinsker", start, evaluate, propose, GP_TOL, max_iter)
+    log_P, bracket = _adaptive_ascent("gelfand_pinsker", start, evaluate, propose, GP_TOL, max_iter, finish)
     return CapacityResult(
         maximizer={"P_U_given_S": np.exp(log_P).T.tolist(), "f": letters[keep].tolist()},
         method="gp_ascent",

@@ -126,9 +126,6 @@ class SdDmc:
     def ny(self) -> int:
         return self.W.shape[2]
 
-    def support(self, x: int, s: int) -> frozenset[int]:
-        return support(self, x, s)
-
     def __eq__(self, other):
         if not isinstance(other, SdDmc):
             return NotImplemented
@@ -170,9 +167,6 @@ class Dmc:
     @property
     def ny(self) -> int:
         return self.W.shape[1]
-
-    def support(self, x: int) -> frozenset[int]:
-        return frozenset(int(y) for y in np.flatnonzero(self.W[x] != 0.0))
 
     def __eq__(self, other):
         if not isinstance(other, Dmc):
@@ -308,13 +302,6 @@ def validate(channel: SdDmc) -> ValidationReport:
         checks.append(Check("every_output_reachable", False, f"output y={y} is unreachable from every (x, s)"))
 
     return ValidationReport(tuple(checks))
-
-
-def support(channel: SdDmc, x: int, s: int) -> frozenset[int]:
-    """Outputs reachable from input x in state s (structural zeros only)."""
-    if not (0 <= x < channel.nx and 0 <= s < channel.ns):
-        raise IndexError(f"(x={x}, s={s}) out of range for ({channel.nx} inputs, {channel.ns} states)")
-    return frozenset(int(y) for y in np.flatnonzero(channel.W[s, x] != 0.0))
 
 
 def _doc_labels(doc: dict, key: str) -> tuple[str, ...]:

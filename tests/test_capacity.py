@@ -525,6 +525,42 @@ def test_gp_ascent_converges_when_letter_masses_underflow():
     assert r.warnings == ()
 
 
+def _criterion_9_draws(*draws):
+    """The ``random_channel`` draws of criterion 9 (seed 909) at the given indices, from 0."""
+    rng = np.random.default_rng(909)
+    channels = [random_channel(rng) for _ in range(max(draws) + 1)]
+    return [channels[i] for i in draws]
+
+
+def test_gp_finish_sheds_emptying_letters():
+    # On these draws the plain step spent most of its evaluations emptying
+    # letters that hold no mass at the optimum: 22,038 + 1,500 + 4,027 +
+    # 5,456 evaluations without the finish, 570 with it.
+    total = 0
+    for ch in _criterion_9_draws(11, 19, 49, 53):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = gelfand_pinsker_capacity(ch)
+        assert r.certified_gap < GP_TOL and r.warnings == ()
+        total += r.iterations
+    assert total <= 2_000
+
+
+def test_gp_finish_keeps_value_and_maximizer_consistent():
+    # At every cap the reported P(u|s) rebuilds the reported value, and a
+    # higher cap never reports a lower value, through the finishes that
+    # draw 11 takes on its way to converging in under 300 evaluations.
+    (ch,) = _criterion_9_draws(11)
+    values = []
+    for k in range(1, 301):
+        r = gelfand_pinsker_capacity(ch, max_iter=k)
+        rebuilt = _gp_objective_by_entropies(ch, r.maximizer["P_U_given_S"], r.maximizer["f"])
+        assert abs(rebuilt - r.value) < 1e-12
+        values.append(r.value)
+    assert r.warnings == ()
+    assert np.all(np.diff(values) >= 0.0)
+
+
 def test_gp_rejects_a_letter_with_no_output():
     # Library-built channels may have empty rows.  In both, some strategy
     # letter reaches no output in any state of positive probability, so it
@@ -550,9 +586,11 @@ def test_gp_drops_zero_probability_states():
 
 
 def _reference_gp_ascent(ch, max_iter):
-    """The same adaptive-step GP ascent with max-shifted log-sum-exps and einsums.
+    """The same adaptive-step GP ascent and finish with max-shifted log-sum-exps and einsums.
 
-    Returns (value, gap, capped) as ``gelfand_pinsker_capacity`` reports them.
+    The finish scales every letter whose plain step, g(u, s) - ln Z_s, is
+    negative in every state by OFF_FACE_KEEP.  Returns (value, gap, capped)
+    as ``gelfand_pinsker_capacity`` reports them.
     """
     _, letters = shannon_strategy_channel(ch)
     T = ch.W[np.arange(ch.ns), np.array(letters)]
@@ -578,19 +616,47 @@ def _reference_gp_ascent(ch, max_iter):
         lower = float(np.einsum("us,us,s->", np.exp(log_P), g, ch.Q) / np.log(2))
         return lower, float(ch.Q @ g.max(axis=0) / np.log(2)), a, g
 
+    def finish(log_P, a, g):
+        log_Z = logsumexp(a, axis=0)
+        emptying = [u for u in range(len(T)) if np.all(g[u] < log_Z)]
+        if not emptying:
+            return None
+        x = log_P.copy()
+        x[emptying] += np.log(OFF_FACE_KEEP)
+        return x - logsumexp(x, axis=0)
+
     log_P = np.full((len(T), ch.ns), -np.log(len(T)))
     lower, upper, a, g = bounds(log_P)
-    iterations, mu = 1, 1.0
+    iterations, mu, again, misses, skip = 1, 1.0, False, 0, 0
     while upper - lower >= GP_TOL and iterations < max_iter:
-        x = a + (mu - 1.0) * g
-        trial = x - logsumexp(x, axis=0)
+        if not again:
+            x = a + (mu - 1.0) * g
+            trial = x - logsumexp(x, axis=0)
+            t_lower, t_upper, t_a, t_g = bounds(trial)
+            iterations += 1
+            if mu == 1.0 or (t_lower >= lower and t_upper - t_lower <= upper - lower):
+                log_P, lower, upper, a, g = trial, t_lower, t_upper, t_a, t_g
+                mu *= 2.0
+                continue
+            mu = 1.0
+            if upper - lower >= FINISH_GAP or iterations >= max_iter:
+                continue
+            if skip:
+                skip -= 1
+                continue
+        trial = finish(log_P, a, g)
+        again = False
+        if trial is None:
+            continue
         t_lower, t_upper, t_a, t_g = bounds(trial)
         iterations += 1
-        if mu == 1.0 or (t_lower >= lower and t_upper - t_lower <= upper - lower):
+        if t_lower > lower and t_upper < np.inf:
+            again = t_upper - t_lower < (upper - lower) / 2
             log_P, lower, upper, a, g = trial, t_lower, t_upper, t_a, t_g
-            mu *= 2.0
+            misses = 0
         else:
-            mu = 1.0
+            misses += 1
+            skip = 2**misses - 1
     value = max(lower, 0.0)
     return value, max(upper - value, 0.0), upper - lower >= GP_TOL
 

@@ -16,9 +16,9 @@ from sdchan import (
     ValidationError,
     load_channel,
     serialize,
-    support,
     validate,
 )
+from sdchan.channel import support_pattern
 from sdchan.cli import main
 from sdchan.positivity import _ROUTES
 from conftest import ch_ex1, ch_triv, random_channel
@@ -185,12 +185,10 @@ def test_roundtrip_bit_exact(rng):
 
 
 def test_support_examples():
-    ch = ch_ex1()
-    assert support(ch, 0, 0) == {0}
-    assert support(ch, 1, 0) == {0, 1}
-    assert ch_triv().support(0, 0) == {0}
-    with pytest.raises(IndexError):
-        support(ch, 2, 0)
+    pattern = support_pattern(ch_ex1())
+    assert np.flatnonzero(pattern[0, 0]).tolist() == [0]
+    assert np.flatnonzero(pattern[0, 1]).tolist() == [0, 1]
+    assert np.flatnonzero(support_pattern(ch_triv())[0, 0]).tolist() == [0]
 
 
 def test_support_scaling_invariance(rng):
@@ -206,9 +204,7 @@ def test_support_scaling_invariance(rng):
             continue
         row[nz] = rng.dirichlet(np.ones(int(nz.sum())))
         scaled = SdDmc(W=W, Q=ch.Q)
-        for xx in range(ch.nx):
-            for ss in range(ch.ns):
-                assert scaled.support(xx, ss) == ch.support(xx, ss)
+        assert np.array_equal(support_pattern(scaled), support_pattern(ch))
 
 
 def test_si_model_tokens_and_order():

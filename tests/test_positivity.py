@@ -278,8 +278,11 @@ def _loop_witness(ch, condition):
     def first(found):
         return next(found, None)
 
+    def support(x, s):
+        return {y for y in Y if not zero(s, x, y)}
+
     def disjoint(x, s, x2, s2):
-        return not ch.support(x, s) & ch.support(x2, s2)
+        return not support(x, s) & support(x2, s2)
 
     def pair_table(state_pairs):
         table = {}
@@ -294,8 +297,8 @@ def _loop_witness(ch, condition):
         avg = average_states(ch).W
         return first({"x": x, "y": y} for x in X for y in Y if avg[x, y] == 0.0 and avg[:, y].any())
     if condition in ("dmc_disjoint_pair", "averaged_disjoint_pair"):
-        avg = average_states(ch)
-        return first({"x": x, "x_prime": x2} for x in X for x2 in X if x < x2 and not avg.support(x) & avg.support(x2))
+        avg = average_states(ch).W != 0.0
+        return first({"x": x, "x_prime": x2} for x in X for x2 in X if x < x2 and not (avg[x] & avg[x2]).any())
     if condition == "all_state_disprover":
         return first({"x": x, "y": y} for x in X for y in Y if all(zero(s, x, y) for s in S))
     if condition == "strategy_disprover":
@@ -311,7 +314,7 @@ def _loop_witness(ch, condition):
     if condition == "output_partition":
         for mask in range(1, 1 << (ch.ny - 1)):
             y1 = {y for y in Y if y > 0 and mask >> (y - 1) & 1}
-            if all(any(ch.support(x, s) <= y1 for x in X) and any(not ch.support(x, s) & y1 for x in X) for s in S):
+            if all(any(support(x, s) <= y1 for x in X) and any(not support(x, s) & y1 for x in X) for s in S):
                 return {"y0": [y for y in Y if y not in y1], "y1": sorted(y1)}
         return None
     if condition == "cross_state_disjoint_pairs":
