@@ -10,6 +10,7 @@ decided from the zero/nonzero support pattern alone, never from a tolerance.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass
 
@@ -33,6 +34,12 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return a
 
 
+@functools.cache
+def _default_labels(initial: str, n: int) -> tuple[str, ...]:
+    """The labels initial0, initial1, ... of an alphabet of size n."""
+    return tuple(f"{initial}{i}" for i in range(n))
+
+
 def _set_labels(obj, **sizes: int) -> None:
     """Store each label field as a tuple of the given size.
 
@@ -40,36 +47,39 @@ def _set_labels(obj, **sizes: int) -> None:
     """
     for name, n in sizes.items():
         labels = getattr(obj, name)
-        labels = tuple(labels) if labels else tuple(f"{name[0]}{i}" for i in range(n))
+        labels = tuple(labels) if labels else _default_labels(name[0], n)
         if len(labels) != n:
             raise ValidationError(f"{name} has {len(labels)} entries, expected {n}")
         object.__setattr__(obj, name, labels)
 
 
+# The checks a valid channel passes, shared by every report.
+_ALPHABET_SIZES_OK = Check("alphabet_sizes", True)
 _ENTRY_RANGE_OK = Check("entry_range", True)
 _ROW_STOCHASTIC_OK = Check("row_stochastic", True)
+_STATE_DISTRIBUTION_OK = Check("state_distribution", True)
+_EVERY_OUTPUT_REACHABLE_OK = Check("every_output_reachable", True)
 
 
 def _stochastic_checks(W: np.ndarray) -> tuple[Check, Check]:
     """The entry_range and row_stochastic checks of W, whose last axis is the output.
 
-    Each looks up its first offending index only when it fails, so a valid
-    matrix costs one reduction per check.
+    A valid matrix costs a min, a max and one row-sum test; the first
+    offending index is looked up only when a check fails.
     """
     axes = ("s", "x", "y")[-W.ndim:]
-    out_of_range = ~((W >= 0.0) & (W <= 1.0))  # NaN compares false both ways
-    if out_of_range.any():
-        at = np.unravel_index(np.argmax(out_of_range), W.shape)
+    if W.size and not (W.min() >= 0.0 and W.max() <= 1.0):  # a NaN fails both
+        at = np.unravel_index(np.argmax(~((W >= 0.0) & (W <= 1.0))), W.shape)
         where = "".join(f"[{a}={int(i)}]" for a, i in zip(axes, at))
-        entry = Check("entry_range", False, f"W{where}={W[at]!r} outside [0, 1]")
+        entry = Check("entry_range", False, f"W{where}={float(W[at])!r} outside [0, 1]")
     else:
         entry = _ENTRY_RANGE_OK
     sums = W.sum(axis=-1)
-    off = np.abs(sums - 1.0) > ROW_SUM_TOL
+    off = np.abs(sums - 1.0) > ROW_SUM_TOL  # a NaN row is not flagged
     if off.any():
         at = np.unravel_index(np.argmax(off), off.shape)
         where = ", ".join(f"{a}={int(i)}" for a, i in zip(axes, at))
-        rows = Check("row_stochastic", False, f"row ({where}) sums to {sums[at]!r}")
+        rows = Check("row_stochastic", False, f"row ({where}) sums to {float(sums[at])!r}")
     else:
         rows = _ROW_STOCHASTIC_OK
     return entry, rows
@@ -272,36 +282,30 @@ class ValidationReport:
 
 def validate(channel: SdDmc) -> ValidationReport:
     """Check the standing channel assumptions; failures carry offending indices."""
-    checks = []
-
-    ok = channel.nx >= 2 and channel.ny >= 2 and channel.ns >= 1
-    checks.append(
-        Check(
-            "alphabet_sizes",
-            ok,
-            "" if ok else f"need |X|>=2, |Y|>=2, |S|>=1; got ({channel.nx}, {channel.ny}, {channel.ns})",
-        )
-    )
-
-    checks.extend(_stochastic_checks(channel.W))
-
-    q_ok = bool(np.all(channel.Q > 0.0) and abs(channel.Q.sum() - 1.0) <= ROW_SUM_TOL)
-    if q_ok:
-        checks.append(Check("state_distribution", True))
-    elif np.any(channel.Q <= 0.0):
-        s = int(np.argmax(channel.Q <= 0.0))
-        checks.append(Check("state_distribution", False, f"Q[s={s}]={channel.Q[s]!r} is not strictly positive"))
+    W, Q = channel.W, channel.Q
+    if channel.nx >= 2 and channel.ny >= 2 and channel.ns >= 1:
+        sizes = _ALPHABET_SIZES_OK
     else:
-        checks.append(Check("state_distribution", False, f"Q sums to {channel.Q.sum()!r}, not 1"))
+        got = f"({channel.nx}, {channel.ny}, {channel.ns})"
+        sizes = Check("alphabet_sizes", False, f"need |X|>=2, |Y|>=2, |S|>=1; got {got}")
 
-    reachable = (channel.W != 0.0).any(axis=(0, 1))
+    total = float(Q.sum())
+    if Q.size and Q.min() > 0.0 and abs(total - 1.0) <= ROW_SUM_TOL:
+        states = _STATE_DISTRIBUTION_OK
+    elif np.any(Q <= 0.0):
+        s = int(np.argmax(Q <= 0.0))
+        states = Check("state_distribution", False, f"Q[s={s}]={float(Q[s])!r} is not strictly positive")
+    else:
+        states = Check("state_distribution", False, f"Q sums to {total!r}, not 1")
+
+    reachable = W.any(axis=(0, 1))  # NaN counts as nonzero, as in W != 0
     if reachable.all():
-        checks.append(Check("every_output_reachable", True))
+        outputs = _EVERY_OUTPUT_REACHABLE_OK
     else:
         y = int(np.argmax(~reachable))
-        checks.append(Check("every_output_reachable", False, f"output y={y} is unreachable from every (x, s)"))
+        outputs = Check("every_output_reachable", False, f"output y={y} is unreachable from every (x, s)")
 
-    return ValidationReport(tuple(checks))
+    return ValidationReport((sizes, *_stochastic_checks(W), states, outputs))
 
 
 def _doc_labels(doc: dict, key: str) -> tuple[str, ...]:

@@ -6,7 +6,11 @@ routes give the same namespace, or the same exit code and stderr (see
 ``parse_args``).  ``channel_sha256`` is the SHA-256 of the channel file's
 bytes, which are then decoded strictly as UTF-8.
 
-Exit codes (on an error, a JSON ``{"error": ...}`` object replaces the report):
+Output: each report is one line of JSON on stdout, as is the
+``{"error": ...}`` object that replaces it on an error; ``python -m json.tool``
+indents either.
+
+Exit codes:
 0 success: valid channel, positive verdict, no decoding error, oracle agrees;
 1 invalid channel, a simulation decoding error, or an oracle disagreement;
 2 bad argument, file IO or parse error (a non-UTF-8 file included), unsupported
@@ -84,9 +88,10 @@ def _read_file(path: str) -> tuple[str, str]:
 
 def _emit(report: dict, verbose: bool, summary: str) -> None:
     # Serialize in full before writing: a non-finite number raises here, so
-    # no half-written or non-JSON report reaches stdout.
+    # no half-written or non-JSON report reaches stdout.  Without ``indent``
+    # json uses its C encoder and writes one line.
     try:
-        text = json.dumps(report, indent=2, allow_nan=False)
+        text = json.dumps(report, allow_nan=False)
     except ValueError as e:
         raise SdchanError(f"report holds a non-finite number: {e}") from None
     sys.stdout.write(text + "\n")

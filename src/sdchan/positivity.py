@@ -16,7 +16,7 @@ pattern and never calls a search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -308,10 +308,11 @@ def bl_positivity(channel: SdDmc, si: SiModel) -> Verdict:
 
 def positivity(channel: SdDmc, si: SiModel, regime: Regime) -> Verdict:
     """Dispatch on the coding regime; fixed and bounded length share
-    ``bl_positivity`` (one positivity condition, not one capacity value)."""
+    ``bl_positivity``'s route (one positivity condition, not one capacity
+    value), and the verdict names the regime asked for."""
     if regime is Regime.VARIABLE_LENGTH:
         return vl_positivity(channel, si)
-    return replace(bl_positivity(channel, si), regime=regime.value)
+    return _decide(channel, _ROUTES[si.token][1], si.token, regime.value)
 
 
 def _field_ok(channel: SdDmc | Dmc, value, spec: str) -> bool:

@@ -18,7 +18,7 @@ from sdchan import (
     serialize,
     validate,
 )
-from sdchan.channel import support_pattern
+from sdchan.channel import parse_channel, support_pattern
 from sdchan.cli import main
 from sdchan.positivity import _ROUTES
 from conftest import ch_ex1, ch_triv, random_channel
@@ -173,6 +173,73 @@ def test_nan_entry_fails_entry_range(tmp_path):
     path.write_text(text)
     assert main(["validate", str(path)]) == 1
     assert main(["check", str(path), "--si", "-,-"]) == 1
+
+
+_VALID_W = [[[1.0, 0.0], [0.5, 0.5]], [[0.25, 0.75], [0.0, 1.0]]]
+_CHECK_NAMES = ("alphabet_sizes", "entry_range", "row_stochastic", "state_distribution", "every_output_reachable")
+
+
+def _faulty_document(fault: str) -> str:
+    W = json.loads(json.dumps(_VALID_W))
+    Q = [0.5, 0.5]
+    if fault == "nan":
+        W[0][0][0] = float("nan")
+    elif fault == "above_one":
+        W[1][1] = [0.0, 1.25]
+    elif fault == "negative":
+        W[0][1] = [-0.25, 1.25]
+    elif fault == "row_drift":
+        W[1][0] = [0.25, 0.750001]
+    elif fault == "zero_state":
+        Q = [1.0, 0.0]
+    elif fault == "q_sum":
+        Q = [0.4, 0.4]
+    elif fault == "unreachable":
+        W = [[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]
+    elif fault == "small_alphabets":
+        W, Q = [[[1.0], [1.0]]], [1.0]
+    elif fault == "empty_output_axis":
+        W, Q = [[[]]], [1.0]
+    return json.dumps({"Q": Q, "W": W})  # NaN is written as the token NaN
+
+
+@pytest.mark.parametrize(
+    "fault, failures",
+    [
+        ("none", {}),
+        ("nan", {"entry_range": "W[s=0][x=0][y=0]=nan outside [0, 1]"}),
+        ("above_one", {"entry_range": "W[s=1][x=1][y=1]=1.25 outside [0, 1]",
+                       "row_stochastic": "row (s=1, x=1) sums to 1.25"}),
+        ("negative", {"entry_range": "W[s=0][x=1][y=0]=-0.25 outside [0, 1]"}),
+        ("row_drift", {"row_stochastic": "row (s=1, x=0) sums to 1.0000010000000001"}),
+        ("zero_state", {"state_distribution": "Q[s=1]=0.0 is not strictly positive"}),
+        ("q_sum", {"state_distribution": "Q sums to 0.8, not 1"}),
+        ("unreachable", {"every_output_reachable": "output y=1 is unreachable from every (x, s)"}),
+        ("small_alphabets", {"alphabet_sizes": "need |X|>=2, |Y|>=2, |S|>=1; got (2, 1, 1)"}),
+        ("empty_output_axis", {"alphabet_sizes": "need |X|>=2, |Y|>=2, |S|>=1; got (1, 0, 1)",
+                               "row_stochastic": "row (s=0, x=0) sums to 0.0"}),
+    ],
+)
+def test_validate_report_is_pinned(tmp_path, capsys, fault, failures):
+    # The whole report: every check in order, whether it passed, and its
+    # detail, which prints plain floats.  load_channel raises on the first
+    # failure with the same detail.
+    text = _faulty_document(fault)
+    expected = [{"name": n, "passed": n not in failures, "detail": failures.get(n, "")} for n in _CHECK_NAMES]
+    assert validate(parse_channel(text)).to_jsonable() == {"passed": not failures, "checks": expected}
+    path = tmp_path / "channel.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == (1 if failures else 0)
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["results"]["checks"] == expected
+    assert "Traceback" not in captured.err
+    if failures:
+        name, detail = next(iter(failures.items()))
+        with pytest.raises(ValidationError) as raised:
+            load_channel(text)
+        assert str(raised.value) == f"{name}: {detail}"
+    else:
+        load_channel(text)
 
 
 def test_roundtrip_bit_exact(rng):

@@ -26,8 +26,10 @@ def ex1_path(tmp_path):
 
 
 def run_cli(capsys, *argv):
+    # A report and an error object alike are one line of JSON.
     code = main(list(argv))
     out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("\n"), out
     return code, json.loads(out)
 
 
@@ -100,7 +102,9 @@ def test_non_finite_report_is_a_json_error_exit_2(capsys, ex1_path, monkeypatch)
 
     monkeypatch.setattr(sdchan.cli, "vanishing_capacity", nan_capacity)
     code = main(["capacity", ex1_path, "--si", "sc,c"])
-    doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+    out = capsys.readouterr().out
+    doc = json.loads(out, parse_constant=reject)
+    assert out.count("\n") == 1
     assert code == 2
     assert set(doc) == {"error"} and "non-finite" in doc["error"]
 
@@ -681,3 +685,16 @@ def test_import_loads_no_scipy_optimize():
         [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True, timeout=120
     ).stdout
     assert out.strip() == "False"
+
+
+def test_console_report_is_one_line(ex1_path):
+    # ``python -m sdchan.cli`` in a fresh process prints the report as one
+    # line of JSON, and so an error object.
+    src = Path(sdchan.cli.__file__).resolve().parents[1]
+    for path, code in ((ex1_path, 0), (ex1_path + ".missing", 2)):
+        run = subprocess.run([sys.executable, "-m", "sdchan.cli", "validate", path],
+                             cwd=src, capture_output=True, text=True, timeout=120)
+        assert run.returncode == code, run.stderr
+        assert run.stdout.count("\n") == 1 and run.stdout.endswith("\n"), run.stdout
+        doc = json.loads(run.stdout)
+        assert doc["results"]["passed"] if code == 0 else set(doc) == {"error"}
