@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .channel import (
     ALL_MODELS,
-    DECODER_ONLY_CAUSAL,
     Dmc,
     Regime,
     SdDmc,

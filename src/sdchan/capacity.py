@@ -1,4 +1,4 @@
-"""Capacity computations: two certified optimizers, a minimax LP, and dispatchers.
+"""Capacity computations: two certified optimizers, a minimax LP, and a table of SI models.
 
 All values are in bits (base-2 logarithms, with 0*log(0) = 0).  Every
 vanishing-error value comes from one of two optimizers: Blahut-Arimoto on a
@@ -6,6 +6,11 @@ DMC, or the concave Gelfand-Pinsker ascent for the non-causal encoder.  Each
 result carries the gap between its own upper and lower bounds, so its value
 is a certified bracket [value, value + gap]; one that stops at its iteration
 cap returns its wider bracket with a warning.
+
+``_VALUES`` is the one place that maps each state-information model to the
+reduction and optimizer that give its vanishing-error value;
+``vanishing_capacity`` looks its row up, and ``zero_error_capacity`` adds the
+positivity verdict.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import Dmc, Regime, SdDmc, Si, SiModel
+from .channel import Dmc, Regime, SdDmc, SiModel
 from .errors import UnsupportedModel, ValidationError
 from .positivity import (
     POSITIVE,
@@ -81,7 +86,7 @@ def _xlog2(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _adaptive_ascent(name: str, point, evaluate, propose, tol: float, max_iter: int, finish=None):
+def _adaptive_ascent(name: str, point, evaluate, propose, tol: float, max_iter: int, finish):
     """Monotone ascent with an adaptive step; returns (point, bracket).
 
     ``evaluate(point)`` gives the certified bounds (lower, upper) at ``point``
@@ -93,7 +98,7 @@ def _adaptive_ascent(name: str, point, evaluate, propose, tol: float, max_iter: 
     arithmetic).  Every evaluation, rejected proposals included, counts
     against ``max_iter``.
 
-    ``finish(point, direction)``, when given, is a step for the tail: a
+    ``finish(point, direction)`` is a step for the tail: a
     Newton step on a face of the simplex for Blahut-Arimoto, a shedding of
     the emptying letters for Gelfand-Pinsker.  It is tried after a rejected
     extrapolation once the bracket is narrower than ``FINISH_GAP``, and
@@ -130,7 +135,7 @@ def _adaptive_ascent(name: str, point, evaluate, propose, tol: float, max_iter: 
                 mu *= 2.0
                 continue
             mu = 1.0
-            if finish is None or upper - lower >= FINISH_GAP or evaluations >= max_iter:
+            if upper - lower >= FINISH_GAP or evaluations >= max_iter:
                 continue
             if skip:
                 skip -= 1
@@ -257,46 +262,37 @@ def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITE
     return CapacityResult(maximizer={"P_X": r.tolist()}, method="blahut_arimoto", **bracket)
 
 
-def capacity_cond_iid(
-    channel: SdDmc, per_state_input: bool, tol: float = BA_TOL, max_iter: int = BA_MAX_ITER
-) -> CapacityResult:
-    """Conditional mutual information maximized over the input distribution(s).
+def capacity_cond_iid(channel: SdDmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITER) -> CapacityResult:
+    """max I(X;Y|S) over an input law per state: the Q-average of the per-state capacities.
 
-    With ``per_state_input`` the input may depend on the state and the value
-    is the Q-average of per-state capacities.  Without it, a single input
-    distribution is used; since the input is then independent of the state,
-    the objective equals the capacity of the joint-output channel, and the
-    same certified alternating optimizer applies.  The per-state bracket is
-    the Q-average of the per-state brackets, and it keeps the warning of
-    each state whose run stopped at ``max_iter``.
+    The value when both encoder and decoder see the state (causally or
+    better).  The bracket is the Q-average of the per-state brackets, and it
+    keeps the warning of each state whose run stopped at ``max_iter``.
     """
-    if per_state_input:
-        total = 0.0
-        gap = 0.0
-        iters = 0
-        rows = []
-        warnings = ()
-        for s in range(channel.ns):
-            sub = blahut_arimoto(
-                Dmc(W=channel.W[s], x_labels=channel.x_labels, y_labels=channel.y_labels),
-                tol=tol,
-                max_iter=max_iter,
-            )
-            total += channel.Q[s] * sub.value
-            gap += channel.Q[s] * sub.certified_gap
-            iters = max(iters, sub.iterations)
-            rows.append(sub.maximizer["P_X"])
-            warnings += tuple(f"state {s}: {w}" for w in sub.warnings)
-        return CapacityResult(
-            value=total,
-            maximizer={"P_X_given_S": rows},
-            method="per_state_blahut_arimoto",
-            iterations=iters,
-            certified_gap=gap,
-            warnings=warnings,
+    total = 0.0
+    gap = 0.0
+    iters = 0
+    rows = []
+    warnings = ()
+    for s in range(channel.ns):
+        sub = blahut_arimoto(
+            Dmc(W=channel.W[s], x_labels=channel.x_labels, y_labels=channel.y_labels),
+            tol=tol,
+            max_iter=max_iter,
         )
-    inner = blahut_arimoto(joint_output_channel(channel), tol=tol, max_iter=max_iter)
-    return replace(inner, method="joint_output_blahut_arimoto")
+        total += channel.Q[s] * sub.value
+        gap += channel.Q[s] * sub.certified_gap
+        iters = max(iters, sub.iterations)
+        rows.append(sub.maximizer["P_X"])
+        warnings += tuple(f"state {s}: {w}" for w in sub.warnings)
+    return CapacityResult(
+        value=total,
+        maximizer={"P_X_given_S": rows},
+        method="per_state_blahut_arimoto",
+        iterations=iters,
+        certified_gap=gap,
+        warnings=warnings,
+    )
 
 
 def shannon_strategy_capacity(channel: SdDmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITER) -> CapacityResult:
@@ -456,26 +452,47 @@ def shannon_zef_fl_capacity(channel: Dmc) -> CapacityResult:
     )
 
 
+def _averaged_value(channel: SdDmc, tol: float, max_iter: int) -> CapacityResult:
+    # The encoder's state knowledge, at best strictly causal, is of no use.
+    return blahut_arimoto(average_states(channel), tol=tol, max_iter=max_iter)
+
+
+def _joint_output_value(channel: SdDmc, tol: float, max_iter: int) -> CapacityResult:
+    # One input law, independent of the state, and the state read as part of
+    # the output: I(X; Y, S) = I(X; Y | S).
+    inner = blahut_arimoto(joint_output_channel(channel), tol=tol, max_iter=max_iter)
+    return replace(inner, method="joint_output_blahut_arimoto")
+
+
+# SI token -> row(channel, tol, max_iter) -> CapacityResult, in the order of
+# ``positivity._ROUTES``.  By the paper's identities sc,- shares -,-'s row,
+# -,c shares sc,c's, and nc,c and nc,nc share c,c's.  Rows call every
+# optimizer and reduction through module globals, so a rebinding of one (for
+# instance by a tracer) sees every call.
+_VALUES = {
+    "-,-": _averaged_value,
+    "sc,-": _averaged_value,
+    "c,-": lambda ch, tol, max_iter: shannon_strategy_capacity(ch, tol, max_iter),
+    "nc,-": lambda ch, tol, max_iter: gelfand_pinsker_capacity(ch, max_iter=max_iter),
+    "sc,c": _joint_output_value,
+    "c,c": lambda ch, tol, max_iter: capacity_cond_iid(ch, tol, max_iter),
+    "nc,c": lambda ch, tol, max_iter: capacity_cond_iid(ch, tol, max_iter),
+    "nc,nc": lambda ch, tol, max_iter: capacity_cond_iid(ch, tol, max_iter),
+    "-,c": _joint_output_value,
+}
+
+
 def vanishing_capacity(
     channel: SdDmc,
     si: SiModel,
     tol: float = BA_TOL,
     max_iter: int = BA_MAX_ITER,
 ) -> CapacityResult:
-    """Vanishing-error capacity (feedback and code-length regime are immaterial).
+    """Vanishing-error capacity (feedback and code-length regime are immaterial): ``si``'s row of ``_VALUES``.
 
     ``tol`` bounds the Blahut-Arimoto bracket only; the nc,- ascent stops at GP_TOL.
     """
-    enc, dec = si.encoder, si.decoder
-    if dec is Si.NONE:
-        if enc in (Si.NONE, Si.STRICTLY_CAUSAL):
-            return blahut_arimoto(average_states(channel), tol=tol, max_iter=max_iter)
-        if enc is Si.CAUSAL:
-            return shannon_strategy_capacity(channel, tol=tol, max_iter=max_iter)
-        return gelfand_pinsker_capacity(channel, max_iter=max_iter)
-    if (enc, dec) in ((Si.STRICTLY_CAUSAL, Si.CAUSAL), (Si.NONE, Si.CAUSAL)):
-        return capacity_cond_iid(channel, per_state_input=False, tol=tol, max_iter=max_iter)
-    return capacity_cond_iid(channel, per_state_input=True, tol=tol, max_iter=max_iter)
+    return _VALUES[si.token](channel, tol, max_iter)
 
 
 def zero_error_capacity(

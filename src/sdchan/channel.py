@@ -244,7 +244,6 @@ class SiModel:
 
 
 ALL_MODELS: tuple[SiModel, ...] = tuple(SiModel.from_token(t) for t in _MODEL_TOKENS)
-DECODER_ONLY_CAUSAL = ALL_MODELS[-1]
 
 
 class Regime(enum.Enum):

@@ -103,6 +103,22 @@ def _dmc_jsonable(dmc: Dmc) -> dict:
     return {"inputs": list(dmc.x_labels), "outputs": list(dmc.y_labels), "W": dmc.W.tolist()}
 
 
+def _strategy_jsonable(channel) -> dict:
+    dmc, letters = shannon_strategy_channel(channel)
+    return {**_dmc_jsonable(dmc), "strategies": [list(u) for u in letters]}
+
+
+# ``reduce --kind`` -> row(channel) -> the reduced channel's report.  Rows call
+# the reductions through module globals, so a rebinding of one (for instance
+# by a tracer) sees every call.
+_REDUCTIONS = {
+    "average": lambda ch: _dmc_jsonable(average_states(ch)),
+    "shannon-strategy": _strategy_jsonable,
+    "joint-output": lambda ch: _dmc_jsonable(joint_output_channel(ch)),
+    "extend-termination": lambda ch: _dmc_jsonable(extend_with_termination(average_states(ch))),
+}
+
+
 def _int_at_least(lo: int):
     """argparse type for integers >= lo; argparse names it in its error message."""
     def parse(text: str) -> int:
@@ -146,11 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="apply a channel transformation")
     p.add_argument("path")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=["average", "shannon-strategy", "joint-output", "extend-termination"],
-    )
+    p.add_argument("--kind", required=True, choices=list(_REDUCTIONS))
 
     p = sub.add_parser("check", help="zero-error positivity verdict")
     p.add_argument("path")
@@ -197,17 +209,7 @@ def _cmd_validate(args, text: str):
 
 
 def _cmd_reduce(args, text: str):
-    channel = load_channel(text)
-    if args.kind == "average":
-        results = _dmc_jsonable(average_states(channel))
-    elif args.kind == "shannon-strategy":
-        dmc, letters = shannon_strategy_channel(channel)
-        results = _dmc_jsonable(dmc)
-        results["strategies"] = [list(u) for u in letters]
-    elif args.kind == "joint-output":
-        results = _dmc_jsonable(joint_output_channel(channel))
-    else:
-        results = _dmc_jsonable(extend_with_termination(average_states(channel)))
+    results = _REDUCTIONS[args.kind](load_channel(text))
     summary = f"{args.kind}: {len(results['inputs'])}x{len(results['outputs'])}"
     return {"kind": args.kind}, results, summary, EXIT_OK
 

@@ -5,7 +5,10 @@ Every search and every verifier reads only the structural support pattern:
 A state of probability zero supports nothing, and an output no input
 reaches disproves nothing.  A ``positive`` verdict always carries a witness
 that :func:`verify_witness` re-validates against the channel; witness
-selection is lexicographic-first, so verdicts are deterministic.
+selection is lexicographic-first, so verdicts are deterministic.  The
+searches over pairs of inputs build their boolean arrays in blocks along
+the leading index, each within ``MAX_BLOCK_BYTES``, and stop at the first
+block with a hit, which gives the same first witness.
 
 Two tables hold the design.  ``_ROUTES`` is the one place that maps each
 state-information model to its variable-length and bounded-length
@@ -31,6 +34,11 @@ UNKNOWN = "unknown"
 
 # Largest output alphabet the partition search scans (2**(|Y|-1) bipartitions).
 MAX_PARTITION_OUTPUTS = 20
+
+# Largest boolean block, in bytes, that a witness search builds at once: the
+# pair searches hold O(nx**2) or O(ny * nx**2 * ns) entries in all, which
+# they scan in blocks along their leading index (see ``_scan``).
+MAX_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -66,14 +74,39 @@ def _first(mask: np.ndarray) -> Optional[tuple[int, ...]]:
     return tuple(int(i) for i in np.unravel_index(hits[0], mask.shape)) if hits.size else None
 
 
+def _scan(n: int, row_bytes: int, block: Callable[[int, int], np.ndarray]) -> Optional[tuple[int, ...]]:
+    """``_first`` of a boolean array built in blocks along its leading index.
+
+    ``block(lo, hi)`` gives the array's rows lo..hi-1, each of ``row_bytes``
+    entries.  A block holds as many rows as fit in ``MAX_BLOCK_BYTES``, and
+    at least one, and the blocks are scanned in order until one has a hit,
+    so the index is the one the whole array would give.
+    """
+    step = max(MAX_BLOCK_BYTES // max(row_bytes, 1), 1)
+    for lo in range(0, n, step):
+        hit = _first(block(lo, min(lo + step, n)))
+        if hit is not None:
+            return (hit[0] + lo, *hit[1:])
+    return None
+
+
 def _disjoint(rows: np.ndarray, rows2: np.ndarray) -> np.ndarray:
     """[i][j]: support row i of ``rows`` and row j of ``rows2`` share no output."""
     return ~(rows @ rows2.T)
 
 
+def _first_disjoint(rows: np.ndarray, rows2: np.ndarray, upper: bool = False) -> Optional[tuple[int, int]]:
+    """First (i, j) with row i of ``rows`` and row j of ``rows2`` disjoint, and i < j if ``upper``."""
+    def block(lo, hi):
+        d = _disjoint(rows[lo:hi], rows2)
+        return np.triu(d, 1 + lo) if upper else d
+
+    return _scan(len(rows), len(rows2), block)
+
+
 def _first_disjoint_pair(rows: np.ndarray) -> Optional[tuple[int, int]]:
     """First (x, x') with x < x' whose support rows share no output."""
-    return _first(np.triu(_disjoint(rows, rows), 1))
+    return _first_disjoint(rows, rows, upper=True)
 
 
 def _separates(nonzero: np.ndarray, in_y1: np.ndarray) -> bool:
@@ -89,8 +122,13 @@ def check_nocvlpos(channel: SdDmc) -> Optional[dict]:
     group to be nonempty and y to be impossible from x throughout the group.
     """
     nonzero = support_pattern(channel).transpose(2, 1, 0)  # [y][x][s]
-    clash = nonzero @ nonzero.transpose(0, 2, 1)  # [y][x][x']: both possible in some state
-    hit = _first((nonzero.any(axis=2)[:, None, :] & ~clash).transpose(1, 2, 0))
+    possible = nonzero.any(axis=2)[:, None, :]  # [y][1][x']
+
+    def block(lo, hi):
+        clash = nonzero[:, lo:hi] @ nonzero.transpose(0, 2, 1)  # [y][x][x']: both possible in some state
+        return (possible & ~clash).transpose(1, 2, 0)
+
+    hit = _scan(channel.nx, channel.nx * channel.ny, block)
     if hit is None:
         return None
     x, x2, y = hit
@@ -135,10 +173,20 @@ def _strategy_disprover(channel: SdDmc) -> Optional[dict]:
 
 
 def _in_state_disprover(channel: SdDmc) -> Optional[dict]:
-    # (y, x, x', s) with y impossible from x but possible from x' in state s.
-    zero = ~support_pattern(channel).transpose(2, 1, 0)  # [y][x][s]
-    hit = _first(zero[:, :, None, :] & ~zero[:, None, :, :])
-    return None if hit is None else {"x": hit[1], "x_prime": hit[2], "y": hit[0], "s": hit[3]}
+    # (y, x, x', s) with y impossible from x but possible from x' in state s,
+    # scanned in blocks of the pairs (y, x).
+    nonzero = support_pattern(channel).transpose(2, 1, 0)  # [y][x][s]
+    zero = ~nonzero.reshape(-1, channel.ns)  # [(y, x)][s]
+    nx = channel.nx
+
+    def block(lo, hi):
+        return zero[lo:hi, None, :] & nonzero[np.arange(lo, hi) // nx]
+
+    hit = _scan(channel.ny * nx, nx * channel.ns, block)
+    if hit is None:
+        return None
+    y, x = divmod(hit[0], nx)
+    return {"x": x, "x_prime": hit[1], "y": y, "s": hit[2]}
 
 
 def _output_partition(channel: SdDmc) -> Optional[dict]:
@@ -159,7 +207,7 @@ def _pair_table(channel: SdDmc, cross: bool) -> Optional[dict]:
     nonzero = support_pattern(channel)
     table = {}
     for key, s, s2 in _state_pairs(channel, cross):
-        pair = _first_disjoint_pair(nonzero[s]) if s == s2 else _first(_disjoint(nonzero[s], nonzero[s2]))
+        pair = _first_disjoint_pair(nonzero[s]) if s == s2 else _first_disjoint(nonzero[s], nonzero[s2])
         if pair is None:
             return None
         table[key] = list(pair)

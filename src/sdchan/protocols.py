@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .channel import DECODER_ONLY_CAUSAL, Dmc, SdDmc, Si, SiModel
+from .channel import Dmc, SdDmc, SiModel
 from .errors import BudgetExceeded, PrecondFailed, UnsupportedModel
 from .positivity import POSITIVE, check_dmc_vl, check_nocvlpos
 from .reductions import average_states, joint_output_channel, shannon_strategy_channel
@@ -297,8 +297,28 @@ def theorem5_trial(channel: SdDmc) -> Trial:
     return Trial(_two_slot_sender(play_round, p), round_p=p)
 
 
+def _decoder_only(channel: SdDmc) -> Dmc:
+    raise UnsupportedModel("no protocol over a reduced DMC serves si=-,c; theorem5 does")
+
+
+# SI token -> row(channel) -> the reduced DMC, in the order of
+# ``positivity._ROUTES``.  Rows call the reductions through module globals,
+# so a rebinding of one (for instance by a tracer) sees every call.
+_REDUCED = {
+    "-,-": lambda ch: average_states(ch),
+    "sc,-": lambda ch: average_states(ch),
+    "c,-": lambda ch: shannon_strategy_channel(ch)[0],
+    "nc,-": lambda ch: shannon_strategy_channel(ch)[0],
+    "sc,c": lambda ch: joint_output_channel(ch),
+    "c,c": lambda ch: joint_output_channel(ch),
+    "nc,c": lambda ch: joint_output_channel(ch),
+    "nc,nc": lambda ch: joint_output_channel(ch),
+    "-,c": _decoder_only,
+}
+
+
 def reduced_dmc(channel: SdDmc, si: SiModel) -> Dmc:
-    """The DMC on which a given state-information model's protocols operate.
+    """The DMC on which a given state-information model's protocols operate: ``si``'s row of ``_REDUCED``.
 
     This is the one place that decides which models the variable-length
     protocols serve.  It raises ``UnsupportedModel`` for the decoder-only
@@ -307,13 +327,7 @@ def reduced_dmc(channel: SdDmc, si: SiModel) -> Dmc:
     A bounded-length protocol, which never stops early, could run it on
     ``joint_output_channel`` directly.
     """
-    if si == DECODER_ONLY_CAUSAL:
-        raise UnsupportedModel(f"no protocol over a reduced DMC serves si={si.token}; theorem5 does")
-    if si.decoder is Si.NONE:
-        if si.encoder in (Si.NONE, Si.STRICTLY_CAUSAL):
-            return average_states(channel)
-        return shannon_strategy_channel(channel)[0]
-    return joint_output_channel(channel)
+    return _REDUCED[si.token](channel)
 
 
 def han_sato_trial(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int] = None) -> Trial:

@@ -102,7 +102,7 @@ def test_capped_per_state_capacity_sums_brackets():
     # state 0 (the Z channel) stops at the cap; the result is the Q-average
     # of both brackets and keeps state 0's warning.
     ch = ch_ex1()
-    r = capacity_cond_iid(ch, True, max_iter=1)
+    r = capacity_cond_iid(ch, max_iter=1)
     per_state = [blahut_arimoto(Dmc(W=ch.W[s]), max_iter=1) for s in range(ch.ns)]
     assert r.method == "per_state_blahut_arimoto"
     assert r.value == sum(q * sub.value for q, sub in zip(ch.Q, per_state))
@@ -110,7 +110,7 @@ def test_capped_per_state_capacity_sums_brackets():
     assert r.maximizer == {"P_X_given_S": [sub.maximizer["P_X"] for sub in per_state]}
     assert per_state[1].warnings == ()
     assert r.warnings == tuple(f"state 0: {w}" for w in per_state[0].warnings)
-    converged = capacity_cond_iid(ch, True)
+    converged = capacity_cond_iid(ch)
     assert r.value <= converged.value <= r.value + r.certified_gap
 
 
@@ -294,6 +294,27 @@ def test_every_ba_route_calls_the_module_global(monkeypatch):
         assert len(calls) == count, token
 
 
+def test_each_si_row_method_and_maximizer_on_ex1():
+    # One row of capacity._VALUES per token; the shared rows give one result.
+    rows = {
+        "-,-": ("blahut_arimoto", {"P_X"}),
+        "sc,-": ("blahut_arimoto", {"P_X"}),
+        "c,-": ("strategy_blahut_arimoto", {"P_U", "strategies"}),
+        "nc,-": ("gp_ascent", {"P_U_given_S", "f"}),
+        "sc,c": ("joint_output_blahut_arimoto", {"P_X"}),
+        "c,c": ("per_state_blahut_arimoto", {"P_X_given_S"}),
+        "nc,c": ("per_state_blahut_arimoto", {"P_X_given_S"}),
+        "nc,nc": ("per_state_blahut_arimoto", {"P_X_given_S"}),
+        "-,c": ("joint_output_blahut_arimoto", {"P_X"}),
+    }
+    ch = ch_ex1()
+    results = {token: vanishing_capacity(ch, SiModel.from_token(token)) for token in rows}
+    for token, (method, keys) in rows.items():
+        assert (results[token].method, set(results[token].maximizer)) == (method, keys), token
+    for token, shares in (("sc,-", "-,-"), ("-,c", "sc,c"), ("nc,c", "c,c"), ("nc,nc", "c,c")):
+        assert results[token] == results[shares], token
+
+
 def test_ba_gap_never_negative_at_an_exact_optimum():
     # The uniform input is optimal on the noisy typewriter, and there
     # max_x D(W_x || rW) rounds an ulp below I(r).
@@ -403,20 +424,20 @@ def test_ba_evaluation_count_on_criterion_9():
 
 
 def test_cond_iid_ex2_both_flags():
-    assert abs(capacity_cond_iid(ch_ex2(), True).value - 1.0) < 1e-8
-    assert abs(capacity_cond_iid(ch_ex2(), False).value - 1.0) < 1e-8
+    assert abs(capacity_cond_iid(ch_ex2()).value - 1.0) < 1e-8
+    assert abs(vanishing_capacity(ch_ex2(), SiModel.from_token("sc,c")).value - 1.0) < 1e-8
 
 
 def test_cond_iid_ex3_closed_form():
     expected = 0.5 * (1 - h2(0.11)) + 0.5
-    r = capacity_cond_iid(ch_ex3(p=0.11, q=0.5), True)
+    r = capacity_cond_iid(ch_ex3(p=0.11, q=0.5))
     assert abs(r.value - expected) < 1e-6
     assert r.method == "per_state_blahut_arimoto"
 
 
 def test_cond_iid_triv():
-    assert abs(capacity_cond_iid(ch_triv(), True).value - 1.0) < 1e-8
-    assert abs(capacity_cond_iid(ch_triv(), False).value - 1.0) < 1e-8
+    assert abs(capacity_cond_iid(ch_triv()).value - 1.0) < 1e-8
+    assert abs(vanishing_capacity(ch_triv(), SiModel.from_token("sc,c")).value - 1.0) < 1e-8
 
 
 def test_strategy_capacity_triv():
@@ -450,7 +471,7 @@ def test_gp_single_state_reduces_to_ba(rng):
 
 def test_gp_dominated_by_two_sided_si():
     gp = gelfand_pinsker_capacity(ch_ex3(p=0.11, q=0.5)).value
-    both = capacity_cond_iid(ch_ex3(p=0.11, q=0.5), True).value
+    both = capacity_cond_iid(ch_ex3(p=0.11, q=0.5)).value
     assert gp <= both + 1e-6
 
 

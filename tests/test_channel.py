@@ -5,7 +5,6 @@ import pytest
 
 from sdchan import (
     ALL_MODELS,
-    DECODER_ONLY_CAUSAL,
     Dmc,
     ParseError,
     Regime,
@@ -20,7 +19,9 @@ from sdchan import (
 )
 from sdchan.channel import parse_channel, support_pattern
 from sdchan.cli import main
+from sdchan.capacity import _VALUES
 from sdchan.positivity import _ROUTES
+from sdchan.protocols import _REDUCED
 from conftest import ch_ex1, ch_triv, random_channel
 
 
@@ -289,9 +290,10 @@ def test_si_model_tokens_and_order():
 
 
 def test_one_si_model_list():
-    assert ALL_MODELS[-1] == DECODER_ONLY_CAUSAL
-    assert tuple(_ROUTES) == tuple(m.token for m in ALL_MODELS)
-    assert DECODER_ONLY_CAUSAL.token == "-,c"
+    assert ALL_MODELS[-1] == SiModel(Si.NONE, Si.CAUSAL)
+    tokens = tuple(m.token for m in ALL_MODELS)
+    assert tuple(_ROUTES) == tuple(_VALUES) == tuple(_REDUCED) == tokens
+    assert tokens[-1] == "-,c"
     assert [si.level for si in Si] == [0, 1, 2, 3]
 
 

@@ -15,12 +15,14 @@ from sdchan import (
     Trace,
     UnsupportedModel,
     average_states,
+    joint_output_channel,
     monte_carlo,
     reduced_dmc,
     run_disprover_bit,
     run_han_sato,
     run_theorem5_bit,
     sample_state,
+    shannon_strategy_channel,
     step,
 )
 from sdchan.positivity import check_nocvlpos
@@ -192,10 +194,15 @@ def test_han_sato_precond():
 
 def test_reduced_dmc_mapping():
     ch = ch_ex1()
-    assert reduced_dmc(ch, SiModel.from_token("-,-")) == average_states(ch)
-    assert reduced_dmc(ch, SiModel.from_token("sc,-")) == average_states(ch)
+    averaged, lifted, joint = average_states(ch), shannon_strategy_channel(ch)[0], joint_output_channel(ch)
+    expected = {"-,-": averaged, "sc,-": averaged, "c,-": lifted, "nc,-": lifted,
+                "sc,c": joint, "c,c": joint, "nc,c": joint, "nc,nc": joint}
+    for token, dmc in expected.items():
+        assert reduced_dmc(ch, SiModel.from_token(token)) == dmc, token
     assert reduced_dmc(ch, SiModel.from_token("c,-")).nx == 4
     assert reduced_dmc(ch, SiModel.from_token("nc,nc")).ny == 4
+    with pytest.raises(UnsupportedModel, match="no protocol over a reduced DMC serves si=-,c; theorem5 does"):
+        reduced_dmc(ch, SiModel.from_token("-,c"))
 
 
 def test_monte_carlo_deterministic():
