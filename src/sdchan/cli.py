@@ -1,10 +1,12 @@
 """Command-line front end: JSON reports on stdout, exit codes as contracts.
 
-Parsing: a command line that starts with a subcommand is parsed by that
-subcommand's parser alone, and any other goes through the full parser; both
-routes give the same namespace, or the same exit code and stderr (see
-``parse_args``).  ``channel_sha256`` is the SHA-256 of the channel file's
-bytes, which are then decoded strictly as UTF-8.
+Parsing: a command line of the common shape, a subcommand, its path and exact
+``--option VALUE`` pairs, is read from the option tables that ``build_parser``
+takes from the parser's own actions; any other goes through argparse, which
+alone prints help and error messages.  Both routes give the same namespace
+(see ``parse_args``).  An option given ``--`` as its value is a usage error
+(exit 2), as a missing value is.  ``channel_sha256`` is the SHA-256 of the
+channel file's bytes, which are then decoded strictly as UTF-8.
 
 Output: each report is one line of JSON on stdout, as is the
 ``{"error": ...}`` object that replaces it on an error; ``python -m json.tool``
@@ -141,14 +143,30 @@ def _positive_float(text: str) -> float:
 _positive_float.__name__ = "finite float > 0"
 
 
+class _StoreOne(argparse._StoreAction):
+    """argparse's ``store``, refusing an option given ``--`` as its value.
+
+    Python 3.11's argparse strips ``--`` from ``--opt=--`` (and from
+    ``--si --``, which ``_fuse_si`` makes ``--si=--``) and stores ``[]``
+    without calling ``type`` or checking ``choices``.
+    """
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            raise argparse.ArgumentError(self, "expected one argument")
+        super().__call__(parser, namespace, values, option_string)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process and shared by every ``main`` call.
 
     Parsing leaves it and its subparsers unchanged, so reuse carries nothing
     from one call to the next; callers must not modify them.  Its
-    ``subcommands`` attribute maps each subcommand to its own parser, for
-    ``parse_args``; ``build_parser.cache_clear()`` renews both.
+    ``subcommands`` attribute maps each subcommand to its own parser, and
+    ``option_tables`` maps each subcommand to a table from option string to
+    action, for every option that takes one value; ``parse_args`` reads both,
+    and ``build_parser.cache_clear()`` renews all three.
     """
     parser = argparse.ArgumentParser(
         prog="sdchan",
@@ -157,19 +175,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="human summary on stderr")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("validate", help="check a channel file against the standing assumptions")
+    def subcommand(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.register("action", None, _StoreOne)
+        return p
+
+    p = subcommand("validate", help="check a channel file against the standing assumptions")
     p.add_argument("path")
 
-    p = sub.add_parser("reduce", help="apply a channel transformation")
+    p = subcommand("reduce", help="apply a channel transformation")
     p.add_argument("path")
     p.add_argument("--kind", required=True, choices=list(_REDUCTIONS))
 
-    p = sub.add_parser("check", help="zero-error positivity verdict")
+    p = subcommand("check", help="zero-error positivity verdict")
     p.add_argument("path")
     p.add_argument("--si", required=True, help="encoder,decoder tokens from {-, sc, c, nc}")
     p.add_argument("--regime", default="vl", choices=["fl", "bl", "vl"])
 
-    p = sub.add_parser("capacity", help="capacity value")
+    p = subcommand("capacity", help="capacity value")
     p.add_argument("path")
     p.add_argument("--si", required=True)
     p.add_argument("--quantity", default="vanishing", choices=["vanishing", "zero-error"])
@@ -180,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     # Kept so existing command lines still parse; the nc,- ascent is deterministic.
     p.add_argument("--restarts", type=_int_at_least(0), default=32, help="no effect")
 
-    p = sub.add_parser("simulate", help="run a zero-error protocol")
+    p = subcommand("simulate", help="run a zero-error protocol")
     p.add_argument("path")
     p.add_argument("--protocol", required=True, choices=list(PROTOCOLS))
     p.add_argument("--si", default="-,-")
@@ -190,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n1", type=_int_at_least(0), default=None)
     p.add_argument("--trace-path", default=None, help="write the first trial's trace as JSON lines")
 
-    p = sub.add_parser("oracle", help="brute-force cross checks")
+    p = subcommand("oracle", help="brute-force cross checks")
     p.add_argument("path")
     p.add_argument("--which", required=True, choices=["confusable", "grid-capacity", "gp-grid"])
     p.add_argument("--n", type=_int_at_least(1), default=2)
@@ -199,6 +222,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-size", type=_int_at_least(1), default=None)
 
     parser.subcommands = sub.choices
+    parser.option_tables = {
+        name: {option: action for action in p._actions
+               if isinstance(action, argparse._StoreAction) and action.nargs is None
+               for option in action.option_strings}
+        for name, p in sub.choices.items()
+    }
     return parser
 
 
@@ -329,25 +358,61 @@ def _fuse_si(argv: list[str]) -> list[str]:
     return out
 
 
-def parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv`` as ``build_parser().parse_args`` does, in one parser pass where it can.
+def _parse_fixed(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
+    """``argv`` parsed as ``SUBCOMMAND PATH`` and exact ``--option VALUE`` pairs, else None.
 
-    When ``argv[0]`` names a subcommand, the rest goes straight to that
-    subcommand's parser, and leftovers are reported by the top-level parser
-    with argparse's own message.  Everything else takes the full parser:
-    ``--verbose`` or ``-h`` first, a missing or unknown subcommand, and an
-    argument starting ``--=``, which the top-level parser alone rejects as
-    ambiguous between its own options.
+    Pairs and ``PATH`` come in any order, and a repeated option keeps its
+    last value, as in argparse.  Any other shape, and any value that argparse
+    would refuse, gives None; so does a value starting with ``-``, except an
+    ``--si`` value other than ``--``.  Prints nothing.
+    """
+    options = parser.option_tables.get(argv[0]) if argv else None
+    if options is None:
+        return None
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            if token.startswith("-") or "path" in given:
+                return None
+            given["path"] = token
+            continue
+        value = next(tokens, None)
+        if value is None or (value.startswith("-") and (token != "--si" or value == "--")):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):  # argparse's usage errors
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    args = argparse.Namespace(subcommand=argv[0], verbose=False)
+    for action in parser.subcommands[argv[0]]._actions:
+        if action.dest in given:
+            setattr(args, action.dest, given.pop(action.dest))
+        elif action.required:
+            return None
+        elif action.default is not argparse.SUPPRESS:
+            setattr(args, action.dest, action.default)
+    return None if given else args
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` to the namespace ``build_parser().parse_args(_fuse_si(argv))`` gives.
+
+    The common shape, a subcommand then its path and exact ``--option VALUE``
+    pairs, is read from the parser's option tables by ``_parse_fixed``,
+    which converts and checks each value as argparse does.  Every other
+    command line, ``-h``, ``--verbose``, abbreviations, ``--opt=VALUE`` and
+    every error included, goes to the full parser, which prints the help,
+    usage and error messages.
     """
     parser = build_parser()
-    argv = _fuse_si(argv)
-    sub = parser.subcommands.get(argv[0]) if argv else None
-    if sub is None or any(a.startswith("--=") for a in argv[1:]):
-        return parser.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0], verbose=False))
-    if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
-    return args
+    args = _parse_fixed(parser, argv)
+    return parser.parse_args(_fuse_si(argv)) if args is None else args
 
 
 def main(argv=None) -> int:

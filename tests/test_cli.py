@@ -9,10 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import sdchan.cli
 from sdchan import SdDmc, serialize
 from sdchan.capacity import CapacityResult
+from sdchan.channel import ALL_MODELS
 from sdchan.cli import build_parser, main
 from sdchan.protocols import CHUNK_TRIALS, PROTOCOLS
 from conftest import ch_ex1, ch_ex2, ch_ex3, ch_triv
@@ -558,6 +560,8 @@ def _dispatch_corpus(path):
         ["oracle", "--which", "confusable", "--n", "2", "--decoder-sees-state"],
         ["oracle", "--which", "gp-grid", "--resolution", "1" * 1500],
     )]
+    # What a user deciding positivity runs: each SI model in each regime.
+    corpus += [["check", path, "--si", m.token, "--regime", r] for m in ALL_MODELS for r in ("fl", "bl", "vl")]
     corpus += [
         ["--verbose", "check", path, "--si", "-,-", "--regime", "vl"],
         [],
@@ -584,6 +588,8 @@ def _dispatch_corpus(path):
         ["capacity", path, "--si", "-,-", "--r", "2"],
         ["capacity", path, "--si=-,-", "--max-iter=5"],
         ["check", path, "--si", "-,-", "--=x"],
+        ["check", path, "--si", "--"],
+        ["check", path, "--si=--", "--regime", "bl"],
         ["check", path, "--si", "-,-", "--", "--=x"],
         ["check", "--", path, "--si", "-,-"],
         ["simulate", path, "--protocol", "nope"],
@@ -609,13 +615,94 @@ def test_both_parse_routes_agree(capsys, ex1_path):
     # stdout and stderr byte for byte.
     corpus = _dispatch_corpus(ex1_path)
     assert len(corpus) > 60
-    direct = 0
+    fixed = 0
     for argv in corpus:
         ours = _parse_outcome(capsys, sdchan.cli.parse_args, list(argv))
-        full = _parse_outcome(capsys, lambda a: build_parser().parse_args(sdchan.cli._fuse_si(a)), list(argv))
+        full = _parse_outcome(capsys, _full_parse, list(argv))
         assert ours == full, argv
-        direct += bool(argv) and argv[0] in build_parser().subcommands
-    assert direct > 50
+        fixed += sdchan.cli._parse_fixed(build_parser(), list(argv)) is not None
+    assert fixed > 50
+
+
+def _full_parse(argv):
+    return build_parser().parse_args(sdchan.cli._fuse_si(argv))
+
+
+def _canonical_value(action):
+    """A value ``action`` accepts: its last choice, "3" for a typed option, else an SI token."""
+    if action.choices is not None:
+        return action.choices[-1]
+    return "3" if action.type is not None else "c,c"
+
+
+def _required_pairs(name):
+    """Each required option of subcommand ``name`` with its canonical value."""
+    actions = build_parser().subcommands[name]._actions
+    return [arg for a in actions if a.required and a.option_strings for arg in (a.option_strings[0], _canonical_value(a))]
+
+
+def test_every_declared_option_takes_the_fixed_route():
+    # Read from the parser, so an option added with ``add_argument`` is
+    # covered here with no edit to the route.
+    parser = build_parser()
+    for name, sub in parser.subcommands.items():
+        table = parser.option_tables[name]
+        assert set(table) == {s for a in sub._actions if a.nargs != 0 for s in a.option_strings}, name
+        required = _required_pairs(name)
+        for extra in ([], *([option, _canonical_value(action)] for option, action in table.items())):
+            argv = [name, "ch.json", *required, *extra]
+            args = sdchan.cli._parse_fixed(parser, argv)
+            assert args is not None and args == _full_parse(argv), argv
+
+
+def test_option_given_double_dash_exits_2(capsys, ex1_path):
+    # Python 3.11's argparse strips ``--`` from ``--opt=--`` and stored [],
+    # which skipped ``type`` and ``choices`` and crashed the handlers.
+    cases = [[name, f"{option}=--"] for name, sub in build_parser().subcommands.items()
+             for action in sub._actions if action.nargs != 0 for option in action.option_strings]
+    cases += [[name, "--si", "--"] for name in ("check", "capacity", "simulate")]
+    assert len(cases) > 20
+    for name, *bad in cases:
+        with pytest.raises(SystemExit) as info:
+            main([name, ex1_path, *_required_pairs(name), *bad])
+        option = bad[0].split("=")[0]
+        assert info.value.code == 2
+        assert f"error: argument {option}: expected one argument" in capsys.readouterr().err, bad
+
+
+_DRAWN_VALUES = ["-,-", "c,c", "nc,-", "-,c", "sc,c", "--", "-1", "0", "3", "1_0", "nan", "inf", "1e-3",
+                 "", "x y", "-x"]
+
+
+@st.composite
+def _drawn_argv(draw):
+    """A command line from one subcommand's vocabulary, valid or not."""
+    parser = build_parser()
+    name = draw(st.sampled_from(sorted(parser.subcommands)))
+    actions = [a for a in parser.subcommands[name]._actions if a.option_strings]
+    options = [s for a in actions for s in a.option_strings]
+    names = options + [s[:n] for s in options for n in (3, 5)] + ["-h", "--verbose", "--", "--bogus"]
+    values = _DRAWN_VALUES + [str(c) for a in actions for c in a.choices or ()]
+    path = st.sampled_from(["ch.json", "ch.json", "ch.json", "", "-", "-p"])
+    token = st.sampled_from(names + values) | path
+    valid = [[s, _canonical_value(a)] for a in actions if a.nargs is None for s in a.option_strings]
+    valid = st.sampled_from(valid) if valid else st.nothing()
+    pair = st.tuples(st.sampled_from(options), st.sampled_from(values)).map(list)
+    joined = st.tuples(st.sampled_from(names), st.sampled_from(values)).map(lambda t: ["=".join(t)])
+    items = [[draw(path)], *zip(*[iter(_required_pairs(name))] * 2)]
+    items += draw(st.lists(valid | valid | pair | joined | token.map(lambda t: [t]), max_size=3))
+    items = draw(st.permutations(items))
+    head = draw(st.sampled_from([[name]] * 4 + [["--verbose", name], []]))
+    kept = len(items) - draw(st.sampled_from([0, 0, 0, 1]))
+    return head + [t for item in items[:kept] for t in item]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_drawn_argv())
+def test_parse_routes_agree_on_drawn_argvs(capsys, argv):
+    # capsys is read after each parse, so no output carries between examples.
+    assert _parse_outcome(capsys, sdchan.cli.parse_args, list(argv)) == _parse_outcome(capsys, _full_parse, list(argv))
 
 
 def test_cache_clear_resets_both_parse_routes():
@@ -623,8 +710,10 @@ def test_cache_clear_resets_both_parse_routes():
     build_parser.cache_clear()
     second = build_parser()
     assert second is not first
-    assert set(second.subcommands) == set(sdchan.cli._HANDLERS)
+    assert set(second.subcommands) == set(second.option_tables) == set(sdchan.cli._HANDLERS)
     assert all(second.subcommands[name] is not first.subcommands[name] for name in first.subcommands)
+    assert all(action in second.subcommands[name]._actions
+               for name, table in second.option_tables.items() for action in table.values())
 
 
 def test_report_reproducible(capsys, ex1_path):
