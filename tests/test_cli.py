@@ -635,8 +635,8 @@ def _canonical_value(action):
     return "3" if action.type is not None else "c,c"
 
 
-def _required_pairs(name):
-    """Each required option of subcommand ``name`` with its canonical value."""
+def _required_args(name):
+    """Each required option of subcommand ``name``, followed by its canonical value."""
     actions = build_parser().subcommands[name]._actions
     return [arg for a in actions if a.required and a.option_strings for arg in (a.option_strings[0], _canonical_value(a))]
 
@@ -648,7 +648,7 @@ def test_every_declared_option_takes_the_fixed_route():
     for name, sub in parser.subcommands.items():
         table = parser.option_tables[name]
         assert set(table) == {s for a in sub._actions if a.nargs != 0 for s in a.option_strings}, name
-        required = _required_pairs(name)
+        required = _required_args(name)
         for extra in ([], *([option, _canonical_value(action)] for option, action in table.items())):
             argv = [name, "ch.json", *required, *extra]
             args = sdchan.cli._parse_fixed(parser, argv)
@@ -656,15 +656,16 @@ def test_every_declared_option_takes_the_fixed_route():
 
 
 def test_option_given_double_dash_exits_2(capsys, ex1_path):
-    # Python 3.11's argparse strips ``--`` from ``--opt=--`` and stored [],
-    # which skipped ``type`` and ``choices`` and crashed the handlers.
+    # Python 3.11's argparse strips ``--`` from ``--opt=--`` (``--si --`` is
+    # fused to ``--si=--``) and would store [], skipping ``type`` and
+    # ``choices``; the handlers then crashed with a traceback.
     cases = [[name, f"{option}=--"] for name, sub in build_parser().subcommands.items()
              for action in sub._actions if action.nargs != 0 for option in action.option_strings]
     cases += [[name, "--si", "--"] for name in ("check", "capacity", "simulate")]
     assert len(cases) > 20
     for name, *bad in cases:
         with pytest.raises(SystemExit) as info:
-            main([name, ex1_path, *_required_pairs(name), *bad])
+            main([name, ex1_path, *_required_args(name), *bad])
         option = bad[0].split("=")[0]
         assert info.value.code == 2
         assert f"error: argument {option}: expected one argument" in capsys.readouterr().err, bad
@@ -689,7 +690,7 @@ def _drawn_argv(draw):
     valid = st.sampled_from(valid) if valid else st.nothing()
     pair = st.tuples(st.sampled_from(options), st.sampled_from(values)).map(list)
     joined = st.tuples(st.sampled_from(names), st.sampled_from(values)).map(lambda t: ["=".join(t)])
-    items = [[draw(path)], *zip(*[iter(_required_pairs(name))] * 2)]
+    items = [[draw(path)], *([a.option_strings[0], _canonical_value(a)] for a in actions if a.required)]
     items += draw(st.lists(valid | valid | pair | joined | token.map(lambda t: [t]), max_size=3))
     items = draw(st.permutations(items))
     head = draw(st.sampled_from([[name]] * 4 + [["--verbose", name], []]))
