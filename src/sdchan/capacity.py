@@ -185,8 +185,11 @@ def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITE
     above the midpoint of [I(r), max d], such an input may belong to the
     optimum however little mass it holds.  Inputs off S keep OFF_FACE_KEEP
     of their mass (all of it if they are gaining), and S takes the mass shed,
-    m, through the bordered system
-    [H_SS 1; 1^T 0] [dr; lam] = [-(d_S - max d); m].
+    m = sum_x m_x over the inputs off S.  The shed mass also moves q by
+    -sum_x m_x W_x, which the Newton step on S must offset, so with
+    v = sum_x m_x W_x / q the step solves the bordered system
+    [W_S diag(1/q) W_S^T 1; 1^T 0] [dr; lam] = [ln 2 (d_S - max d) + W_S v; m],
+    which is -ln 2 times the Newton system in H.
     An input with r + dr <= 0 leaves S and the system is solved again; none
     left, or a singular system, gives no candidate.  Inputs with identical
     rows count as one input, since I depends only on their summed mass, and
@@ -236,10 +239,13 @@ def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITE
             K = np.ones((n + 1, n + 1))
             K[:n, :n] = np.dot(B, B.T)
             K[n, n] = 0.0
+            # The mass shed off the face, per input with identical rows grouped.
+            off = shed * mass
+            off[face] = 0.0
             rhs = np.empty(n + 1)
-            rhs[:n] = shifted_d[face] * ln2
+            rhs[:n] = shifted_d[face] * ln2 + np.dot(B, np.dot(off, W) / np.sqrt(q))
+            rhs[n] = off.sum()
             face_mass = mass[face]
-            rhs[n] = np.dot(shed, r) - np.dot(shed[face], face_mass)
             try:
                 landed = face_mass + np.linalg.solve(K, rhs)[:n]
             except np.linalg.LinAlgError:

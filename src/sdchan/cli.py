@@ -277,7 +277,7 @@ def _cmd_simulate(args, text: str):
     si = SiModel.from_token(args.si)
     reads = _PROTOCOL_OPTIONS[args.protocol]
     trial = PROTOCOLS[args.protocol](channel, **{k: si if k == "si" else getattr(args, k) for k in reads})
-    trace = Trace() if args.trace_path else None
+    trace = Trace() if args.trace_path is not None else None
     stats = monte_carlo(trial, args.trials, args.seed, trace=trace)
     if trace is not None:
         with open(args.trace_path, "w", encoding="utf-8") as f:

@@ -9,10 +9,11 @@ rows once.  The bit protocols draw every slot of ``n`` trials as arrays and
 decide it by testing its uniform against the interval of the stopping
 output; they sample full outputs only for a traced trial 0.  Every slot
 still takes its uniforms from the stream in the same order as a sampled
-output would.  The two-phase protocol makes its phase-1 draws (codebook,
-then channel uniforms) one trial at a time in stream order, samples and
-decodes them as arrays per block of trials, whose size ``MAX_CODEBOOK_ENTRIES``
-bounds, then acknowledges and resends as arrays.  ``monte_carlo``
+output would.  The two-phase protocol runs phase 1 per block of trials,
+whose size ``MAX_CODEBOOK_ENTRIES`` bounds: one draw of the block's
+codebooks, a top-up for each trial whose codebook repeats a word, one draw
+of its channel uniforms, then sampling and decoding as arrays; it then
+acknowledges and resends as arrays.  ``monte_carlo``
 runs fixed chunks of ``CHUNK_TRIALS`` trials, each on its own substream
 derived from ``(seed, chunk)``, so ``(seed, trials)`` fixes the report.
 
@@ -39,8 +40,9 @@ from .reductions import average_states, joint_output_channel, shannon_strategy_c
 # Trials per Monte-Carlo chunk: bounds the arrays a chunk holds at any --trials.
 CHUNK_TRIALS = 8192
 
-# Largest two-phase codebook, in letters (codewords x blocklength), built per
-# trial; a phase-1 block of several trials holds no array of more bytes.
+# Largest two-phase codebook, in letters (codewords x blocklength); a phase-1
+# block of several trials, whose codebooks are drawn together, holds no array
+# of more bytes.
 MAX_CODEBOOK_ENTRIES = 1 << 20
 
 # Largest mean number of rounds per bit that a two-slot protocol may take,
@@ -344,11 +346,15 @@ def han_sato_trial(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int]
     ``reduced_dmc`` decides the models it serves, and the disprover bit's
     witness check on the reduced DMC is its one positivity precondition.
 
-    Phase 1 draws each trial's codebook and then its n1 channel uniforms,
-    trial by trial in stream order, so the random stream is that of a
-    per-trial loop.  Sampling and decoding run once per block of trials,
-    and no block array of several trials exceeds ``MAX_CODEBOOK_ENTRIES``
-    bytes.
+    Phase 1 runs once per block of m trials, and no block array of several
+    trials exceeds ``MAX_CODEBOOK_ENTRIES`` bytes.  A block's random stream
+    is, in order: one ``rng.integers(nx, size=(m, 2**msg_bits, n1))`` draw
+    of its codebooks; then, in trial order, the top-up draws of each trial
+    whose codebook repeats a word, which ``_distinct_codewords`` makes; then
+    one ``rng.random((m, n1))`` draw of its channel uniforms.  The trials
+    with a repeated word are found for the whole block at once, from one
+    integer key per word, and confirmed on their rows, so the result does
+    not depend on how the keys are computed.
     """
     if n1 is None:
         n1 = 4 * msg_bits
@@ -369,18 +375,15 @@ def han_sato_trial(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int]
     # rows, log-likelihood terms) have 8-byte entries, and each is held to
     # MAX_CODEBOOK_ENTRIES bytes: a block at the letter cap would hold 8 MiB
     # per array, which raised the peak RSS of a 256-message run by 60%.  A
-    # block holds at least one trial, as the per-trial code did.
+    # block holds at least one trial.
     block = max(MAX_CODEBOOK_ENTRIES // (8 * max(n_msgs, dmc.ny) * max(n1, 1)), 1)
 
     def send(msgs, rng, trace=None):
         guess = np.empty(len(msgs), dtype=np.int64)
         for start in range(0, len(msgs), block):
             m = min(block, len(msgs) - start)
-            codebooks = np.empty((m, n_msgs, n1), dtype=np.int64)
-            u = np.empty((m, n1))
-            for i in range(m):
-                codebooks[i] = _distinct_codewords(n_msgs, dmc.nx, n1, rng)
-                u[i] = rng.random(n1)
+            codebooks = _codebooks(m, n_msgs, dmc.nx, n1, rng)
+            u = rng.random((m, n1))
             sent = codebooks[np.arange(m), msgs[start:start + m]]
             outputs = _sample(cdf[sent], u)
             # argmax breaks ties toward the lowest index
@@ -405,16 +408,34 @@ def han_sato_trial(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int]
     return Trial(send, msg_bits=msg_bits)
 
 
-def _distinct_codewords(m: int, nx: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """m distinct random codewords of length n over an nx-letter alphabet.
+def _codebooks(m: int, n_msgs: int, nx: int, n1: int, rng: np.random.Generator) -> np.ndarray:
+    """m codebooks of n_msgs distinct words of length n1 over an nx-letter alphabet.
 
-    They are the first m distinct rows of an i.i.d. uniform stream, drawn in
-    batches of the number still missing.  A first batch with no repeated
-    row is returned as drawn.
+    One ``rng.integers`` draw gives every codebook; then, in codebook order,
+    each one that repeats a word is topped up by ``_distinct_codewords``.
+    A codebook with no repeated word is kept as drawn.
     """
-    rows = rng.integers(nx, size=(m, n))
-    if n == 0:
-        return rows  # the empty word; the caller asks for m = 1 only, as nx**0 = 1
+    codebooks = rng.integers(nx, size=(m, n_msgs, n1))
+    # One key per word: its letters as base-nx digits of a uint64, wrapped
+    # mod 2**64 once nx**n1 exceeds it.  Equal words have equal keys, so the
+    # codebooks with two equal keys hold every one that repeats a word, and
+    # _distinct_codewords confirms each on its rows.
+    keys = np.sort(codebooks.view(np.uint64) @ np.uint64(nx) ** np.arange(n1, dtype=np.uint64), axis=1)
+    for i in np.flatnonzero((keys[:, 1:] == keys[:, :-1]).any(axis=1)):
+        codebooks[i] = _distinct_codewords(codebooks[i], nx, rng)
+    return codebooks
+
+
+def _distinct_codewords(rows: np.ndarray, nx: int, rng: np.random.Generator) -> np.ndarray:
+    """len(rows) distinct codewords: the first distinct rows of ``rows``, then of an i.i.d. stream.
+
+    ``rows`` is a drawn (m, n) batch of words over an nx-letter alphabet,
+    with n >= 1.  The words still missing are drawn from ``rng`` in batches
+    of the number still missing, and the first m distinct rows of the whole
+    stream are returned.  A batch with no repeated row is returned as it is,
+    with nothing drawn.
+    """
+    m, n = rows.shape
     # One bytes object per row, hashed in C; the dict keeps first occurrences in order.
     distinct = dict.fromkeys(rows.view(f"V{rows.itemsize * n}").ravel().tolist())
     if len(distinct) == m:

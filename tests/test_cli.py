@@ -312,16 +312,22 @@ SIMULATE_GOLDEN = {
     ]),
     # Trial 0 is decoded wrongly in phase 1, so its trace holds the negative
     # acknowledgment and the two resent bits.
-    "han-sato": (["--seed", "2", "--si", "-,-", "--msg-bits", "2", "--n1", "2"], 5.91, 7.5719, [
-        '{"n": 1, "s": null, "x": 1, "y": 1, "decision": null}',
-        '{"n": 2, "s": null, "x": 1, "y": 0, "decision": null}',
+    "han-sato": (["--seed", "2", "--si", "-,-", "--msg-bits", "2", "--n1", "2"], 6.17, 7.7911, [
+        '{"n": 1, "s": null, "x": 1, "y": 0, "decision": null}',
+        '{"n": 2, "s": null, "x": 1, "y": 1, "decision": null}',
         '{"n": 3, "s": null, "x": 0, "y": 0, "decision": null}',
         '{"n": 4, "s": null, "x": 1, "y": 1, "decision": 0}',
         '{"n": 5, "s": null, "x": 1, "y": 1, "decision": null}',
         '{"n": 6, "s": null, "x": 0, "y": 0, "decision": 1}',
-        '{"n": 7, "s": null, "x": 1, "y": 1, "decision": null}',
-        '{"n": 8, "s": null, "x": 0, "y": 0, "decision": 1}',
-        '{"message": 3, "decoded": 3, "tau": 8}',
+        '{"n": 7, "s": null, "x": 1, "y": 0, "decision": null}',
+        '{"n": 8, "s": null, "x": 0, "y": 0, "decision": null}',
+        '{"n": 9, "s": null, "x": 1, "y": 0, "decision": null}',
+        '{"n": 10, "s": null, "x": 0, "y": 0, "decision": null}',
+        '{"n": 11, "s": null, "x": 1, "y": 0, "decision": null}',
+        '{"n": 12, "s": null, "x": 0, "y": 0, "decision": null}',
+        '{"n": 13, "s": null, "x": 1, "y": 1, "decision": null}',
+        '{"n": 14, "s": null, "x": 0, "y": 0, "decision": 1}',
+        '{"message": 3, "decoded": 3, "tau": 14}',
     ]),
 }
 
@@ -394,6 +400,13 @@ def test_simulate_trace_path_unwritable(capsys, ex1_path, tmp_path):
     code, report = run_cli(
         capsys, "simulate", ex1_path, "--protocol", "theorem5", "--trials", "10", "--trace-path", str(trace_path)
     )
+    assert code == 2
+    assert "error" in report
+
+
+def test_simulate_empty_trace_path_is_an_io_error(capsys, ex1_path):
+    # An empty path asks for a trace like any other and cannot be opened.
+    code, report = run_cli(capsys, "simulate", ex1_path, "--protocol", "theorem5", "--trials", "10", "--trace-path", "")
     assert code == 2
     assert "error" in report
 

@@ -26,7 +26,10 @@ from sdchan import (
     step,
 )
 from sdchan.positivity import check_nocvlpos
-from sdchan.protocols import CHUNK_TRIALS, MAX_CODEBOOK_ENTRIES, disprover_trial, han_sato_trial, theorem5_trial
+import sdchan.protocols
+from sdchan.protocols import (
+    CHUNK_TRIALS, MAX_CODEBOOK_ENTRIES, _codebooks, disprover_trial, han_sato_trial, theorem5_trial,
+)
 from conftest import bsc, ch_ex1, ch_ex2, ch_ex3, ch_triv, random_channel
 
 
@@ -299,22 +302,33 @@ def test_batched_kernels_match_per_trial_loop():
 
 
 def _reference_han_sato(channel, si, msg_bits, n1, msgs, rng):
-    """The two-phase sender with phase 1 run one trial at a time: per trial,
-    the first distinct rows of an i.i.d. stream drawn in batches of the
-    number still missing, n1 uniforms, and an ML decode (lowest index wins)."""
+    """The two-phase sender with phase 1 run trial by trial in Python loops
+    over the block stream: per block, one draw of every trial's codebook;
+    then, per trial in order, the first distinct rows of its draw followed
+    by batches of the number still missing; then one draw of the block's
+    uniforms; and per trial an ML decode (lowest index wins).  Also returns
+    each trial's codebook."""
     dmc = reduced_dmc(channel, si)
     n_msgs = 1 << msg_bits
+    block = max(MAX_CODEBOOK_ENTRIES // (8 * max(n_msgs, dmc.ny) * max(n1, 1)), 1)
     with np.errstate(divide="ignore"):
         log_w = np.log(dmc.W)
     guess = np.empty(len(msgs), dtype=np.int64)
-    for i, msg in enumerate(msgs):
-        first = {}
-        while len(first) < n_msgs:
-            for row in rng.integers(dmc.nx, size=(n_msgs - len(first), n1)):
+    codebooks = []
+    for start in range(0, len(msgs), block):
+        drawn = rng.integers(dmc.nx, size=(min(block, len(msgs) - start), n_msgs, n1))
+        for rows in drawn:
+            first = {}
+            for row in rows:
                 first.setdefault(row.tobytes(), row)
-        codebook = np.stack(list(first.values()))
-        outputs = [_inverse_cdf(dmc.W[x], u) for x, u in zip(codebook[msg], rng.random(n1))]
-        guess[i] = np.argmax(log_w[codebook, outputs].sum(axis=1))
+            while len(first) < n_msgs:
+                for row in rng.integers(dmc.nx, size=(n_msgs - len(first), n1)):
+                    first.setdefault(row.tobytes(), row)
+            codebooks.append(np.stack(list(first.values())))
+        for i, u in enumerate(rng.random((len(drawn), n1)), start):
+            codebook = codebooks[i]
+            outputs = [_inverse_cdf(dmc.W[x], v) for x, v in zip(codebook[msgs[i]], u)]
+            guess[i] = np.argmax(log_w[codebook, outputs].sum(axis=1))
     ack = guess == msgs
     send_bits = disprover_trial(dmc).send
     _, tau = send_bits(ack.astype(np.int64), rng)
@@ -325,7 +339,31 @@ def _reference_han_sato(channel, si, msg_bits, n1, msgs, rng):
         bits, t_bit = send_bits((msgs[resent] >> (msg_bits - 1 - i)) & 1, rng)
         decoded[resent] = (decoded[resent] << 1) | bits
         tau[resent] += t_bit
-    return decoded, tau, ack
+    return (decoded, tau, ack), codebooks
+
+
+def _check_han_sato_phase1(monkeypatch, token, msg_bits, n1, trials):
+    """The sender against ``_reference_han_sato`` on ch_ex1, over three seeds,
+    with the codebooks it used, each of which must hold distinct words."""
+    si = SiModel.from_token(token)
+    send = han_sato_trial(ch_ex1(), si, msg_bits, n1).send
+    used = []
+
+    def recording(*args):
+        used.append(_codebooks(*args))
+        return used[-1]
+
+    monkeypatch.setattr(sdchan.protocols, "_codebooks", recording)
+    for seed in range(3):
+        used.clear()
+        msgs = np.random.default_rng([seed, 1]).integers(1 << msg_bits, size=trials)
+        got = send(msgs, np.random.default_rng(seed))
+        ref, codebooks = _reference_han_sato(ch_ex1(), si, msg_bits, n1, msgs, np.random.default_rng(seed))
+        for a, b in zip(got, ref):
+            assert a.tolist() == b.tolist()
+        assert np.concatenate(used).tolist() == [c.tolist() for c in codebooks]
+        for codebook in codebooks:
+            assert len({row.tobytes() for row in codebook}) == 1 << msg_bits
 
 
 @pytest.mark.parametrize("token", ["-,-", "c,-", "sc,c"])
@@ -333,18 +371,45 @@ def _reference_han_sato(channel, si, msg_bits, n1, msgs, rng):
     "msg_bits, n1, trials",
     [(0, 0, 40), (0, 3, 40), (2, 2, 40), (3, 5, 40), (4, 16, 40), (8, 16, 150), (8, 64, 150)],
 )
-def test_han_sato_phase1_matches_per_trial_loop(token, msg_bits, n1, trials):
-    # (2, 2) on a 2-input reduced DMC draws every codeword, so duplicates
-    # are redrawn; (8, 16) repeats a row in the first batch of about 37% of
+def test_han_sato_phase1_matches_per_trial_loop(monkeypatch, token, msg_bits, n1, trials):
+    # (2, 2) on a 2-input reduced DMC draws all four words, so most trials
+    # repeat a row and are topped up; (8, 16) repeats a row in about 37% of
     # trials on a 2-input reduced DMC; (8, 64) spans nineteen blocks of 8 trials.
-    si = SiModel.from_token(token)
-    send = han_sato_trial(ch_ex1(), si, msg_bits, n1).send
-    for seed in range(3):
-        msgs = np.random.default_rng([seed, 1]).integers(1 << msg_bits, size=trials)
-        got = send(msgs, np.random.default_rng(seed))
-        ref = _reference_han_sato(ch_ex1(), si, msg_bits, n1, msgs, np.random.default_rng(seed))
-        for a, b in zip(got, ref):
-            assert a.tolist() == b.tolist()
+    _check_han_sato_phase1(monkeypatch, token, msg_bits, n1, trials)
+
+
+@pytest.mark.parametrize("token, msg_bits, n1", [("c,-", 2, 40), ("c,-", 6, 40), ("-,-", 3, 70)])
+def test_han_sato_phase1_matches_per_trial_loop_on_wrapped_keys(monkeypatch, token, msg_bits, n1):
+    # nx**n1 exceeds 2**64 (4**40 on the 4-input c,- lift, 2**70 on the
+    # averaged channel), so the word keys wrap.
+    assert reduced_dmc(ch_ex1(), SiModel.from_token(token)).nx ** n1 > 2**64
+    _check_han_sato_phase1(monkeypatch, token, msg_bits, n1, 60)
+
+
+class _FixedIntegers:
+    """Stand-in generator: each ``integers`` call returns the next given array."""
+
+    def __init__(self, *arrays):
+        self.arrays = [np.asarray(a, dtype=np.int64) for a in arrays]
+
+    def integers(self, high, size):
+        out = self.arrays.pop(0)
+        assert out.shape == size and out.max() < high
+        return out
+
+
+def test_codebooks_confirm_equal_keys_on_the_rows():
+    # Over 2 letters a word's key ignores its letters past the 64th, so these
+    # two distinct words of 65 letters share a key: the codebook is kept as
+    # drawn, with no top-up draw.
+    words = np.zeros((1, 2, 65), dtype=np.int64)
+    words[0, 1, 64] = 1
+    assert _codebooks(1, 2, 2, 65, _FixedIntegers(words)).tolist() == words.tolist()
+    # A repeated word is replaced by the first new word of the top-up batches.
+    repeated = np.zeros((1, 2, 65), dtype=np.int64)
+    rng = _FixedIntegers(repeated, np.zeros((1, 65)), words[0, 1:])
+    assert _codebooks(1, 2, 2, 65, rng).tolist() == words.tolist()
+    assert rng.arrays == []
 
 
 def test_han_sato_phase1_memory_is_bounded():
