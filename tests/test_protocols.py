@@ -390,7 +390,7 @@ class _FixedIntegers:
     """Stand-in generator: each ``integers`` call returns the next given array."""
 
     def __init__(self, *arrays):
-        self.arrays = [np.asarray(a, dtype=np.int64) for a in arrays]
+        self.arrays = [np.array(a, dtype=np.int64) for a in arrays]
 
     def integers(self, high, size):
         out = self.arrays.pop(0)
