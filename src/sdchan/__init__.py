@@ -35,7 +35,6 @@ from .reductions import (
     enumerate_strategy_letters,
     extend_with_termination,
     joint_output_channel,
-    joint_output_index,
     shannon_strategy_channel,
 )
 from .positivity import (

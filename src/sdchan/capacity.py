@@ -31,9 +31,9 @@ from .positivity import (
 )
 from .reductions import (
     average_states,
+    enumerate_strategy_letters,
     joint_output_channel,
     shannon_strategy_channel,
-    strategy_letters,
 )
 
 BA_TOL = 1e-9
@@ -347,7 +347,7 @@ def gelfand_pinsker_capacity(channel: SdDmc, max_iter: int = BA_MAX_ITER) -> Cap
     row, and each letter of ``f`` an input, per state of positive probability.
     """
     states = np.flatnonzero(channel.Q > 0)
-    letters = np.array(strategy_letters(channel))[:, states]
+    letters = np.array(enumerate_strategy_letters(channel.nx, channel.ns))[:, states]
     T = channel.W[states, letters]  # (letters, S, Y): T[u, i] = W[s][u(s)] for s = states[i]
     # A library-built channel can have empty rows; a letter with no output
     # is no input of the lift, as ``shannon_strategy_channel`` also says.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -95,8 +95,31 @@ def support_pattern(channel: SdDmc) -> np.ndarray:
     return (channel.W != 0.0) & (channel.Q > 0.0)[:, None, None]
 
 
+class _Channel:
+    """The core of ``SdDmc`` and ``Dmc``: nx and ny from W's last two axes, and equality.
+
+    Two channels are equal when they are of the same type and every field is
+    equal, arrays entry by entry (so a NaN entry is unequal to itself).
+    Channels are unhashable.
+    """
+
+    @property
+    def nx(self) -> int:
+        return self.W.shape[-2]
+
+    @property
+    def ny(self) -> int:
+        return self.W.shape[-1]
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
 @dataclass(frozen=True, eq=False)
-class SdDmc:
+class SdDmc(_Channel):
     """A state-dependent discrete memoryless channel.
 
     W is indexed [state][input][output]; Q is the state distribution.
@@ -117,8 +140,10 @@ class SdDmc:
         Q = _frozen_array(self.Q)
         if W.ndim != 3:
             raise ValidationError(f"W must be a 3-level [state][input][output] tensor, got ndim={W.ndim}")
-        if Q.ndim != 1 or Q.shape[0] != W.shape[0]:
-            raise ValidationError(f"Q has length {Q.shape}, but W has {W.shape[0]} states")
+        if Q.ndim != 1:
+            raise ValidationError(f"Q must be a 1-level array of state probabilities, got ndim={Q.ndim}")
+        if len(Q) != len(W):
+            raise ValidationError(f"Q has {len(Q)} entries, but W has {len(W)} states")
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "Q", Q)
         ns, nx, ny = W.shape
@@ -128,29 +153,9 @@ class SdDmc:
     def ns(self) -> int:
         return self.W.shape[0]
 
-    @property
-    def nx(self) -> int:
-        return self.W.shape[1]
-
-    @property
-    def ny(self) -> int:
-        return self.W.shape[2]
-
-    def __eq__(self, other):
-        if not isinstance(other, SdDmc):
-            return NotImplemented
-        return (
-            self.x_labels == other.x_labels
-            and self.y_labels == other.y_labels
-            and self.s_labels == other.s_labels
-            and self.W.shape == other.W.shape
-            and np.array_equal(self.W, other.W)
-            and np.array_equal(self.Q, other.Q)
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class Dmc:
+class Dmc(_Channel):
     """A stateless channel matrix W[input][output]."""
 
     W: np.ndarray
@@ -169,24 +174,6 @@ class Dmc:
                 raise ValidationError(f"{check.name}: {check.detail}")
         object.__setattr__(self, "W", W)
         _set_labels(self, x_labels=nx, y_labels=ny)
-
-    @property
-    def nx(self) -> int:
-        return self.W.shape[0]
-
-    @property
-    def ny(self) -> int:
-        return self.W.shape[1]
-
-    def __eq__(self, other):
-        if not isinstance(other, Dmc):
-            return NotImplemented
-        return (
-            self.x_labels == other.x_labels
-            and self.y_labels == other.y_labels
-            and self.W.shape == other.W.shape
-            and np.array_equal(self.W, other.W)
-        )
 
 
 class Si(enum.Enum):
@@ -319,7 +306,11 @@ def _doc_labels(doc: dict, key: str) -> tuple[str, ...]:
 
 
 def parse_channel(text: str) -> SdDmc:
-    """Parse a channel document; its semantic invariants are left to :func:`validate`."""
+    """Parse a channel document; its semantic invariants are left to :func:`validate`.
+
+    A document whose arrays or labels do not fit together, such as a W that
+    is not 3-level or a Q with one entry too many, is a ``ParseError``.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -341,6 +332,8 @@ def parse_channel(text: str) -> SdDmc:
         )
     except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"channel document has malformed numeric data: {e}") from e
+    except ValidationError as e:  # of the wrong shape: there is nothing to validate
+        raise ParseError(str(e)) from e
 
 
 def load_channel(text: str) -> SdDmc:

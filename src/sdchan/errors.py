@@ -21,7 +21,11 @@ class AlphabetTooLarge(SdchanError):
 
 
 class BudgetExceeded(SdchanError):
-    """A brute-force oracle was asked for more work than its budget allows."""
+    """A computation was asked for more work than its bound allows.
+
+    The brute-force oracles' budgets, the two-phase codebook cap and the
+    mean-rounds bound of the two-slot protocols raise it.
+    """
 
 
 # Never raised (a capped optimizer returns its bracket); the benchmark's tracer imports it.

@@ -9,7 +9,7 @@ raises instead of silently truncating.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import comb
 
@@ -35,14 +35,7 @@ class OracleReport:
     search_space: int
 
     def to_jsonable(self) -> dict:
-        return {
-            "instance": self.instance,
-            "oracle_value": self.oracle_value,
-            "module_value": self.module_value,
-            "tolerance": self.tolerance,
-            "agreement": self.agreement,
-            "search_space": self.search_space,
-        }
+        return asdict(self)
 
 
 def confusable_all_pairs_fl(

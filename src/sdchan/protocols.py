@@ -55,12 +55,20 @@ MAX_MEAN_ROUNDS = 1 << 12
 
 @dataclass
 class Trace:
-    """Per-slot protocol record, numbered from slot 1; the decision slot defines the stopping time."""
+    """Per-slot record of one trial, numbered from slot 1, and the trial's outcome.
+
+    A sender records the slots; ``Trial.run`` sets the message and the
+    decoded message.  The stopping time ``tau`` is the number of slots
+    recorded, the last of which is the decision slot.
+    """
 
     slots: list = field(default_factory=list)
     message: Optional[int] = None
     decoded: Optional[int] = None
-    tau: Optional[int] = None
+
+    @property
+    def tau(self) -> int:
+        return len(self.slots)
 
     def record(self, s: Optional[int], x: int, y: int, decision: Optional[int] = None):
         """Append the next slot, numbered one more than the slots already recorded."""
@@ -159,18 +167,27 @@ class Trial:
 
     ``send(msgs, rng, trace)`` sends one ``msg_bits``-bit message per trial
     and returns (decoded, tau), then any further per-trial arrays; the
-    trace, if given, records msgs[0].  ``round_p`` is the per-round stopping
-    probability of a two-slot bit protocol, whose stopping time is
-    2 * Geometric(round_p); None where no closed form is known.
+    trace, if given, gets the slots of msgs[0].  ``run`` also ends the
+    trace with msgs[0] and its decoded message.  ``round_p`` is the
+    per-round stopping probability of a two-slot bit protocol, whose
+    stopping time is 2 * Geometric(round_p); None where no closed form is
+    known.
     """
 
     send: Callable[..., tuple[np.ndarray, ...]]
     msg_bits: int = 1
     round_p: Optional[float] = None
 
+    def run(self, msgs: np.ndarray, rng: np.random.Generator, trace: Optional[Trace] = None) -> tuple:
+        """``send``, then the trace, if given, ends with msgs[0] and its decoded message."""
+        sent = self.send(msgs, rng, trace)
+        if trace is not None:
+            trace.message, trace.decoded = int(msgs[0]), int(sent[0][0])
+        return sent
+
     def __call__(self, rng: np.random.Generator, n: int, trace: Optional[Trace] = None):
         msgs = rng.integers(1 << self.msg_bits, size=n)
-        decoded, tau = self.send(msgs, rng, trace)[:2]
+        decoded, tau = self.run(msgs, rng, trace)[:2]
         return decoded == msgs, tau
 
 
@@ -186,7 +203,7 @@ def _two_slot_sender(play_round: Callable, p: float) -> Callable[..., tuple[np.n
     is kept) does it sample trial 0's outputs, from the same uniforms, and
     ``slots`` is then trial 0's (s, x, y) per slot, with s None where the
     state is not drawn; otherwise ``slots`` is None.  The trace appends
-    them, and its tau is then the number it holds.
+    them, with the decision on the slot that stops trial 0.
 
     A round stops with probability ``p``, so a bit takes 1 / p rounds on
     average.  Raises ``BudgetExceeded`` before any round is played when that
@@ -215,8 +232,6 @@ def _two_slot_sender(play_round: Callable, p: float) -> Callable[..., tuple[np.n
             tau[stopped] = n
             running = ~done
             live, sent = live[running], sent[running]
-        if trace is not None:
-            trace.message, trace.decoded, trace.tau = int(bits[0]), int(decoded[0]), len(trace.slots)
         return decoded, tau
 
     return send
@@ -401,8 +416,6 @@ def han_sato_trial(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int]
             bits, t_bit = send_bits((msgs[resent] >> (msg_bits - 1 - i)) & 1, rng, resent_trace)
             decoded[resent] = (decoded[resent] << 1) | bits
             tau[resent] += t_bit
-        if trace is not None:
-            trace.message, trace.decoded = int(msgs[0]), int(decoded[0])
         return decoded, tau, ack
 
     return Trial(send, msg_bits=msg_bits)
@@ -451,7 +464,7 @@ def _send_one(trial: Trial, msg: Optional[int], rng: np.random.Generator, trace:
     if msg is not None and not 0 <= msg < 1 << trial.msg_bits:
         raise ValueError(f"message {msg} is outside 0..{(1 << trial.msg_bits) - 1}")
     msgs = rng.integers(1 << trial.msg_bits, size=1) if msg is None else np.array([msg])
-    return tuple(a[0].item() for a in (msgs, *trial.send(msgs, rng, trace)))
+    return tuple(a[0].item() for a in (msgs, *trial.run(msgs, rng, trace)))
 
 
 def run_disprover_bit(

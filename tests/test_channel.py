@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,36 @@ def test_hostile_document_is_a_parse_error_exit_2(tmp_path, capsys, text):
     path.write_text(text)
     assert main(["validate", str(path)]) == 2
     assert "error" in json.loads(capsys.readouterr().out)
+
+
+_IDENTITY = [[[1.0, 0.0], [0.0, 1.0]]]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"Q": [1.0], "W": []}, "W must be a 3-level [state][input][output] tensor, got ndim=1"),
+        ({"Q": [1.0], "W": [_IDENTITY]}, "W must be a 3-level [state][input][output] tensor, got ndim=4"),
+        ({"Q": [0.5, 0.5], "W": _IDENTITY}, "Q has 2 entries, but W has 1 states"),
+        ({"Q": [[1.0]], "W": _IDENTITY}, "Q must be a 1-level array of state probabilities, got ndim=2"),
+        ({"Q": [1.0], "W": _IDENTITY, "inputs": ["a", "b", "c"]}, "x_labels has 3 entries, expected 2"),
+    ],
+    ids=["empty-W", "four-level-W", "Q-too-long", "two-level-Q", "three-input-labels"],
+)
+def test_wrong_shape_document_is_a_parse_error_exit_2(tmp_path, capsys, doc, message):
+    # Such a document has no channel for validate to report on.  The library
+    # constructor still raises ValidationError on the same arrays.
+    with pytest.raises(ValidationError) as raised:
+        SdDmc(W=doc["W"], Q=doc["Q"], x_labels=doc.get("inputs", ()))
+    assert str(raised.value) == message
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_channel(path.read_text())
+    for argv in (["validate", str(path)], ["check", str(path), "--si", "-,-"]):
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and json.loads(out) == {"error": message}, argv
 
 
 @pytest.mark.parametrize(
@@ -307,3 +338,30 @@ def test_immutability():
     ch = ch_ex1()
     with pytest.raises(ValueError):
         ch.W[0, 0, 0] = 0.5
+
+
+def test_dmc_rejects_a_matrix_of_the_wrong_shape():
+    with pytest.raises(ValidationError, match="must be 2-dimensional, got ndim=3"):
+        Dmc(W=_IDENTITY)
+    for W in (np.zeros((0, 2)), np.zeros((2, 0))):
+        with pytest.raises(ValidationError, match="at least one input and one output"):
+            Dmc(W=W)
+
+
+def test_channel_equality_is_field_wise():
+    ch = ch_ex1()
+    assert ch == ch_ex1() and not ch != ch_ex1()
+    assert Dmc(W=np.eye(2)) == Dmc(W=np.eye(2))
+    # A Dmc never equals an SdDmc, even on the same matrix and labels.
+    assert Dmc(W=np.eye(2)) != SdDmc(W=[np.eye(2)], Q=[1.0])
+    assert SdDmc(W=[np.eye(2)], Q=[1.0]) != Dmc(W=np.eye(2))
+    # One differing label, entry or shape makes two channels unequal.
+    assert ch != SdDmc(W=ch.W, Q=ch.Q, s_labels=("s0", "t"))
+    assert Dmc(W=np.eye(2)) != Dmc(W=np.eye(2), y_labels=("y0", "z"))
+    assert Dmc(W=np.eye(2)) != Dmc(W=[[0.0, 1.0], [1.0, 0.0]])
+    assert SdDmc(W=[np.eye(2)], Q=[1.0]) != SdDmc(W=[np.eye(2)] * 2, Q=[0.5, 0.5])
+    nan = SdDmc(W=[[[np.nan, 1.0], [0.0, 1.0]]], Q=[1.0])
+    assert nan != nan
+    for channel in (ch, Dmc(W=np.eye(2))):
+        with pytest.raises(TypeError):
+            hash(channel)

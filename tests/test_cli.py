@@ -166,6 +166,25 @@ def test_reduce_average(capsys, ex1_path):
     assert report["results"]["W"] == [[1.0, 0.0], [0.25, 0.75]]
 
 
+def test_reduce_shannon_strategy(capsys, ex1_path):
+    code, report = run_cli(capsys, "reduce", ex1_path, "--kind", "shannon-strategy")
+    assert code == 0
+    assert report["results"] == {
+        "inputs": ["u00", "u01", "u10", "u11"],
+        "outputs": ["y0", "y1"],
+        "W": [[1.0, 0.0], [0.5, 0.5], [0.75, 0.25], [0.25, 0.75]],
+        "strategies": [[0, 0], [0, 1], [1, 0], [1, 1]],
+    }
+
+
+def test_unknown_si_part_exit_2(capsys, ex1_path):
+    for argv in (["check", ex1_path, "--si", "x,-"], ["capacity", ex1_path, "--si", "-,x"],
+                 ["simulate", ex1_path, "--protocol", "disprover", "--si", "x,-"]):
+        code, report = run_cli(capsys, *argv)
+        assert code == 2
+        assert report["error"].startswith("malformed state-information token"), argv
+
+
 def test_reduce_joint_output_labels_stay_distinct(capsys, ex1_path, tmp_path):
     doc = json.loads(serialize(ch_ex1()))
     doc["outputs"], doc["states"] = ["a,b", "a"], ["c", "b,c"]
@@ -205,6 +224,13 @@ def test_simulate_precond_exit_5(capsys, tmp_path):
         code, report = run_cli(capsys, "simulate", str(path), "--protocol", protocol, "--trials", "10")
         assert code == 5
         assert "no disprover output" in report["error"]
+
+
+def test_simulate_han_sato_blocklength_too_short_exit_5(capsys, ex1_path):
+    # Two inputs give 2**1 words of length 1, too few for 2**3 messages.
+    code, report = run_cli(capsys, "simulate", ex1_path, "--protocol", "han-sato", "--msg-bits", "3", "--n1", "1")
+    assert code == 5
+    assert report["error"] == "blocklength 1 too short for 8 distinct codewords"
 
 
 def test_simulate_refuses_the_decoder_only_model_exit_2(capsys, tmp_path):
@@ -484,6 +510,16 @@ def test_oracle_grid(capsys, ex1_path):
     code, report = run_cli(capsys, "oracle", ex1_path, "--which", "grid-capacity", "--resolution", "400")
     assert code == 0
     assert report["results"]["agreement"]
+
+
+def test_oracle_gp_grid(capsys, ex1_path):
+    # |U| defaults to nx * ns = 4; the search space is 35 lattice points per state.
+    code, report = run_cli(capsys, "oracle", ex1_path, "--which", "gp-grid", "--resolution", "4")
+    assert code == 0
+    results = report["results"]
+    assert results["instance"] == "auxiliary-variable lower bound, resolution 4, |U|=4"
+    assert results["search_space"] == 35**2
+    assert results["agreement"] and results["module_value"] >= results["oracle_value"] - 1e-3
 
 
 def test_oracle_confusable(capsys, ex1_path):

@@ -6,6 +6,7 @@ import pytest
 from sdchan import (
     BudgetExceeded,
     Dmc,
+    SdDmc,
     SiModel,
     average_states,
     blahut_arimoto,
@@ -92,6 +93,10 @@ def test_gp_grid_stuck_at():
 def test_gp_grid_budget():
     with pytest.raises(BudgetExceeded):
         gp_grid_oracle(stuck_at(0.2), resolution=40, u_size=6, budget=100)
+    with pytest.raises(BudgetExceeded, match="limited to 3 inputs and 3 states"):
+        gp_grid_oracle(SdDmc(W=[np.eye(4)], Q=[1.0]), resolution=2, u_size=1)
+    with pytest.raises(BudgetExceeded, match="u_size 5 exceeds the cardinality bound 4"):
+        gp_grid_oracle(ch_ex1(), resolution=2, u_size=5)
 
 
 def _masked_xlog2(p):

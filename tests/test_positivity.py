@@ -13,6 +13,7 @@ from sdchan import (
     SdDmc,
     SiModel,
     UNKNOWN,
+    UnsupportedModel,
     Verdict,
     ZERO,
     average_states,
@@ -252,6 +253,9 @@ def test_verify_witness_rejects_malformed_witnesses():
         (ex1, "-,c/vl", {"states": [0, 1, -1]}),
         (triv, "-,-/bl", {"kind": "strategy"}),
         (ex2, "c,-/bl", {"kind": "letters"}),
+        (ex2, "c,-/bl", {"y1": []}),
+        (ex2, "c,-/bl", {"y0": [0, 1]}),
+        (triv, "nc,-/bl", {"pairs": {}}),
         (triv, "nc,-/bl", {"pairs": {"0,0": [0, -1]}}),
         (triv, "nc,-/bl", {"kind": "per_state_pairs"}),
         (ex2, "-,c/bl", {"x_prime": 3}),
@@ -270,6 +274,13 @@ def test_verify_witness_rejects_malformed_witnesses():
         assert verify_witness(ch, forged) is False, (v.condition, forged.witness)
         conditions.add(v.condition)
     assert len(conditions) == 11
+
+
+def test_verify_witness_needs_a_witness_and_a_known_condition():
+    v = vl_positivity(ch_ex1(), SiModel.from_token("-,-"))
+    assert verify_witness(ch_ex1(), Verdict(POSITIVE, v.condition, None)) is False
+    with pytest.raises(UnsupportedModel, match="unknown condition 'no_such_condition'"):
+        verify_witness(ch_ex1(), Verdict(POSITIVE, "no_such_condition", v.witness))
 
 
 def _loop_witness(ch, condition):

@@ -150,6 +150,17 @@ def test_disprover_trace():
     assert json.loads(lines[-1]) == {"message": 1, "decoded": 1, "tau": tau}
 
 
+def test_send_records_the_slots_and_run_ends_the_trace():
+    trial = han_sato_trial(ch_ex1(), SiModel.from_token("-,-"), 2)
+    sent_trace, run_trace = Trace(), Trace()
+    sent = trial.send(np.array([3]), np.random.default_rng(5), sent_trace)
+    ran = trial.run(np.array([3]), np.random.default_rng(5), run_trace)
+    assert [a.tolist() for a in sent] == [a.tolist() for a in ran]
+    assert sent_trace.slots == run_trace.slots and run_trace.tau == ran[1][0] == len(run_trace.slots)
+    assert (sent_trace.message, sent_trace.decoded) == (None, None)
+    assert (run_trace.message, run_trace.decoded) == (3, ran[0][0])
+
+
 def test_theorem5_correct_and_synchronous():
     for i in range(200):
         rng = np.random.default_rng([8, i])

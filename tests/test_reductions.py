@@ -5,15 +5,16 @@ import pytest
 
 from sdchan import (
     AlphabetTooLarge,
+    Dmc,
     SdDmc,
     ValidationError,
     average_states,
     enumerate_strategy_letters,
     extend_with_termination,
     joint_output_channel,
-    joint_output_index,
     shannon_strategy_channel,
 )
+from sdchan.reductions import joint_output_index
 from conftest import bsc, ch_ex1, ch_ex2, ch_ex3, ch_triv, random_channel
 
 
@@ -120,7 +121,7 @@ def test_strategy_labels_are_distinct_past_ten_inputs():
 def test_strategy_channel_cap(monkeypatch):
     # 13 binary-input states give 2**13 = 8192 letters, above the cap of 4096;
     # the cap is checked before any letter is built.
-    monkeypatch.setattr("sdchan.reductions.enumerate_strategy_letters", None)
+    monkeypatch.setattr("sdchan.reductions.itertools", None)
     with pytest.raises(AlphabetTooLarge):
         shannon_strategy_channel(SdDmc(W=[np.eye(2)] * 13, Q=np.full(13, 1 / 13)))
 
@@ -155,6 +156,12 @@ def test_termination_bsc():
     assert np.array_equal(ext.W[2], [0.0, 0.0, 1.0])
     assert np.array_equal(ext.W[:, 2], [0.0, 0.0, 1.0])
     assert ext.x_labels[-1] == "T"
+
+
+def test_termination_label_avoids_every_label():
+    # "T" and "T'" are taken, one among the inputs and one among the outputs.
+    ext = extend_with_termination(Dmc(W=np.eye(2), x_labels=("T", "a"), y_labels=("b", "T'")))
+    assert ext.x_labels == ("T", "a", "T''") and ext.y_labels == ("b", "T'", "T''")
 
 
 def test_termination_grows_by_one(rng):
