@@ -22,7 +22,6 @@ from .channel import (
     validate,
 )
 from .errors import (
-    AlphabetTooLarge,
     BudgetExceeded,
     ParseError,
     PrecondFailed,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import json
 from dataclasses import dataclass, fields
 
@@ -19,6 +20,10 @@ import numpy as np
 from .errors import ParseError, UnsupportedModel, ValidationError
 
 ROW_SUM_TOL = 1e-9
+
+# The channel document: one (field, key) pair per entry, in document order.
+# The three label arrays are optional; Q and W are required.
+_DOCUMENT = (("x_labels", "inputs"), ("y_labels", "outputs"), ("s_labels", "states"), ("Q", "Q"), ("W", "W"))
 
 
 @dataclass(frozen=True)
@@ -43,13 +48,14 @@ def _default_labels(initial: str, n: int) -> tuple[str, ...]:
 def _set_labels(obj, **sizes: int) -> None:
     """Store each label field as a tuple of the given size.
 
-    Empty labels default to the field's initial and an index: x0, x1, ...
+    Empty labels default to the field's initial and an index: x0, x1, ...;
+    a length error names the field's document key.
     """
     for name, n in sizes.items():
         labels = getattr(obj, name)
         labels = tuple(labels) if labels else _default_labels(name[0], n)
         if len(labels) != n:
-            raise ValidationError(f"{name} has {len(labels)} entries, expected {n}")
+            raise ValidationError(f"{dict(_DOCUMENT)[name]} has {len(labels)} entries, expected {n}")
         object.__setattr__(obj, name, labels)
 
 
@@ -116,6 +122,11 @@ class _Channel:
             return NotImplemented
         pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
         return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+    def to_jsonable(self) -> dict:
+        """The channel's document: each of its fields under its key, in document order."""
+        values = ((key, getattr(self, name)) for name, key in _DOCUMENT if name in self.__dataclass_fields__)
+        return {key: v.tolist() if isinstance(v, np.ndarray) else list(v) for key, v in values}
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,7 +320,8 @@ def parse_channel(text: str) -> SdDmc:
     """Parse a channel document; its semantic invariants are left to :func:`validate`.
 
     A document whose arrays or labels do not fit together, such as a W that
-    is not 3-level or a Q with one entry too many, is a ``ParseError``.
+    is not 3-level or a Q with one entry too many, is a ``ParseError``, as is
+    an entry of Q or W that is not a JSON number.
     """
     try:
         doc = json.loads(text)
@@ -319,21 +331,24 @@ def parse_channel(text: str) -> SdDmc:
         raise ParseError("channel document is nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ParseError("channel document must be a JSON object")
-    for key in ("Q", "W"):
+    required = _DOCUMENT[3:]  # Q and W; the labels may be absent
+    for _, key in required:
         if key not in doc:
             raise ParseError(f"channel document is missing required key {key!r}")
     try:
-        return SdDmc(
-            W=np.array(doc["W"], dtype=float),
-            Q=np.array(doc["Q"], dtype=float),
-            x_labels=_doc_labels(doc, "inputs"),
-            y_labels=_doc_labels(doc, "outputs"),
-            s_labels=_doc_labels(doc, "states"),
-        )
+        channel = SdDmc(**{name: doc[key] for name, key in required},
+                        **{name: _doc_labels(doc, key) for name, key in _DOCUMENT[:3]})
     except (TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"channel document has malformed numeric data: {e}") from e
     except ValidationError as e:  # of the wrong shape: there is nothing to validate
         raise ParseError(str(e)) from e
+    for name, key in required:  # numpy also reads numeric strings, booleans and null as numbers
+        entries = doc[key]
+        for _ in range(getattr(channel, name).ndim - 1):  # down to the entries of the regular array
+            entries = itertools.chain.from_iterable(entries)
+        if not {int, float}.issuperset(map(type, entries)):
+            raise ParseError(f"channel document key {key!r} must hold only JSON numbers")
+    return channel
 
 
 def load_channel(text: str) -> SdDmc:
@@ -348,11 +363,4 @@ def load_channel(text: str) -> SdDmc:
 
 def serialize(channel: SdDmc) -> str:
     """Write a channel back to its JSON document form (bit-exact round trip)."""
-    doc = {
-        "inputs": list(channel.x_labels),
-        "outputs": list(channel.y_labels),
-        "states": list(channel.s_labels),
-        "Q": channel.Q.tolist(),
-        "W": channel.W.tolist(),
-    }
-    return json.dumps(doc, indent=2)
+    return json.dumps(channel.to_jsonable(), indent=2)

@@ -35,6 +35,7 @@ import inspect
 import json
 import sys
 import time
+from contextlib import nullcontext
 
 from . import __version__
 from .channel import Dmc, Regime, SiModel, load_channel, parse_channel, validate
@@ -101,23 +102,19 @@ def _emit(report: dict, verbose: bool, summary: str) -> None:
         print(summary, file=sys.stderr)
 
 
-def _dmc_jsonable(dmc: Dmc) -> dict:
-    return {"inputs": list(dmc.x_labels), "outputs": list(dmc.y_labels), "W": dmc.W.tolist()}
-
-
-def _strategy_jsonable(channel) -> dict:
+def _strategy_lift(channel) -> tuple[Dmc, dict]:
     dmc, letters = shannon_strategy_channel(channel)
-    return {**_dmc_jsonable(dmc), "strategies": [list(u) for u in letters]}
+    return dmc, {"strategies": [list(u) for u in letters]}
 
 
-# ``reduce --kind`` -> row(channel) -> the reduced channel's report.  Rows call
-# the reductions through module globals, so a rebinding of one (for instance
-# by a tracer) sees every call.
+# ``reduce --kind`` -> row(channel) -> (the reduced DMC, the entries its report
+# adds to the DMC's document).  Rows call the reductions through module
+# globals, so a rebinding of one (for instance by a tracer) sees every call.
 _REDUCTIONS = {
-    "average": lambda ch: _dmc_jsonable(average_states(ch)),
-    "shannon-strategy": _strategy_jsonable,
-    "joint-output": lambda ch: _dmc_jsonable(joint_output_channel(ch)),
-    "extend-termination": lambda ch: _dmc_jsonable(extend_with_termination(average_states(ch))),
+    "average": lambda ch: (average_states(ch), {}),
+    "shannon-strategy": _strategy_lift,
+    "joint-output": lambda ch: (joint_output_channel(ch), {}),
+    "extend-termination": lambda ch: (extend_with_termination(average_states(ch)), {}),
 }
 
 
@@ -238,9 +235,8 @@ def _cmd_validate(args, text: str):
 
 
 def _cmd_reduce(args, text: str):
-    results = _REDUCTIONS[args.kind](load_channel(text))
-    summary = f"{args.kind}: {len(results['inputs'])}x{len(results['outputs'])}"
-    return {"kind": args.kind}, results, summary, EXIT_OK
+    dmc, extra = _REDUCTIONS[args.kind](load_channel(text))
+    return {"kind": args.kind}, {**dmc.to_jsonable(), **extra}, f"{args.kind}: {dmc.nx}x{dmc.ny}", EXIT_OK
 
 
 def _cmd_check(args, text: str):
@@ -277,11 +273,12 @@ def _cmd_simulate(args, text: str):
     si = SiModel.from_token(args.si)
     reads = _PROTOCOL_OPTIONS[args.protocol]
     trial = PROTOCOLS[args.protocol](channel, **{k: si if k == "si" else getattr(args, k) for k in reads})
-    trace = Trace() if args.trace_path is not None else None
-    stats = monte_carlo(trial, args.trials, args.seed, trace=trace)
-    if trace is not None:
-        with open(args.trace_path, "w", encoding="utf-8") as f:
-            f.write(trace.to_jsonl() + "\n")
+    # The trace file is opened before any trial runs, so a bad path fails fast.
+    with open(args.trace_path, "w", encoding="utf-8") if args.trace_path is not None else nullcontext() as out:
+        trace = Trace() if out is not None else None
+        stats = monte_carlo(trial, args.trials, args.seed, trace=trace)
+        if out is not None:
+            out.write(trace.to_jsonl() + "\n")
     params = {k: getattr(args, k) for k in ("protocol", "si", "trials", "seed", "msg_bits", "n1")
               if k in ("protocol", "trials", "seed", *reads)}
     summary = f"errors={stats.errors} mean_tau={stats.mean_tau:.4f}"

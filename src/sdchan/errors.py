@@ -16,15 +16,12 @@ class ValidationError(SdchanError):
     """
 
 
-class AlphabetTooLarge(SdchanError):
-    """A derived alphabet exceeds the configured size cap."""
-
-
 class BudgetExceeded(SdchanError):
     """A computation was asked for more work than its bound allows.
 
-    The brute-force oracles' budgets, the two-phase codebook cap and the
-    mean-rounds bound of the two-slot protocols raise it.
+    The strategy-alphabet and partition-search caps, the brute-force
+    oracles' budgets, the two-phase codebook cap and the mean-rounds bound
+    of the two-slot protocols raise it.
     """
 
 

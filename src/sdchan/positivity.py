@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .channel import Dmc, Regime, SdDmc, SiModel, support_pattern
-from .errors import AlphabetTooLarge, UnsupportedModel
+from .errors import BudgetExceeded, UnsupportedModel
 
 POSITIVE = "positive"
 ZERO = "zero"
@@ -144,7 +144,7 @@ def partition_exists(channel: SdDmc) -> Optional[tuple[tuple[int, ...], tuple[in
     """
     ny = channel.ny
     if ny > MAX_PARTITION_OUTPUTS:
-        raise AlphabetTooLarge(f"partition search over {ny} outputs exceeds the cap of {MAX_PARTITION_OUTPUTS}")
+        raise BudgetExceeded(f"partition search over {ny} outputs exceeds the cap of {MAX_PARTITION_OUTPUTS}")
     nonzero = support_pattern(channel)
     for mask in range(1, 1 << (ny - 1)):
         in_y1 = np.array([y > 0 and bool(mask >> (y - 1) & 1) for y in range(ny)])

@@ -10,7 +10,7 @@ decide it by testing its uniform against the interval of the stopping
 output; they sample full outputs only for a traced trial 0.  Every slot
 still takes its uniforms from the stream in the same order as a sampled
 output would.  The two-phase protocol runs phase 1 per block of trials,
-whose size ``MAX_CODEBOOK_ENTRIES`` bounds: one draw of the block's
+whose size ``positivity.MAX_BLOCK_BYTES`` bounds: one draw of the block's
 codebooks, a top-up for each trial whose codebook repeats a word, one draw
 of its channel uniforms, then sampling and decoding as arrays; it then
 acknowledges and resends as arrays.  ``monte_carlo``
@@ -34,15 +34,13 @@ import numpy as np
 
 from .channel import Dmc, SdDmc, SiModel
 from .errors import BudgetExceeded, PrecondFailed, UnsupportedModel
-from .positivity import POSITIVE, check_dmc_vl, check_nocvlpos
+from .positivity import MAX_BLOCK_BYTES, POSITIVE, check_dmc_vl, check_nocvlpos
 from .reductions import average_states, joint_output_channel, shannon_strategy_channel
 
 # Trials per Monte-Carlo chunk: bounds the arrays a chunk holds at any --trials.
 CHUNK_TRIALS = 8192
 
-# Largest two-phase codebook, in letters (codewords x blocklength); a phase-1
-# block of several trials, whose codebooks are drawn together, holds no array
-# of more bytes.
+# Largest two-phase codebook, in letters (codewords x blocklength).
 MAX_CODEBOOK_ENTRIES = 1 << 20
 
 # Largest mean number of rounds per bit that a two-slot protocol may take,
@@ -116,7 +114,7 @@ class ProtocolStats:
 
 
 def _cdf(probs: np.ndarray) -> np.ndarray:
-    """Inverse-CDF table over the last axis of ``probs``, for ``_sample`` and ``_draw``.
+    """Inverse-CDF table over the last axis of ``probs``, for ``_sample``.
 
     Each row holds its cumulative sums, with every entry equal to the row's
     total replaced by inf.  A row may sum to slightly less than 1, so a
@@ -129,19 +127,18 @@ def _cdf(probs: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _sample(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _sample(cdf: np.ndarray, u: np.ndarray | float) -> np.ndarray:
     """Inverse-CDF samples over the stored row order, one per uniform in ``u``.
 
-    ``cdf`` is one ``_cdf`` row per draw.  A sample is the number of the
-    row's entries at or below its uniform, which ``np.searchsorted(row, u,
-    side="right")`` also gives on one shared row.
+    A sample is the number of its ``_cdf`` row's entries at or below its
+    uniform.  A 1-D ``cdf`` is one row shared by every uniform, searched with
+    ``np.searchsorted``; otherwise ``cdf`` holds one row per uniform, of
+    shape ``u.shape + (k,)``, and the entries are counted.  The only
+    inverse-CDF sampler: every state and output is drawn here.
     """
+    if cdf.ndim == 1:
+        return np.searchsorted(cdf, u, side="right")
     return (cdf <= u[..., None]).sum(axis=-1)
-
-
-def _draw(cdf_row: np.ndarray, u: float) -> int:
-    """One inverse-CDF sample from a single ``_cdf`` row."""
-    return int(np.searchsorted(cdf_row, u, side="right"))
 
 
 def _interval(cdf: np.ndarray, y: int) -> tuple[np.ndarray, np.ndarray]:
@@ -154,11 +151,11 @@ def step(channel: SdDmc, x: int, s: int, rng: np.random.Generator) -> int:
     """One channel use: sample y given (x, s).  State sampling is the caller's job."""
     if not (0 <= x < channel.nx and 0 <= s < channel.ns):
         raise IndexError(f"(x={x}, s={s}) out of range")
-    return _draw(_cdf(channel.W[s, x]), rng.random())
+    return int(_sample(_cdf(channel.W[s, x]), rng.random()))
 
 
 def sample_state(channel: SdDmc, rng: np.random.Generator) -> int:
-    return _draw(_cdf(channel.Q), rng.random())
+    return int(_sample(_cdf(channel.Q), rng.random()))
 
 
 @dataclass(frozen=True)
@@ -263,7 +260,7 @@ def disprover_trial(channel: Dmc) -> Trial:
             raise RuntimeError("impossible output pattern observed; channel violates its zeros")
         slots = None
         if traced:
-            slots = [(None, int(r), _draw(cdf[r], v)) for r, v in zip(rows[sent[0]], u[0])]
+            slots = [(None, int(a), int(b)) for a, b in zip(rows[sent[0]], _sample(cdf[rows[sent[0]]], u[0]))]
         return hit1 != hit2, hit1, slots
 
     p = float(channel.W[x_alt, y])
@@ -295,7 +292,7 @@ def theorem5_trial(channel: SdDmc) -> Trial:
 
     def play_round(sent, rng, traced):
         u = rng.random((len(sent), 4))
-        s, r, v = np.searchsorted(q_cdf, u[:, :2], side="right"), rows.take(sent, axis=0), u[:, 2:]
+        s, r, v = _sample(q_cdf, u[:, :2]), rows.take(sent, axis=0), u[:, 2:]
         row = s * nx + r
         hit = (lo.take(row) <= v) & (v < hi.take(row))
         stop = hit & in_group.take(s)  # the decoder sees y in a state of the group
@@ -307,7 +304,7 @@ def theorem5_trial(channel: SdDmc) -> Trial:
             raise RuntimeError("encoder and decoder disagree on stopping; witness unsound")
         slots = None
         if traced:
-            slots = [(int(a), int(b), _draw(cdf[a, b], c)) for a, b, c in zip(s[0], r[0], v[0])]
+            slots = [(int(a), int(b), int(c)) for a, b, c in zip(s[0], r[0], _sample(cdf[s[0], r[0]], v[0]))]
         return done, decided1, slots
 
     p = float(channel.Q[in_group] @ channel.W[in_group, x_alt, y])
@@ -362,7 +359,7 @@ def han_sato_trial(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int]
     witness check on the reduced DMC is its one positivity precondition.
 
     Phase 1 runs once per block of m trials, and no block array of several
-    trials exceeds ``MAX_CODEBOOK_ENTRIES`` bytes.  A block's random stream
+    trials exceeds ``positivity.MAX_BLOCK_BYTES``.  A block's random stream
     is, in order: one ``rng.integers(nx, size=(m, 2**msg_bits, n1))`` draw
     of its codebooks; then, in trial order, the top-up draws of each trial
     whose codebook repeats a word, which ``_distinct_codewords`` makes; then
@@ -388,10 +385,10 @@ def han_sato_trial(channel: SdDmc, si: SiModel, msg_bits: int, n1: Optional[int]
     cdf = _cdf(dmc.W)
     # Trials per phase-1 block.  The block arrays (codebooks, sampled CDF
     # rows, log-likelihood terms) have 8-byte entries, and each is held to
-    # MAX_CODEBOOK_ENTRIES bytes: a block at the letter cap would hold 8 MiB
+    # MAX_BLOCK_BYTES: a block at the codebook letter cap would hold 8 MiB
     # per array, which raised the peak RSS of a 256-message run by 60%.  A
     # block holds at least one trial.
-    block = max(MAX_CODEBOOK_ENTRIES // (8 * max(n_msgs, dmc.ny) * max(n1, 1)), 1)
+    block = max(MAX_BLOCK_BYTES // (8 * max(n_msgs, dmc.ny) * max(n1, 1)), 1)
 
     def send(msgs, rng, trace=None):
         guess = np.empty(len(msgs), dtype=np.int64)

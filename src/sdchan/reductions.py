@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .channel import Dmc, SdDmc, support_pattern
-from .errors import AlphabetTooLarge, ValidationError
+from .errors import BudgetExceeded, ValidationError
 
 # A strategy letter is a total map from state index to input index,
 # represented as a tuple u with u[s] in range(nx).
@@ -29,7 +29,7 @@ def enumerate_strategy_letters(nx: int, ns: int) -> list[StrategyLetter]:
     letter is built.
     """
     if nx**ns > STRATEGY_CAP:
-        raise AlphabetTooLarge(f"strategy alphabet has {nx**ns} letters, exceeding the cap of {STRATEGY_CAP}")
+        raise BudgetExceeded(f"strategy alphabet has {nx**ns} letters, exceeding the cap of {STRATEGY_CAP}")
     return list(itertools.product(range(nx), repeat=ns))
 
 

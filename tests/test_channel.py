@@ -83,7 +83,7 @@ _IDENTITY = [[[1.0, 0.0], [0.0, 1.0]]]
         ({"Q": [1.0], "W": [_IDENTITY]}, "W must be a 3-level [state][input][output] tensor, got ndim=4"),
         ({"Q": [0.5, 0.5], "W": _IDENTITY}, "Q has 2 entries, but W has 1 states"),
         ({"Q": [[1.0]], "W": _IDENTITY}, "Q must be a 1-level array of state probabilities, got ndim=2"),
-        ({"Q": [1.0], "W": _IDENTITY, "inputs": ["a", "b", "c"]}, "x_labels has 3 entries, expected 2"),
+        ({"Q": [1.0], "W": _IDENTITY, "inputs": ["a", "b", "c"]}, "inputs has 3 entries, expected 2"),
     ],
     ids=["empty-W", "four-level-W", "Q-too-long", "two-level-Q", "three-input-labels"],
 )
@@ -101,6 +101,65 @@ def test_wrong_shape_document_is_a_parse_error_exit_2(tmp_path, capsys, doc, mes
         assert main(argv) == 2
         out = capsys.readouterr().out
         assert out.count("\n") == 1 and json.loads(out) == {"error": message}, argv
+
+
+@pytest.mark.parametrize("key", ["inputs", "outputs", "states"])
+def test_label_length_error_names_the_document_key(tmp_path, capsys, key):
+    doc = json.loads(serialize(ch_ex1()))
+    doc[key] = ["a", "b", "c"]
+    message = f"{key} has 3 entries, expected 2"
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        parse_channel(json.dumps(doc))
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out) == {"error": message}
+    if key != "states":  # a Dmc's labels name the same keys
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Dmc(W=np.eye(2), **{"x_labels" if key == "inputs" else "y_labels": ("a", "b", "c")})
+
+
+# (where in the document, entry): each channel was valid, or invalid with a
+# NaN for null, with the entry read as a number.
+_NOT_NUMBERS = [
+    (("W", 0, 0, 0), "0.5"),
+    (("W", 0, 1, 0), " 0.0 "),
+    (("W", 0, 1, 1), "1e0"),
+    (("W", 0, 1, 1), True),
+    (("W", 0, 1, 0), False),
+    (("W", 0, 1, 0), None),
+    (("Q", 0), "1e0"),
+    (("Q", 0), True),
+]
+
+
+@pytest.mark.parametrize("where, entry", _NOT_NUMBERS, ids=[f"{w[0]}-{json.dumps(e)}" for w, e in _NOT_NUMBERS])
+def test_entries_of_w_and_q_must_be_json_numbers(tmp_path, capsys, where, entry):
+    doc = {"Q": [1.0], "W": [[[0.5, 0.5], [0.0, 1.0]]]}
+    key, *at, last = where
+    container = doc[key]
+    for i in at:
+        container = container[i]
+    container[last] = entry
+    message = f"channel document key {key!r} must hold only JSON numbers"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_channel(json.dumps(doc))
+    path = tmp_path / "entry.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate", str(path)], ["check", str(path), "--si", "-,-"]):
+        assert main(argv) == 2, argv
+        assert json.loads(capsys.readouterr().out) == {"error": message}
+
+
+def test_nan_and_infinity_entries_stay_invalid_channels_exit_1(tmp_path, capsys):
+    # json reads the NaN and Infinity tokens as floats: the document parses,
+    # and validate reports the entry.
+    for token in ("NaN", "Infinity", "-Infinity"):
+        path = tmp_path / f"{token}.json"
+        path.write_text('{"Q": [1.0], "W": [[[%s, 0.5], [0.0, 1.0]]]}' % token)
+        assert main(["validate", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"]["checks"][1]["name"] == "entry_range"
 
 
 @pytest.mark.parametrize(

@@ -177,6 +177,46 @@ def test_reduce_shannon_strategy(capsys, ex1_path):
     }
 
 
+# ``reduce --kind`` -> its results on ch_ex1 labelled inputs (a, b), outputs
+# ("y,0", y1) and states (on, off): the reduced DMC's document, then any
+# extra entry, in this key order.
+_REDUCE_REPORTS = {
+    "average": {
+        "inputs": ["a", "b"],
+        "outputs": ["y,0", "y1"],
+        "W": [[1.0, 0.0], [0.25, 0.75]],
+    },
+    "shannon-strategy": {
+        "inputs": ["u00", "u01", "u10", "u11"],
+        "outputs": ["y,0", "y1"],
+        "W": [[1.0, 0.0], [0.5, 0.5], [0.75, 0.25], [0.25, 0.75]],
+        "strategies": [[0, 0], [0, 1], [1, 0], [1, 1]],
+    },
+    "joint-output": {
+        "inputs": ["a", "b"],
+        "outputs": ['("y,0","on")', '("y,0","off")', '("y1","on")', '("y1","off")'],
+        "W": [[0.5, 0.5, 0.0, 0.0], [0.25, 0.0, 0.25, 0.5]],
+    },
+    "extend-termination": {
+        "inputs": ["a", "b", "T"],
+        "outputs": ["y,0", "y1", "T"],
+        "W": [[1.0, 0.0, 0.0], [0.25, 0.75, 0.0], [0.0, 0.0, 1.0]],
+    },
+}
+
+
+@pytest.mark.parametrize("kind", list(_REDUCE_REPORTS))
+def test_reduce_reports_keep_their_keys_order_and_values(capsys, tmp_path, kind):
+    doc = json.loads(serialize(ch_ex1()))
+    doc["inputs"], doc["outputs"], doc["states"] = ["a", "b"], ["y,0", "y1"], ["on", "off"]
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_cli(capsys, "reduce", str(path), "--kind", kind)
+    assert code == 0 and report["parameters"] == {"kind": kind}
+    assert list(report["results"]) == list(_REDUCE_REPORTS[kind])
+    assert report["results"] == _REDUCE_REPORTS[kind]
+
+
 def test_unknown_si_part_exit_2(capsys, ex1_path):
     for argv in (["check", ex1_path, "--si", "x,-"], ["capacity", ex1_path, "--si", "-,x"],
                  ["simulate", ex1_path, "--protocol", "disprover", "--si", "x,-"]):
@@ -430,6 +470,30 @@ def test_simulate_trace_path_unwritable(capsys, ex1_path, tmp_path):
     assert "error" in report
 
 
+@pytest.mark.parametrize("name", ["missing/trace.jsonl", ""], ids=["missing-directory", "empty"])
+def test_simulate_bad_trace_path_fails_before_any_trial(capsys, monkeypatch, ex1_path, tmp_path, name):
+    # The trace file is opened once the protocol is admitted and before
+    # monte_carlo runs a trial; the error is open's, as it was after the trials.
+    def no_trials(*args, **kwargs):
+        raise AssertionError("monte_carlo ran before the trace file was opened")
+
+    monkeypatch.setattr(sdchan.cli, "monte_carlo", no_trials)
+    path = str(tmp_path / name) if name else ""
+    code, report = run_cli(capsys, "simulate", ex1_path, "--protocol", "disprover", "--trace-path", path)
+    assert code == 2
+    assert report == {"error": f"[Errno 2] No such file or directory: {path!r}"}
+
+
+def test_simulate_refused_protocol_creates_no_trace_file(capsys, tmp_path):
+    # A binary symmetric channel has no structural zero, so no disprover.
+    path = tmp_path / "bsc.json"
+    path.write_text(serialize(SdDmc(W=[[[0.9, 0.1], [0.1, 0.9]]], Q=[1.0])))
+    trace_path = tmp_path / "trace.jsonl"
+    code, report = run_cli(capsys, "simulate", str(path), "--protocol", "disprover", "--trace-path", str(trace_path))
+    assert code == 5 and "error" in report
+    assert not trace_path.exists()
+
+
 def test_simulate_empty_trace_path_is_an_io_error(capsys, ex1_path):
     # An empty path asks for a trace like any other and cannot be opened.
     code, report = run_cli(capsys, "simulate", ex1_path, "--protocol", "theorem5", "--trials", "10", "--trace-path", "")
@@ -577,6 +641,16 @@ def test_readme_cli_examples_parse():
     assert len(lines) >= 8
     for argv in lines:
         build_parser().parse_args(sdchan.cli._fuse_si(argv))
+
+
+def test_readme_library_sketch_runs(capsys):
+    # The sketch is run as written, so a change to the public API it uses fails here.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sketch = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(sketch, "README.md", "exec"), {})
+    witness, value = capsys.readouterr().out.splitlines()
+    assert witness == "{'kind': 'letters', 'x': 0, 'y': 1}"
+    assert 0.0 < float(value) <= 1.0
 
 
 def _dispatch_corpus(path):

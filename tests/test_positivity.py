@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sdchan import (
-    AlphabetTooLarge,
+    BudgetExceeded,
     Dmc,
     POSITIVE,
     POSITIVE_SUFFICIENT,
@@ -189,7 +189,7 @@ def test_partition_cap():
     W = np.zeros((1, 2, ny))
     W[0, 0, :] = 1.0 / ny
     W[0, 1, :] = 1.0 / ny
-    with pytest.raises(AlphabetTooLarge):
+    with pytest.raises(BudgetExceeded, match="partition search over 21 outputs exceeds the cap of 20"):
         partition_exists(SdDmc(W=W, Q=[1.0]))
 
 

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdchan import (
     BudgetExceeded,
@@ -25,10 +26,10 @@ from sdchan import (
     shannon_strategy_channel,
     step,
 )
-from sdchan.positivity import check_nocvlpos
+from sdchan.positivity import MAX_BLOCK_BYTES, check_nocvlpos
 import sdchan.protocols
 from sdchan.protocols import (
-    CHUNK_TRIALS, MAX_CODEBOOK_ENTRIES, _codebooks, disprover_trial, han_sato_trial, theorem5_trial,
+    CHUNK_TRIALS, MAX_CODEBOOK_ENTRIES, _cdf, _codebooks, _sample, disprover_trial, han_sato_trial, theorem5_trial,
 )
 from conftest import bsc, ch_ex1, ch_ex2, ch_ex3, ch_triv, random_channel
 
@@ -60,6 +61,35 @@ def test_step_and_sample_state_invert_one_uniform_each(rng):
             x = int(rng.integers(ch.nx))
             y = min(int(np.searchsorted(np.cumsum(ch.W[s, x]), b.random(), side="right")), ch.ny - 1)
             assert step(ch, x, s, a) == y
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    rows=st.lists(st.lists(st.sampled_from([0.0, 1e-300, 0.1, 0.25, 0.5, 1.0]), min_size=1, max_size=5)
+                  .filter(any), min_size=1, max_size=3),
+    shrink=st.sampled_from([1.0, 1 - 1e-10, 0.9, 0.5]),
+    picks=st.lists(st.tuples(st.integers(0, 2), st.floats(0.0, 1.0, exclude_max=True), st.booleans()),
+                   min_size=1, max_size=8),
+)
+def test_sample_paths_agree_on_cdf_rows(rows, shrink, picks):
+    # A shared 1-D row is searched, per-draw rows are counted: both must give
+    # the same sample for every uniform, uniforms equal to a table entry and
+    # rows summing below 1 (whose tail is inf) included, and never a
+    # structural zero.
+    k = max(map(len, rows))
+    probs = np.array([row + [0.0] * (k - len(row)) for row in rows])
+    probs = shrink * probs / probs.sum(axis=1, keepdims=True)
+    cdf = _cdf(probs)
+    which = np.array([i % len(rows) for i, _, _ in picks])
+    finite = [c[np.isfinite(c)] for c in cdf[which]]
+    u = np.array([f[int(v * len(f))] if on_entry and f.size else v
+                  for f, (_, v, on_entry) in zip(finite, picks)])
+    per_draw = _sample(cdf[which], u)
+    for r in range(len(rows)):
+        shared = _sample(cdf[r], u[which == r])
+        assert shared.tolist() == per_draw[which == r].tolist()
+        assert [int(_sample(cdf[r], v)) for v in u[which == r]] == shared.tolist()
+        assert (probs[r, shared] > 0).all()
 
 
 class _FixedUniforms:
@@ -321,7 +351,7 @@ def _reference_han_sato(channel, si, msg_bits, n1, msgs, rng):
     each trial's codebook."""
     dmc = reduced_dmc(channel, si)
     n_msgs = 1 << msg_bits
-    block = max(MAX_CODEBOOK_ENTRIES // (8 * max(n_msgs, dmc.ny) * max(n1, 1)), 1)
+    block = max(MAX_BLOCK_BYTES // (8 * max(n_msgs, dmc.ny) * max(n1, 1)), 1)
     with np.errstate(divide="ignore"):
         log_w = np.log(dmc.W)
     guess = np.empty(len(msgs), dtype=np.int64)
@@ -427,7 +457,7 @@ def test_han_sato_phase1_memory_is_bounded():
     # Codebooks for all 256 trials at once would take 256 * 2**8 * 64 int64
     # letters (32 MiB), and their log-likelihoods as much again.
     trial = han_sato_trial(ch_ex1(), SiModel.from_token("-,-"), 8, n1=64)
-    bound = 4 * MAX_CODEBOOK_ENTRIES * 8
+    bound = 32 * MAX_BLOCK_BYTES
     tracemalloc.start()
     try:
         stats = monte_carlo(trial, trials=256, seed=0)

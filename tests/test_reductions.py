@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sdchan import (
-    AlphabetTooLarge,
+    BudgetExceeded,
     Dmc,
     SdDmc,
     ValidationError,
@@ -122,7 +122,7 @@ def test_strategy_channel_cap(monkeypatch):
     # 13 binary-input states give 2**13 = 8192 letters, above the cap of 4096;
     # the cap is checked before any letter is built.
     monkeypatch.setattr("sdchan.reductions.itertools", None)
-    with pytest.raises(AlphabetTooLarge):
+    with pytest.raises(BudgetExceeded, match="strategy alphabet has 8192 letters, exceeding the cap of 4096"):
         shannon_strategy_channel(SdDmc(W=[np.eye(2)] * 13, Q=np.full(13, 1 / 13)))
 
 
