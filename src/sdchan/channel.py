@@ -13,6 +13,7 @@ import enum
 import functools
 import itertools
 import json
+import re
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -316,15 +317,31 @@ def _doc_labels(doc: dict, key: str) -> tuple[str, ...]:
     return tuple(labels)
 
 
+# Only a number with an exponent below -99 or a run of 100 zeros can have a nonzero
+# digit and parse to 0.0: only a document with "-ddd" or 100 zeros gets the hook.
+_MINUS_THREE_DIGITS = re.compile(r"-\d{3}")
+
+
+class _Underflow(float):
+    """A JSON number with a nonzero digit that parses to 0.0."""
+
+
+def _parse_float(literal: str) -> float:
+    value = float(literal)
+    return _Underflow(value) if value == 0.0 and literal.lower().partition("e")[0].strip("-.0") else value
+
+
 def parse_channel(text: str) -> SdDmc:
     """Parse a channel document; its semantic invariants are left to :func:`validate`.
 
     A document whose arrays or labels do not fit together, such as a W that
     is not 3-level or a Q with one entry too many, is a ``ParseError``, as is
-    an entry of Q or W that is not a JSON number.
+    an entry of Q or W that is not a JSON number, or that has a nonzero digit
+    yet parses to 0.0, which would read as a structural zero.
     """
     try:
-        doc = json.loads(text)
+        hook = _parse_float if _MINUS_THREE_DIGITS.search(text) or "0" * 100 in text else None
+        doc = json.loads(text, parse_float=hook)
     except json.JSONDecodeError as e:
         raise ParseError(f"channel document is not valid JSON: {e}") from e
     except RecursionError:
@@ -346,7 +363,10 @@ def parse_channel(text: str) -> SdDmc:
         entries = doc[key]
         for _ in range(getattr(channel, name).ndim - 1):  # down to the entries of the regular array
             entries = itertools.chain.from_iterable(entries)
-        if not {int, float}.issuperset(map(type, entries)):
+        kinds = set(map(type, entries))
+        if _Underflow in kinds:
+            raise ParseError(f"channel document key {key!r} holds a nonzero number that underflows to 0.0")
+        if not {int, float}.issuperset(kinds):
             raise ParseError(f"channel document key {key!r} must hold only JSON numbers")
     return channel
 

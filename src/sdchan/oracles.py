@@ -38,9 +38,7 @@ class OracleReport:
         return asdict(self)
 
 
-def confusable_all_pairs_fl(
-    channel: SdDmc, decoder_sees_state: bool, n: int, budget: int = CONFUSABLE_BUDGET
-) -> bool:
+def confusable_all_pairs_fl(channel: SdDmc, decoder_sees_state: bool, n: int) -> bool:
     """True iff every pair of distinct length-n input sequences is confusable.
 
     A pair is confusable when some output sequence has positive probability
@@ -51,10 +49,10 @@ def confusable_all_pairs_fl(
     nx, ny, ns = channel.nx, channel.ny, channel.ns
     # There are at least 2**n input sequences, so an n past the budget's bit
     # length is over budget, and nx**n is not formed for it.
-    if n > budget.bit_length() or (nx**n * (nx**n - 1) // 2) * ny**n * n * ns > budget:
+    if n > CONFUSABLE_BUDGET.bit_length() or (nx**n * (nx**n - 1) // 2) * ny**n * n * ns > CONFUSABLE_BUDGET:
         raise BudgetExceeded(
             f"confusability scan at n={n} over {nx} inputs, {ny} outputs and {ns} states "
-            f"exceeds the budget of {budget} elementary checks"
+            f"exceeds the budget of {CONFUSABLE_BUDGET} elementary checks"
         )
     nz = channel.W != 0.0  # [s][x][y]
     inputs = list(itertools.product(range(nx), repeat=n))
@@ -86,12 +84,12 @@ def lattice_size(resolution: int, dim: int) -> int:
     return comb(resolution + dim - 1, dim - 1)
 
 
-def _lattice_over(resolution: int, dim: int, budget: int) -> bool:
-    """lattice_size(resolution, dim) > budget, without forming a size far above it.
+def _capped_lattice_size(resolution: int, dim: int, cap: int) -> int:
+    """lattice_size(resolution, dim), or cap + 1 if it is larger, without forming a size far above cap.
 
     On two or more letters the lattice has more than ``resolution`` points.
     """
-    return (dim > 1 and resolution >= budget) or lattice_size(resolution, dim) > budget
+    return cap + 1 if dim > 1 and resolution >= cap else min(lattice_size(resolution, dim), cap + 1)
 
 
 @lru_cache(maxsize=16)
@@ -117,13 +115,13 @@ def _xlog2(p: np.ndarray) -> np.ndarray:
     return p * np.log2(np.where(p > 0, p, 1.0))
 
 
-def grid_capacity(channel: Dmc, resolution: int, budget: int = GRID_BUDGET) -> float:
+def grid_capacity(channel: Dmc, resolution: int) -> float:
     """Certified lower bound on capacity: max mutual information on a lattice."""
     nx = channel.nx
     if nx > 4:
         raise BudgetExceeded(f"grid oracle limited to 4 inputs, got {nx}")
-    if _lattice_over(resolution, nx, budget):
-        raise BudgetExceeded(f"lattice of resolution {resolution} on {nx} inputs exceeds the budget of {budget}")
+    if _capped_lattice_size(resolution, nx, GRID_BUDGET) > GRID_BUDGET:
+        raise BudgetExceeded(f"lattice of resolution {resolution} on {nx} inputs exceeds the budget of {GRID_BUDGET}")
     P = _simplex_lattice(resolution, nx)  # (N, nx)
     W = channel.W
     row_term = _xlog2(W).sum(axis=1)  # sum_y W log2 W per input
@@ -132,14 +130,13 @@ def grid_capacity(channel: Dmc, resolution: int, budget: int = GRID_BUDGET) -> f
     return float(info.max())
 
 
-def gp_grid_oracle(
-    channel: SdDmc, resolution: int, u_size: int, budget: int = GP_GRID_BUDGET
-) -> float:
+def gp_grid_oracle(channel: SdDmc, resolution: int, u_size: int) -> float:
     """Certified lower bound on the encoder-side-information capacity objective.
 
     Exhausts deterministic maps from (auxiliary letter, state) to inputs,
     deduplicated by the per-letter output kernels they induce, against all
-    lattice conditionals for the auxiliary letter given the state.
+    lattice conditionals for the auxiliary letter given the state, within
+    ``GP_GRID_BUDGET`` (map, point) pairs and ``GRID_BUDGET`` lattice points.
     """
     if channel.nx > 3 or channel.ns > 3:
         raise BudgetExceeded("gp grid oracle limited to 3 inputs and 3 states")
@@ -147,11 +144,11 @@ def gp_grid_oracle(
         raise BudgetExceeded(f"u_size {u_size} exceeds the cardinality bound {channel.nx * channel.ns}")
     kernels = _unique_kernels(channel)
     n_functions = comb(len(kernels) + u_size - 1, u_size)
-    over = _lattice_over(resolution, u_size, budget)
-    if over or n_functions * lattice_size(resolution, u_size) ** channel.ns > budget:
+    points = _capped_lattice_size(resolution, u_size, GRID_BUDGET) ** channel.ns
+    if points > GRID_BUDGET or n_functions * points > GP_GRID_BUDGET:
         raise BudgetExceeded(
             f"gp grid of {len(kernels)} kernels at |U|={u_size}, lattice resolution {resolution} and "
-            f"{channel.ns} states exceeds the budget of {budget} (map, point) pairs"
+            f"{channel.ns} states exceeds the budget of {GP_GRID_BUDGET} (map, point) pairs or {GRID_BUDGET} points"
         )
     lattice = _simplex_lattice(resolution, u_size)  # (L, U)
 

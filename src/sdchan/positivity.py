@@ -10,11 +10,18 @@ searches over pairs of inputs build their boolean arrays in blocks along
 the leading index, each within ``MAX_BLOCK_BYTES``, and stop at the first
 block with a hit, which gives the same first witness.
 
-Two tables hold the design.  ``_ROUTES`` is the one place that maps each
-state-information model to its variable-length and bounded-length
-condition.  ``_CONDITIONS`` is the one place that pairs each condition with
-its witness search and its verifier; a verifier re-reads the support
-pattern and never calls a search.
+``_ROUTES`` is the one place that maps each state-information model to its
+variable-length and bounded-length condition; ``_CONDITIONS`` is the one
+place that pairs each condition with its witness search and its verifier,
+which re-reads the support pattern and never calls a search.  Most rows are
+Shannon's two DMC conditions on a reduced channel's support [input][output]
+(W != 0, the averaged support or the joint-output support): a disprover
+output under variable length, two inputs with disjoint supports under
+bounded length.  ``_on_view`` builds them from one search and one verifier
+per shape, and ``_pair_tables`` runs the pair shape's on each pair of
+states.  The other rows are written out: the strategy lift has
+exponentially many letters, and the in-state, state-group and partition
+conditions read each state apart.
 """
 
 from __future__ import annotations
@@ -90,23 +97,18 @@ def _scan(n: int, row_bytes: int, block: Callable[[int, int], np.ndarray]) -> Op
     return None
 
 
-def _disjoint(rows: np.ndarray, rows2: np.ndarray) -> np.ndarray:
-    """[i][j]: support row i of ``rows`` and row j of ``rows2`` share no output."""
-    return ~(rows @ rows2.T)
-
-
-def _first_disjoint(rows: np.ndarray, rows2: np.ndarray, upper: bool = False) -> Optional[tuple[int, int]]:
-    """First (i, j) with row i of ``rows`` and row j of ``rows2`` disjoint, and i < j if ``upper``."""
+def _first_disjoint(rows: np.ndarray, rows2: np.ndarray, upper: bool) -> Optional[tuple[int, int]]:
+    """The pair search: first (i, j), i < j if ``upper``, with disjoint rows i of ``rows`` and j of ``rows2``."""
     def block(lo, hi):
-        d = _disjoint(rows[lo:hi], rows2)
+        d = ~(rows[lo:hi] @ rows2.T)
         return np.triu(d, 1 + lo) if upper else d
 
     return _scan(len(rows), len(rows2), block)
 
 
-def _first_disjoint_pair(rows: np.ndarray) -> Optional[tuple[int, int]]:
-    """First (x, x') with x < x' whose support rows share no output."""
-    return _first_disjoint(rows, rows, upper=True)
+def _share_no_output(rows: np.ndarray, rows2: np.ndarray, x: int, x2: int) -> bool:
+    """The pair verifier: row x of ``rows`` and row x2 of ``rows2`` are disjoint."""
+    return not (rows[x] & rows2[x2]).any()
 
 
 def _separates(nonzero: np.ndarray, in_y1: np.ndarray) -> bool:
@@ -153,26 +155,16 @@ def partition_exists(channel: SdDmc) -> Optional[tuple[tuple[int, ...], tuple[in
     return None
 
 
-def _letters(names: tuple[str, ...], hit: Optional[tuple[int, ...]]) -> Optional[dict]:
-    return None if hit is None else dict(zip(names, hit))
-
-
-def _all_state_disprover(channel: SdDmc) -> Optional[dict]:
-    # (x, y) with y impossible from x in every state but possible from some input.
-    can = support_pattern(channel).any(axis=0)  # [x][y]
-    return _letters(("x", "y"), _first(~can & can.any(axis=0)))
-
-
-def _strategy_disprover(channel: SdDmc) -> Optional[dict]:
+def _strategy_disprover(channel: SdDmc) -> Optional[tuple]:
     # y possible from some input, such that every state has some input that cannot
     # produce y; the witness strategy letter picks the first such input per state.
     nonzero = support_pattern(channel)
     zero = ~nonzero  # [s][x][y]
     hit = _first(zero.any(axis=1).all(axis=0) & nonzero.any(axis=(0, 1)))
-    return None if hit is None else {"y": hit[0], "u": [int(x) for x in zero[:, :, hit[0]].argmax(axis=1)]}
+    return None if hit is None else (hit[0], [int(x) for x in zero[:, :, hit[0]].argmax(axis=1)])
 
 
-def _in_state_disprover(channel: SdDmc) -> Optional[dict]:
+def _in_state_disprover(channel: SdDmc) -> Optional[tuple]:
     # (y, x, x', s) with y impossible from x but possible from x' in state s,
     # scanned in blocks of the pairs (y, x).
     nonzero = support_pattern(channel).transpose(2, 1, 0)  # [y][x][s]
@@ -186,41 +178,7 @@ def _in_state_disprover(channel: SdDmc) -> Optional[dict]:
     if hit is None:
         return None
     y, x = divmod(hit[0], nx)
-    return {"x": x, "x_prime": hit[1], "y": y, "s": hit[2]}
-
-
-def _output_partition(channel: SdDmc) -> Optional[dict]:
-    part = partition_exists(channel)
-    return {"y0": list(part[0]), "y1": list(part[1])} if part else None
-
-
-def _state_pairs(channel: SdDmc, cross: bool) -> list[tuple[str, int, int]]:
-    """(key, s, s') for every ordered pair of states if ``cross``, else for every s = s'."""
-    if cross:
-        return [(f"{s},{s2}", s, s2) for s in range(channel.ns) for s2 in range(channel.ns)]
-    return [(str(s), s, s) for s in range(channel.ns)]
-
-
-def _pair_table(channel: SdDmc, cross: bool) -> Optional[dict]:
-    # Per key, the first (x, x') with x in state s and x' in state s' disjoint;
-    # the letters may coincide only when the states differ.
-    nonzero = support_pattern(channel)
-    table = {}
-    for key, s, s2 in _state_pairs(channel, cross):
-        pair = _first_disjoint_pair(nonzero[s]) if s == s2 else _first_disjoint(nonzero[s], nonzero[s2])
-        if pair is None:
-            return None
-        table[key] = list(pair)
-    return {"pairs": table}
-
-
-def _all_state_rows(channel: SdDmc) -> np.ndarray:
-    """[x][(s, y)]: the supports of input x in every state, side by side."""
-    return support_pattern(channel).transpose(1, 0, 2).reshape(channel.nx, -1)
-
-
-def _rows_disjoint(rows: np.ndarray, x: int, x2: int) -> bool:
-    return not (rows[x] & rows[x2]).any()
+    return x, hit[1], y, hit[2]
 
 
 def _disproves(column: np.ndarray, x) -> bool:
@@ -229,25 +187,17 @@ def _disproves(column: np.ndarray, x) -> bool:
     return column.any() and not column[np.arange(len(column)), x].any()
 
 
-def _verify_state_group(channel: SdDmc, w: dict) -> bool:
-    group, column = set(w["states"]), support_pattern(channel)[:, :, w["y"]]
-    can = {int(s) for s in np.flatnonzero(column[:, w["x_prime"]])}
-    return bool(group) and group == can and not column[list(group), w["x"]].any()
+def _verify_state_group(channel: SdDmc, x: int, x2: int, y: int, states: list) -> bool:
+    group, column = set(states), support_pattern(channel)[:, :, y]
+    can = {int(s) for s in np.flatnonzero(column[:, x2])}
+    return bool(group) and group == can and not column[list(group), x].any()
 
 
-def _verify_partition(channel: SdDmc, w: dict) -> bool:
-    y0, y1 = set(w["y0"]), set(w["y1"])
+def _verify_partition(channel: SdDmc, y0: list, y1: list) -> bool:
+    y0, y1 = set(y0), set(y1)
     if y0 | y1 != set(range(channel.ny)) or y0 & y1 or not y0 or not y1:
         return False
     return _separates(support_pattern(channel), np.isin(np.arange(channel.ny), list(y1)))
-
-
-def _verify_pair_table(channel: SdDmc, w: dict, cross: bool) -> bool:
-    states = {key: (s, s2) for key, s, s2 in _state_pairs(channel, cross)}
-    if set(w["pairs"]) != set(states):
-        return False
-    nonzero = support_pattern(channel)
-    return not any((nonzero[states[k][0], x] & nonzero[states[k][1], x2]).any() for k, (x, x2) in w["pairs"].items())
 
 
 @dataclass(frozen=True)
@@ -256,52 +206,84 @@ class _Condition:
 
     ``fields`` maps each witness field to the alphabet of its indices: ``x``,
     ``y`` or ``s`` for one index, ``x[]`` for a list, ``x{}`` for a table of
-    input pairs.  ``decisions`` is the verdict with and without a witness.
+    input pairs.  ``search(channel)`` gives the witness's field values in that
+    order, or None, and ``verify(channel, *values)`` re-checks them.
+    ``decisions`` is the verdict with and without a witness.
     """
 
     kind: str
     fields: dict[str, str]
-    search: Callable[[SdDmc | Dmc], Optional[dict]]
-    verify: Callable[[SdDmc | Dmc, dict], bool]
+    search: Callable[[SdDmc | Dmc], Optional[tuple]]
+    verify: Callable[..., bool]
     decisions: tuple[str, str] = (POSITIVE, ZERO)
+
+
+def _on_view(shape: tuple, view: Callable[[SdDmc | Dmc], np.ndarray]) -> _Condition:
+    """The condition of one of Shannon's two shapes on the support view [row][output]."""
+    fields, search, verify = shape
+    return _Condition("letters", fields, lambda ch: search(view(ch)), lambda ch, *w: verify(view(ch), *w))
+
+
+def _pair_tables(kind: str, cross: bool) -> _Condition:
+    """The pair search and pair verifier on the rows of s and s', per state pair.
+
+    The pairs are every ordered (s, s') keyed "s,s'" if ``cross``, else every
+    (s, s) keyed "s"; the letters may coincide only when the states differ.
+    """
+    def pairs(ch):
+        if cross:
+            return {f"{s},{s2}": (s, s2) for s in range(ch.ns) for s2 in range(ch.ns)}
+        return {str(s): (s, s) for s in range(ch.ns)}
+
+    def search(ch):
+        nonzero, table = support_pattern(ch), {}
+        for key, (s, s2) in pairs(ch).items():
+            pair = _first_disjoint(nonzero[s], nonzero[s2], upper=s == s2)
+            if pair is None:
+                return None
+            table[key] = list(pair)
+        return (table,)
+
+    def verify(ch, table):
+        nonzero, states = support_pattern(ch), pairs(ch)
+        return set(table) == set(states) and all(
+            _share_no_output(nonzero[states[k][0]], nonzero[states[k][1]], x, x2) for k, (x, x2) in table.items())
+
+    return _Condition(kind, {"pairs": "x{}"}, search, verify)
+
+
+# The two shapes: witness fields, a search on a support view, a verifier of the indices.
+_DISPROVER = ({"x": "x", "y": "y"},
+              lambda can: _first(~can & can.any(axis=0)),
+              lambda can, x, y: not can[x, y] and can[:, y].any())
+_DISJOINT_PAIR = ({"x": "x", "x_prime": "x"},
+                  lambda can: _first_disjoint(can, can, upper=True),
+                  lambda can, x, x2: _share_no_output(can, can, x, x2))
 
 
 # Rows call check_nocvlpos and partition_exists through module globals, so a
 # rebinding of either (for instance by a tracer) sees every call.
 _CONDITIONS = {
-    "dmc_disprover": _Condition("letters", {"x": "x", "y": "y"},
-        lambda ch: _letters(("x", "y"), _first((ch.W == 0.0) & ch.W.any(axis=0))),
-        lambda ch, w: ch.W[w["x"], w["y"]] == 0.0 and ch.W[:, w["y"]].any()),
-    "dmc_disjoint_pair": _Condition("letters", {"x": "x", "x_prime": "x"},
-        lambda ch: _letters(("x", "x_prime"), _first_disjoint_pair(ch.W != 0.0)),
-        lambda ch, w: _rows_disjoint(ch.W != 0.0, w["x"], w["x_prime"])),
-    "all_state_disprover": _Condition("letters", {"x": "x", "y": "y"},
-        _all_state_disprover,
-        lambda ch, w: _disproves(support_pattern(ch)[:, :, w["y"]], w["x"])),
+    "dmc_disprover": _on_view(_DISPROVER, lambda ch: ch.W != 0.0),
+    "dmc_disjoint_pair": _on_view(_DISJOINT_PAIR, lambda ch: ch.W != 0.0),
+    "all_state_disprover": _on_view(_DISPROVER, lambda ch: support_pattern(ch).any(axis=0)),
     "strategy_disprover": _Condition("strategy", {"y": "y", "u": "x[]"},
         _strategy_disprover,
-        lambda ch, w: len(w["u"]) == ch.ns and _disproves(support_pattern(ch)[:, :, w["y"]], w["u"])),
+        lambda ch, y, u: len(u) == ch.ns and _disproves(support_pattern(ch)[:, :, y], u)),
     "in_state_disprover": _Condition("letters", {"x": "x", "x_prime": "x", "y": "y", "s": "s"},
         _in_state_disprover,
-        lambda ch, w: support_pattern(ch)[w["s"], [w["x"], w["x_prime"]], w["y"]].tolist() == [False, True]),
+        lambda ch, x, x2, y, s: support_pattern(ch)[s, [x, x2], y].tolist() == [False, True]),
     "state_group_disprover": _Condition("state_group", {"x": "x", "x_prime": "x", "y": "y", "states": "s[]"},
-        lambda ch: check_nocvlpos(ch),
+        lambda ch: None if (w := check_nocvlpos(ch)) is None else (w["x"], w["x_prime"], w["y"], w["states"]),
         _verify_state_group, (POSITIVE_SUFFICIENT, UNKNOWN)),
-    "averaged_disjoint_pair": _Condition("letters", {"x": "x", "x_prime": "x"},
-        lambda ch: _letters(("x", "x_prime"), _first_disjoint_pair(support_pattern(ch).any(axis=0))),
-        lambda ch, w: _rows_disjoint(support_pattern(ch).any(axis=0), w["x"], w["x_prime"])),
+    "averaged_disjoint_pair": _on_view(_DISJOINT_PAIR, lambda ch: support_pattern(ch).any(axis=0)),
     "output_partition": _Condition("partition", {"y0": "y[]", "y1": "y[]"},
-        _output_partition,
+        lambda ch: None if (part := partition_exists(ch)) is None else (list(part[0]), list(part[1])),
         _verify_partition),
-    "cross_state_disjoint_pairs": _Condition("per_state_pair_table", {"pairs": "x{}"},
-        lambda ch: _pair_table(ch, cross=True),
-        lambda ch, w: _verify_pair_table(ch, w, cross=True)),
-    "all_state_disjoint_pair": _Condition("letters", {"x": "x", "x_prime": "x"},
-        lambda ch: _letters(("x", "x_prime"), _first_disjoint_pair(_all_state_rows(ch))),
-        lambda ch, w: _rows_disjoint(_all_state_rows(ch), w["x"], w["x_prime"])),
-    "per_state_disjoint_pairs": _Condition("per_state_pairs", {"pairs": "x{}"},
-        lambda ch: _pair_table(ch, cross=False),
-        lambda ch, w: _verify_pair_table(ch, w, cross=False)),
+    "cross_state_disjoint_pairs": _pair_tables("per_state_pair_table", cross=True),
+    "all_state_disjoint_pair": _on_view(_DISJOINT_PAIR,  # [x][(y, s)], as in joint_output_channel
+        lambda ch: support_pattern(ch).transpose(1, 2, 0).reshape(ch.nx, -1)),
+    "per_state_disjoint_pairs": _pair_tables("per_state_pairs", cross=False),
 }
 
 # SI token -> (variable-length condition, bounded-length condition).  Under
@@ -324,8 +306,7 @@ def _decide(channel: SdDmc | Dmc, condition: str, si: Optional[str] = None, regi
     found = row.search(channel)
     if found is None:
         return Verdict(row.decisions[1], condition, None, si, regime)
-    # A search may already name its kind (check_nocvlpos is public).
-    return Verdict(row.decisions[0], condition, {"kind": row.kind, **found}, si, regime)
+    return Verdict(row.decisions[0], condition, {"kind": row.kind, **dict(zip(row.fields, found))}, si, regime)
 
 
 def check_dmc_vl(channel: Dmc) -> Verdict:
@@ -392,4 +373,6 @@ def verify_witness(channel: SdDmc | Dmc, verdict: Verdict) -> bool:
         raise UnsupportedModel(f"unknown condition {verdict.condition!r}")
     if not isinstance(w, dict) or w.get("kind") != row.kind or set(w) != {"kind", *row.fields}:
         return False
-    return all(_field_ok(channel, w[f], spec) for f, spec in row.fields.items()) and bool(row.verify(channel, w))
+    if not all(_field_ok(channel, w[f], spec) for f, spec in row.fields.items()):
+        return False
+    return bool(row.verify(channel, *(w[f] for f in row.fields)))

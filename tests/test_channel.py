@@ -162,6 +162,37 @@ def test_nan_and_infinity_entries_stay_invalid_channels_exit_1(tmp_path, capsys)
         assert report["results"]["checks"][1]["name"] == "entry_range"
 
 
+_UNDERFLOWS = [
+    ("W", '{"Q": [1.0], "W": [[[1e-400, 1.0], [0.5, 0.5]]]}'),
+    ("W", '{"Q": [1.0], "W": [[[0.%s1, 1.0], [0.5, 0.5]]]}' % ("0" * 400)),
+    ("Q", '{"Q": [1.0, 1E-999], "W": [[[0.5, 0.5], [0.0, 1.0]], [[0.5, 0.5], [0.0, 1.0]]]}'),
+]
+
+
+@pytest.mark.parametrize("key, text", _UNDERFLOWS, ids=["exponent", "decimal", "Q"])
+def test_a_nonzero_number_that_underflows_is_a_parse_error_exit_2(tmp_path, capsys, key, text):
+    # Read as 0.0, the first entry of W would be a structural zero, and
+    # check --si -,- would answer positive with the witness x=0, y=0.
+    message = f"channel document key {key!r} holds a nonzero number that underflows to 0.0"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_channel(text)
+    path = tmp_path / "underflow.json"
+    path.write_text(text)
+    for argv in (["validate", str(path)], ["check", str(path), "--si", "-,-"]):
+        assert main(argv) == 2, argv
+        assert json.loads(capsys.readouterr().out) == {"error": message}
+
+
+def test_a_subnormal_entry_stays_nonzero(tmp_path, capsys):
+    # 1e-320 parses to a nonzero subnormal, so no output of this channel is
+    # impossible from any input and the -,- verdict is zero.
+    path = tmp_path / "subnormal.json"
+    path.write_text('{"Q": [1.0], "W": [[[1e-320, 1.0], [0.5, 0.5]]]}')
+    assert parse_channel(path.read_text()).W[0, 0, 0] == 1e-320
+    assert main(["check", str(path), "--si", "-,-"]) == 3
+    assert json.loads(capsys.readouterr().out)["results"]["decision"] == "zero"
+
+
 @pytest.mark.parametrize(
     "labels",
     ["ab", {"a": 1, "b": 2}, [[1], [2]], [1, 1], ["a", "a"]],

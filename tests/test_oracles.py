@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from sdchan import (
     gelfand_pinsker_capacity,
     gp_grid_oracle,
     grid_capacity,
+    serialize,
 )
+from sdchan import oracles
+from sdchan.cli import main
 from sdchan.oracles import _simplex_lattice, _unique_kernels
 from sdchan.positivity import ZERO, bl_positivity
 from conftest import bsc, ch_ex1, ch_triv, random_channel, stuck_at
@@ -33,9 +37,10 @@ def test_confusable_triv_false():
     assert not confusable_all_pairs_fl(ch_triv(), decoder_sees_state=False, n=1)
 
 
-def test_confusable_budget():
+def test_confusable_budget(monkeypatch):
+    monkeypatch.setattr(oracles, "CONFUSABLE_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        confusable_all_pairs_fl(ch_ex1(), decoder_sees_state=False, n=4, budget=10)
+        confusable_all_pairs_fl(ch_ex1(), decoder_sees_state=False, n=4)
 
 
 def test_confusable_matches_bl_verdict(rng):
@@ -90,13 +95,32 @@ def test_gp_grid_stuck_at():
     assert module >= oracle - 1e-3
 
 
-def test_gp_grid_budget():
-    with pytest.raises(BudgetExceeded):
-        gp_grid_oracle(stuck_at(0.2), resolution=40, u_size=6, budget=100)
+def test_gp_grid_budget(monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(oracles, "GP_GRID_BUDGET", 100)
+        with pytest.raises(BudgetExceeded):
+            gp_grid_oracle(stuck_at(0.2), resolution=40, u_size=6)
     with pytest.raises(BudgetExceeded, match="limited to 3 inputs and 3 states"):
         gp_grid_oracle(SdDmc(W=[np.eye(4)], Q=[1.0]), resolution=2, u_size=1)
     with pytest.raises(BudgetExceeded, match="u_size 5 exceeds the cardinality bound 4"):
         gp_grid_oracle(ch_ex1(), resolution=2, u_size=5)
+
+
+def test_gp_grid_points_are_bounded_by_the_grid_budget(monkeypatch, capsys, tmp_path):
+    # 41**3 lattice points and 3 kernel combinations: well within the
+    # (map, point) budget, but the arrays grow with the points alone.
+    ch = stuck_at(0.2)
+    points = oracles.lattice_size(40, 2) ** ch.ns
+    assert points * 3 <= oracles.GP_GRID_BUDGET
+    monkeypatch.setattr(oracles, "GRID_BUDGET", points - 1)
+    with pytest.raises(BudgetExceeded, match=f"or {points - 1} points"):
+        gp_grid_oracle(ch, resolution=40, u_size=2)
+    path = tmp_path / "stuck.json"
+    path.write_text(serialize(ch))
+    assert main(["oracle", str(path), "--which", "gp-grid", "--resolution", "40", "--u-size", "2"]) == 2
+    assert "exceeds the budget" in json.loads(capsys.readouterr().out)["error"]
+    monkeypatch.setattr(oracles, "GRID_BUDGET", points)
+    assert abs(gp_grid_oracle(ch, resolution=40, u_size=2) - 0.8) < 1e-9
 
 
 def _masked_xlog2(p):

@@ -109,17 +109,32 @@ def test_strategy_lift_equivalence():
         )
 
 
+def _answer(verdict):
+    return verdict.decision, verdict.witness
+
+
 def test_joint_output_equivalences():
+    # Under bounded length, sc,c and -,c decide on the joint-output DMC's
+    # support: the verdict is that DMC's verdict, witness included.
     for ch in channels():
         joint = joint_output_channel(ch)
         assert (
             vl_positivity(ch, SiModel.from_token("c,c")).decision
             == check_dmc_vl(drop_empty_columns(joint)).decision
         )
-        assert (
-            bl_positivity(ch, SiModel.from_token("sc,c")).decision
-            == check_dmc_fl_feedback(joint).decision
-        )
+        for token in ("sc,c", "-,c"):
+            assert _answer(bl_positivity(ch, SiModel.from_token(token))) == _answer(check_dmc_fl_feedback(joint)), token
+
+
+def test_averaged_equivalences():
+    # -,- and sc,- decide on the averaged DMC's support in both regimes:
+    # the verdict is that DMC's verdict, witness included.
+    for ch in channels():
+        avg = average_states(ch)
+        for token in ("-,-", "sc,-"):
+            si = SiModel.from_token(token)
+            assert _answer(vl_positivity(ch, si)) == _answer(check_dmc_vl(avg)), token
+            assert _answer(bl_positivity(ch, si)) == _answer(check_dmc_fl_feedback(avg)), token
 
 
 def test_vl_pos1_implies_state_group_witness():
