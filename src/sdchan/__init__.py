@@ -10,7 +10,6 @@ protocols with hard (count, not tolerance) correctness checks.
 __version__ = "0.1.0"
 
 from .channel import (
-    ALL_MODELS,
     Dmc,
     Regime,
     SdDmc,

@@ -86,6 +86,14 @@ def _xlog2(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, group): each distinct row's first index, in index order, and each row's position among them."""
+    seen = {}  # row bytes -> first index; adding 0.0 turns -0.0 into 0.0, so rows compare by value
+    owner = [seen.setdefault(row.tobytes(), x) for x, row in enumerate(rows + 0.0)]
+    first = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
+    return first, np.searchsorted(first, owner)
+
+
 def _adaptive_ascent(name: str, point, evaluate, propose, tol: float, max_iter: int, finish):
     """Monotone ascent with an adaptive step; returns (point, bracket).
 
@@ -174,9 +182,11 @@ def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITE
 
     Each evaluation is d = -H(W_x) - sum_y W(y|x) log2 q(y), with q = rW: the
     row entropies are computed once, so an evaluation is two matrix-vector
-    products and one log2 over the outputs.  Outputs that no input reaches
-    are dropped at set-up; they carry no mass under any r and add nothing
-    to d, so dropping them is exact and leaves every log2 q(y) finite.
+    products and one log2 over the outputs.  Set-up drops the outputs no
+    input reaches, which carry no mass under any r and add nothing to d, so
+    every log2 q(y) is finite; and it merges identical inputs, as I depends
+    only on their summed mass: a merged input starts at its rows' share of
+    the uniform law, and ``P_X`` splits its mass evenly over its rows.
 
     Once the bracket is narrower than ``FINISH_GAP``, ``_adaptive_ascent``
     may try a finish: a Newton step for I(r) on a face S of the simplex.  I
@@ -191,17 +201,17 @@ def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITE
     [W_S diag(1/q) W_S^T 1; 1^T 0] [dr; lam] = [ln 2 (d_S - max d) + W_S v; m],
     which is -ln 2 times the Newton system in H.
     An input with r + dr <= 0 leaves S and the system is solved again; none
-    left, or a singular system, gives no candidate.  Inputs with identical
-    rows count as one input, since I depends only on their summed mass, and
-    S keeps at most as many rows as there are outputs, the heaviest, since
-    more are linearly dependent.  Where the plain step moves mass along a
-    nearly flat direction by a fraction of a per cent per step, this step
-    lands near the optimum of the face in one evaluation.
+    left, or a singular system, gives no candidate.  S keeps at most as many
+    rows as there are outputs, the heaviest, since more are linearly
+    dependent.  Where the plain step moves mass along a nearly flat direction
+    by a fraction of a per cent per step, this step lands near the optimum of
+    the face in one evaluation.
     """
-    W = channel.W
-    W = W[:, W.any(axis=0)]
+    first, group = _distinct_rows(channel.W)
+    counts = np.bincount(group)
+    W = channel.W[first][:, channel.W.any(axis=0)]
     neg_h = _xlog2(W).sum(axis=1)
-    nx, ny = W.shape
+    ny = W.shape[1]
     ln2 = np.log(2.0)
 
     def evaluate(r):
@@ -214,24 +224,17 @@ def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITE
         scaled = r * np.exp2(mu * direction[0])
         return scaled / scaled.sum()
 
-    group = None  # per input, the first input with the same row; set by the first finish
-
     def finish(r, direction):
-        nonlocal group
-        if group is None:
-            first = {}
-            group = np.array([first.setdefault(row.tobytes(), x) for x, row in enumerate(W)])
         shifted_d, q = direction
-        mass = np.bincount(group, r, minlength=nx)
         # An input whose divergence is above the midpoint of [I(r), max d] is
         # gaining mass and may belong to the optimum: it joins the face, and
         # off the face it keeps all of its mass.
         gaining = shifted_d >= np.dot(r, shifted_d) / 2
         shed = np.where(gaining, 0.0, 1.0 - OFF_FACE_KEEP)
-        face = np.flatnonzero((mass > FACE_SHARE * mass.max()) | (gaining & (mass > 0.0)))
+        face = np.flatnonzero((r > FACE_SHARE * r.max()) | (gaining & (r > 0.0)))
         if face.size > ny:
             # More rows than outputs are linearly dependent: keep the heaviest.
-            face = face[np.argsort(mass[face])[-ny:]]
+            face = face[np.argsort(r[face])[-ny:]]
         while face.size:
             # The system times -ln 2: W_S diag(1/q) W_S^T = B B^T.
             n = face.size
@@ -239,21 +242,19 @@ def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITE
             K = np.ones((n + 1, n + 1))
             K[:n, :n] = np.dot(B, B.T)
             K[n, n] = 0.0
-            # The mass shed off the face, per input with identical rows grouped.
-            off = shed * mass
+            off = shed * r  # the mass shed off the face
             off[face] = 0.0
             rhs = np.empty(n + 1)
             rhs[:n] = shifted_d[face] * ln2 + np.dot(B, np.dot(off, W) / np.sqrt(q))
             rhs[n] = off.sum()
-            face_mass = mass[face]
             try:
-                landed = face_mass + np.linalg.solve(K, rhs)[:n]
+                landed = r[face] + np.linalg.solve(K, rhs)[:n]
             except np.linalg.LinAlgError:
                 return None
             if landed.min() > 0.0:
                 scale = 1.0 - shed
-                scale[face] = landed / face_mass
-                trial = r * scale[group]
+                scale[face] = landed / r[face]
+                trial = r * scale
                 return trial / trial.sum()
             face = face[landed > 0.0]
         return None
@@ -263,9 +264,9 @@ def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITE
     # with q(y) = 0, and the proposal is then rejected on its NaN bounds.
     with np.errstate(divide="ignore", invalid="ignore"):
         r, bracket = _adaptive_ascent(
-            "blahut_arimoto", np.full(nx, 1.0 / nx), evaluate, propose, tol, max_iter, finish
+            "blahut_arimoto", counts / channel.nx, evaluate, propose, tol, max_iter, finish
         )
-    return CapacityResult(maximizer={"P_X": r.tolist()}, method="blahut_arimoto", **bracket)
+    return CapacityResult(maximizer={"P_X": (r / counts)[group].tolist()}, method="blahut_arimoto", **bracket)
 
 
 def capacity_cond_iid(channel: SdDmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITER) -> CapacityResult:
@@ -357,8 +358,7 @@ def gelfand_pinsker_capacity(channel: SdDmc, max_iter: int = BA_MAX_ITER) -> Cap
             f"row_stochastic: strategy letter {letters[empty[0]].tolist()} has all-zero rows"
             " in every state of positive probability"
         )
-    _, first = np.unique(T.reshape(len(letters), -1), axis=0, return_index=True)
-    keep = np.sort(first)
+    keep, _ = _distinct_rows(T.reshape(len(letters), -1))
     # Outputs that no letter reaches get no mass under any P(u|s); without
     # them every column of ln p(u, y) has a finite normaliser.
     T = T[keep][:, :, (T > 0).any(axis=(0, 1))]

@@ -242,9 +242,6 @@ class SiModel:
         return self.encoder.level <= other.encoder.level and self.decoder.level <= other.decoder.level
 
 
-ALL_MODELS: tuple[SiModel, ...] = tuple(SiModel.from_token(t) for t in _MODEL_TOKENS)
-
-
 class Regime(enum.Enum):
     """Coding-length regime of a feedback code."""
 

@@ -21,6 +21,7 @@ from .errors import BudgetExceeded
 CONFUSABLE_BUDGET = 50_000_000
 GRID_BUDGET = 5_000_000
 GP_GRID_BUDGET = 50_000_000
+GRID_ENTRIES = 50_000_000  # entries of a grid oracle's largest float64 array: 400 MB, about a third of its peak
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,12 @@ def grid_capacity(channel: Dmc, resolution: int) -> float:
     nx = channel.nx
     if nx > 4:
         raise BudgetExceeded(f"grid oracle limited to 4 inputs, got {nx}")
-    if _capped_lattice_size(resolution, nx, GRID_BUDGET) > GRID_BUDGET:
-        raise BudgetExceeded(f"lattice of resolution {resolution} on {nx} inputs exceeds the budget of {GRID_BUDGET}")
+    points = _capped_lattice_size(resolution, nx, GRID_BUDGET)
+    if points > GRID_BUDGET or points * channel.ny > GRID_ENTRIES:
+        raise BudgetExceeded(
+            f"lattice of resolution {resolution} on {nx} inputs and {channel.ny} outputs exceeds the budget of "
+            f"{GRID_BUDGET} points or {GRID_ENTRIES} entries"
+        )
     P = _simplex_lattice(resolution, nx)  # (N, nx)
     W = channel.W
     row_term = _xlog2(W).sum(axis=1)  # sum_y W log2 W per input
@@ -136,7 +141,8 @@ def gp_grid_oracle(channel: SdDmc, resolution: int, u_size: int) -> float:
     Exhausts deterministic maps from (auxiliary letter, state) to inputs,
     deduplicated by the per-letter output kernels they induce, against all
     lattice conditionals for the auxiliary letter given the state, within
-    ``GP_GRID_BUDGET`` (map, point) pairs and ``GRID_BUDGET`` lattice points.
+    ``GP_GRID_BUDGET`` (map, point) pairs, ``GRID_BUDGET`` lattice points and
+    ``GRID_ENTRIES`` entries of output mass (kernels x |U| x |Y| x points).
     """
     if channel.nx > 3 or channel.ns > 3:
         raise BudgetExceeded("gp grid oracle limited to 3 inputs and 3 states")
@@ -145,10 +151,12 @@ def gp_grid_oracle(channel: SdDmc, resolution: int, u_size: int) -> float:
     kernels = _unique_kernels(channel)
     n_functions = comb(len(kernels) + u_size - 1, u_size)
     points = _capped_lattice_size(resolution, u_size, GRID_BUDGET) ** channel.ns
-    if points > GRID_BUDGET or n_functions * points > GP_GRID_BUDGET:
+    entries = len(kernels) * u_size * channel.ny * points
+    if points > GRID_BUDGET or n_functions * points > GP_GRID_BUDGET or entries > GRID_ENTRIES:
         raise BudgetExceeded(
-            f"gp grid of {len(kernels)} kernels at |U|={u_size}, lattice resolution {resolution} and "
-            f"{channel.ns} states exceeds the budget of {GP_GRID_BUDGET} (map, point) pairs or {GRID_BUDGET} points"
+            f"gp grid of {len(kernels)} kernels at |U|={u_size}, lattice resolution {resolution}, {channel.ns} "
+            f"states and {channel.ny} outputs exceeds the budget of {GP_GRID_BUDGET} (map, point) pairs, "
+            f"{GRID_ENTRIES} entries or {GRID_BUDGET} points"
         )
     lattice = _simplex_lattice(resolution, u_size)  # (L, U)
 

@@ -160,7 +160,7 @@ def sample_state(channel: SdDmc, rng: np.random.Generator) -> int:
 
 @dataclass(frozen=True)
 class Trial:
-    """A zero-error protocol: ``trial(rng, n, trace)`` -> (ok[n], tau[n]).
+    """A zero-error protocol; ``monte_carlo`` draws the messages and calls ``run``.
 
     ``send(msgs, rng, trace)`` sends one ``msg_bits``-bit message per trial
     and returns (decoded, tau), then any further per-trial arrays; the
@@ -181,11 +181,6 @@ class Trial:
         if trace is not None:
             trace.message, trace.decoded = int(msgs[0]), int(sent[0][0])
         return sent
-
-    def __call__(self, rng: np.random.Generator, n: int, trace: Optional[Trace] = None):
-        msgs = rng.integers(1 << self.msg_bits, size=n)
-        decoded, tau = self.run(msgs, rng, trace)[:2]
-        return decoded == msgs, tau
 
 
 def _two_slot_sender(play_round: Callable, p: float) -> Callable[..., tuple[np.ndarray, np.ndarray]]:
@@ -497,17 +492,18 @@ def run_han_sato(
 def monte_carlo(trial: Trial, trials: int, seed: int, trace: Optional[Trace] = None) -> ProtocolStats:
     """Run ``trials`` independent trials in chunks of CHUNK_TRIALS.
 
-    Chunk c draws from the substream (seed, c); ``trace`` records trial 0.
-    Stopping times are summed as exact integers; the rate counts the
-    trial's ``msg_bits`` per message.
+    Chunk c draws its messages from the substream (seed, c), then runs
+    ``trial.run`` on them; ``trace`` records trial 0.  Stopping times are
+    summed as exact integers; the rate counts ``msg_bits`` per message.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     errors = total = total_sq = 0
     for chunk, start in enumerate(range(0, trials, CHUNK_TRIALS)):
         rng = np.random.default_rng([seed, chunk])
-        ok, tau = trial(rng, min(CHUNK_TRIALS, trials - start), trace if chunk == 0 else None)
-        errors += int(np.count_nonzero(~ok))
+        msgs = rng.integers(1 << trial.msg_bits, size=min(CHUNK_TRIALS, trials - start))
+        decoded, tau = trial.run(msgs, rng, trace if chunk == 0 else None)[:2]
+        errors += int(np.count_nonzero(decoded != msgs))
         total += int(tau.sum())
         total_sq += int((tau * tau).sum())
     mean = total / trials

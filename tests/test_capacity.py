@@ -1,8 +1,10 @@
+import json
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdchan import (
     Dmc,
@@ -25,6 +27,7 @@ from sdchan import (
 )
 import sdchan.capacity
 from sdchan.capacity import BA_TOL, FACE_SHARE, FINISH_GAP, GP_TOL, OFF_FACE_KEEP
+from sdchan.cli import main
 from conftest import bsc, ch_ex1, ch_ex2, ch_ex3, ch_triv, pentagon, random_channel, stuck_at
 
 SI_ALL = [SiModel.from_token(t) for t in ("-,-", "sc,-", "c,-", "nc,-", "sc,c", "c,c", "nc,c", "nc,nc")]
@@ -299,6 +302,45 @@ def test_ba_drops_unreached_outputs_exactly(rng):
             a, b = blahut_arimoto(padded), blahut_arimoto(plain)
             assert (a.value, a.certified_gap, a.iterations) == (b.value, b.certified_gap, b.iterations)
             assert a.maximizer == b.maximizer
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    rows=st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(any), min_size=1, max_size=4),
+    k=st.integers(2, 3),
+    order=st.randoms(use_true_random=False),
+    negative_zeros=st.booleans(),
+)
+def test_ba_on_repeated_rows_runs_on_the_merged_matrix(rows, k, order, negative_zeros):
+    # Each row of D comes back k - 1 more times, in any order after D, and
+    # the copies may write their zeros as -0.0: the merged inputs then start
+    # at D's uniform law, so BA runs as on D, and P_X splits each mass evenly.
+    D = np.array(rows, dtype=float)
+    D /= D.sum(axis=1, keepdims=True)
+    tail = [x for x in range(len(D)) for _ in range(k - 1)]
+    order.shuffle(tail)
+    copies = D[tail]
+    if negative_zeros:
+        copies[copies == 0.0] = -0.0
+    merged, repeated = blahut_arimoto(Dmc(W=D)), blahut_arimoto(Dmc(W=np.vstack([D, copies])))
+    assert (repeated.value, repeated.certified_gap, repeated.iterations) == (
+        merged.value, merged.certified_gap, merged.iterations
+    )
+    p = np.array(repeated.maximizer["P_X"])
+    assert p[len(D):].tolist() == p[tail].tolist()
+    np.testing.assert_allclose(k * p[: len(D)], merged.maximizer["P_X"], rtol=1e-12)
+
+
+@pytest.mark.parametrize("si", ["c,c", "-,-"])
+def test_a_negative_zero_document_has_the_zero_documents_capacity(tmp_path, capsys, si):
+    # Rows 0 and 1 are equal by value; -0.0 is a structural zero like 0.0.
+    results = []
+    for zero in (-0.0, 0.0):
+        path = tmp_path / f"{zero}.json"
+        path.write_text(json.dumps({"Q": [1.0], "W": [[[0.0, 0.3, 0.7], [zero, 0.3, 0.7], [0.6, 0.2, 0.2]]]}))
+        assert main(["capacity", str(path), "--si", si, "--quantity", "vanishing"]) == 0
+        results.append(json.loads(capsys.readouterr().out)["results"])
+    assert results[0] == results[1]
 
 
 def test_every_ba_route_calls_the_module_global(monkeypatch):
@@ -631,6 +673,15 @@ def test_gp_drops_zero_probability_states():
     assert np.isfinite(r.certified_gap) and r.certified_gap < GP_TOL
     assert r.warnings == ()
     assert r.maximizer["f"] == [[0], [1]] and len(r.maximizer["P_U_given_S"]) == 1
+
+
+def test_gp_on_a_negative_zero_equals_gp_on_zero():
+    W = [[[0.0, 0.3, 0.7], [0.0, 0.3, 0.7], [0.6, 0.2, 0.2]], [[0.5, 0.5, 0.0], [0.1, 0.0, 0.9], [0.0, 0.0, 1.0]]]
+    negative = np.array(W)
+    negative[negative == 0.0] = -0.0
+    a = gelfand_pinsker_capacity(SdDmc(W=negative, Q=[0.3, 0.7]))
+    b = gelfand_pinsker_capacity(SdDmc(W=W, Q=[0.3, 0.7]))
+    assert a == b
 
 
 def _reference_gp_ascent(ch, max_iter):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sdchan import (
-    ALL_MODELS,
     Dmc,
     ParseError,
     Regime,
@@ -18,7 +17,7 @@ from sdchan import (
     serialize,
     validate,
 )
-from sdchan.channel import parse_channel, support_pattern
+from sdchan.channel import _MODEL_TOKENS, parse_channel, support_pattern
 from sdchan.cli import main
 from sdchan.capacity import _VALUES
 from sdchan.positivity import _ROUTES
@@ -411,10 +410,9 @@ def test_si_model_tokens_and_order():
 
 
 def test_one_si_model_list():
-    assert ALL_MODELS[-1] == SiModel(Si.NONE, Si.CAUSAL)
-    tokens = tuple(m.token for m in ALL_MODELS)
-    assert tuple(_ROUTES) == tuple(_VALUES) == tuple(_REDUCED) == tokens
-    assert tokens[-1] == "-,c"
+    assert SiModel.from_token(_MODEL_TOKENS[-1]) == SiModel(Si.NONE, Si.CAUSAL)
+    assert tuple(_ROUTES) == tuple(_VALUES) == tuple(_REDUCED) == _MODEL_TOKENS
+    assert _MODEL_TOKENS[-1] == "-,c"
     assert [si.level for si in Si] == [0, 1, 2, 3]
 
 

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import sdchan.cli
 from sdchan import SdDmc, serialize
 from sdchan.capacity import CapacityResult
-from sdchan.channel import ALL_MODELS
+from sdchan.channel import _MODEL_TOKENS
 from sdchan.cli import build_parser, main
 from sdchan.protocols import CHUNK_TRIALS, PROTOCOLS
 from conftest import ch_ex1, ch_ex2, ch_ex3, ch_triv
@@ -684,7 +684,7 @@ def _dispatch_corpus(path):
         ["oracle", "--which", "gp-grid", "--resolution", "1" * 1500],
     )]
     # What a user deciding positivity runs: each SI model in each regime.
-    corpus += [["check", path, "--si", m.token, "--regime", r] for m in ALL_MODELS for r in ("fl", "bl", "vl")]
+    corpus += [["check", path, "--si", t, "--regime", r] for t in _MODEL_TOKENS for r in ("fl", "bl", "vl")]
     corpus += [
         ["--verbose", "check", path, "--si", "-,-", "--regime", "vl"],
         [],

@@ -123,6 +123,28 @@ def test_gp_grid_points_are_bounded_by_the_grid_budget(monkeypatch, capsys, tmp_
     assert abs(gp_grid_oracle(ch, resolution=40, u_size=2) - 0.8) < 1e-9
 
 
+def test_grid_oracle_entries_are_bounded_over_the_outputs(monkeypatch, capsys, tmp_path):
+    # Three identical inputs and 40 outputs: 496 lattice points and one
+    # kernel, well within the point and (map, point) budgets, but the output
+    # mass arrays grow with |Y| as well.
+    ch = SdDmc(W=[np.full((3, 40), 1 / 40)], Q=[1.0])
+    path = tmp_path / "wide.json"
+    path.write_text(serialize(ch))
+    points = oracles.lattice_size(30, 3)
+    for which, call, entries in (
+        ("gp-grid", lambda: gp_grid_oracle(ch, resolution=30, u_size=3), 3 * 40 * points),
+        ("grid-capacity", lambda: grid_capacity(average_states(ch), 30), 40 * points),
+    ):
+        monkeypatch.setattr(oracles, "GRID_ENTRIES", entries - 1)
+        with pytest.raises(BudgetExceeded, match=f"40 outputs exceeds the budget .*{entries - 1} entries"):
+            call()
+        argv = ["oracle", str(path), "--which", which, "--resolution", "30", "--u-size", "3"]
+        assert main(argv) == 2
+        assert "exceeds the budget" in json.loads(capsys.readouterr().out)["error"]
+        monkeypatch.setattr(oracles, "GRID_ENTRIES", entries)
+        assert abs(call()) < 1e-12
+
+
 def _masked_xlog2(p):
     out = np.zeros_like(p)
     mask = p > 0

@@ -332,12 +332,13 @@ def test_batched_kernels_match_per_trial_loop():
             except PrecondFailed:
                 continue
             for seed in range(2):
-                trace = Trace()
-                ok, tau = trial(np.random.default_rng(seed), 32, trace)
-                bits_rng = np.random.default_rng(seed)
-                bits = bits_rng.integers(2, size=32)
-                decoded, ref_tau, ref_slots = _reference_bits(channel, protocol, bits, bits_rng)
-                assert ok.tolist() == [d == b for d, b in zip(decoded, bits)]
+                # monte_carlo's order: the messages, then the run, from one stream.
+                trace, rng, ref_rng = Trace(), np.random.default_rng(seed), np.random.default_rng(seed)
+                bits = rng.integers(2, size=32)
+                decoded, tau = trial.run(bits, rng, trace)
+                assert bits.tolist() == ref_rng.integers(2, size=32).tolist()
+                ref_decoded, ref_tau, ref_slots = _reference_bits(channel, protocol, bits, ref_rng)
+                assert decoded.tolist() == ref_decoded
                 assert tau.tolist() == ref_tau
                 assert [(t["s"], t["x"], t["y"], t["decision"]) for t in trace.slots] == ref_slots
 
