@@ -61,16 +61,10 @@ from .capacity import (
     zero_error_capacity,
 )
 from .protocols import (
-    HanSatoRun,
     ProtocolStats,
     Trace,
     monte_carlo,
     reduced_dmc,
-    run_disprover_bit,
-    run_han_sato,
-    run_theorem5_bit,
-    sample_state,
-    step,
 )
 from .oracles import (
     OracleReport,

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import Dmc, Regime, SdDmc, SiModel
+from .channel import Dmc, Regime, SdDmc, SiModel, _distinct_rows
 from .errors import UnsupportedModel, ValidationError
 from .positivity import (
     POSITIVE,
@@ -84,14 +84,6 @@ def _xlog2(p: np.ndarray) -> np.ndarray:
     mask = p > 0
     out[mask] = p[mask] * np.log2(p[mask])
     return out
-
-
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, group): each distinct row's first index, in index order, and each row's position among them."""
-    seen = {}  # row bytes -> first index; adding 0.0 turns -0.0 into 0.0, so rows compare by value
-    owner = [seen.setdefault(row.tobytes(), x) for x, row in enumerate(rows + 0.0)]
-    first = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
-    return first, np.searchsorted(first, owner)
 
 
 def _adaptive_ascent(name: str, point, evaluate, propose, tol: float, max_iter: int, finish):

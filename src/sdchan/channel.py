@@ -102,6 +102,17 @@ def support_pattern(channel: SdDmc) -> np.ndarray:
     return (channel.W != 0.0) & (channel.Q > 0.0)[:, None, None]
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, group): each distinct row's first index, in index order, and each row's position among them.
+
+    The one home of rows equal by value: BA's inputs, GP's strategy letters and han-sato's codewords.
+    """
+    seen = {}  # row bytes -> first index; adding 0.0 turns -0.0 into 0.0, so rows compare by value
+    owner = [seen.setdefault(row.tobytes(), x) for x, row in enumerate(rows + 0.0)]
+    first = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
+    return first, np.searchsorted(first, owner)
+
+
 class _Channel:
     """The core of ``SdDmc`` and ``Dmc``: nx and ny from W's last two axes, and equality.
 

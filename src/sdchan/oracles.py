@@ -21,7 +21,7 @@ from .errors import BudgetExceeded
 CONFUSABLE_BUDGET = 50_000_000
 GRID_BUDGET = 5_000_000
 GP_GRID_BUDGET = 50_000_000
-GRID_ENTRIES = 50_000_000  # entries of a grid oracle's largest float64 array: 400 MB, about a third of its peak
+GRID_ENTRIES = 50_000_000  # entries of a grid oracle's largest float64 array: 400 MB; measured peaks are 2.3-3.7x it
 
 
 @dataclass(frozen=True)
@@ -95,25 +95,25 @@ def _capped_lattice_size(resolution: int, dim: int, cap: int) -> int:
 
 @lru_cache(maxsize=16)
 def _simplex_lattice(resolution: int, dim: int) -> np.ndarray:
-    """All distributions with entries k/resolution, as a (count, dim) array."""
-    bars = np.array(
-        list(itertools.combinations(range(resolution + dim - 1), dim - 1)), dtype=int
-    )
+    """All distributions with entries k/resolution, as a (count, dim) array: the gaps between dim - 1 bars."""
     if dim == 1:
         return np.ones((1, 1))
-    padded = np.hstack(
-        [
-            np.full((len(bars), 1), -1),
-            bars,
-            np.full((len(bars), 1), resolution + dim - 1),
-        ]
-    )
-    parts = np.diff(padded, axis=1) - 1
-    return parts / resolution
+    count, top = lattice_size(resolution, dim), resolution + dim - 1
+    bars = itertools.chain.from_iterable(itertools.combinations(range(top), dim - 1))
+    parts = np.empty((count, dim))
+    parts[:, :-1] = np.fromiter(bars, dtype=float, count=count * (dim - 1)).reshape(count, dim - 1)
+    parts[:, -1] = top
+    parts[:, 1:] -= parts[:, :-1] + 1  # bars at -1 and at top close the first and the last gap
+    parts /= resolution
+    return parts
 
 
 def _xlog2(p: np.ndarray) -> np.ndarray:
-    return p * np.log2(np.where(p > 0, p, 1.0))
+    """p * log2(p), 0 where p is not positive, in one array besides a boolean mask."""
+    out = np.zeros_like(p)
+    np.log2(p, out=out, where=p > 0)
+    out *= p
+    return out
 
 
 def grid_capacity(channel: Dmc, resolution: int) -> float:

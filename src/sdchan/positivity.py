@@ -6,9 +6,10 @@ A state of probability zero supports nothing, and an output no input
 reaches disproves nothing.  A ``positive`` verdict always carries a witness
 that :func:`verify_witness` re-validates against the channel; witness
 selection is lexicographic-first, so verdicts are deterministic.  The
-searches over pairs of inputs build their boolean arrays in blocks along
-the leading index, each within ``MAX_BLOCK_BYTES``, and stop at the first
-block with a hit, which gives the same first witness.
+searches over pairs of inputs, and the partition search over its output
+masks, build their boolean arrays in blocks along the leading index, each
+within ``MAX_BLOCK_BYTES``, and stop at the first block with a hit, which
+gives the same first witness.
 
 ``_ROUTES`` is the one place that maps each state-information model to its
 variable-length and bounded-length condition; ``_CONDITIONS`` is the one
@@ -111,9 +112,10 @@ def _share_no_output(rows: np.ndarray, rows2: np.ndarray, x: int, x2: int) -> bo
     return not (rows[x] & rows2[x2]).any()
 
 
-def _separates(nonzero: np.ndarray, in_y1: np.ndarray) -> bool:
-    """Every state has an input confined to Y0 and an input confined to Y1."""
-    return all((~nonzero[:, :, side].any(axis=2)).any(axis=1).all() for side in (in_y1, ~in_y1))
+def _separates(nonzero: np.ndarray, in_y1: np.ndarray) -> np.ndarray:
+    """Per Y1 membership row of ``in_y1`` [row][y]: every state has an input confined to Y0 and one to Y1."""
+    reach_y1, reach_y0 = nonzero @ in_y1.T, nonzero @ ~in_y1.T  # [s][x][row]: x can produce an output of Y1 (Y0)
+    return (~reach_y1).any(axis=1).all(axis=0) & (~reach_y0).any(axis=1).all(axis=0)
 
 
 def check_nocvlpos(channel: SdDmc) -> Optional[dict]:
@@ -142,17 +144,19 @@ def partition_exists(channel: SdDmc) -> Optional[tuple[tuple[int, ...], tuple[in
     """Output bipartition (Y0, Y1) deterministically separable in every state.
 
     Y0 is the side containing output 0; candidates are scanned in increasing
-    binary encoding of the membership of outputs 1..|Y|-1 in Y1.
+    binary encoding of the membership of outputs 1..|Y|-1 in Y1, a block of
+    masks at a time, every state tested by two boolean matrix products.
     """
     ny = channel.ny
     if ny > MAX_PARTITION_OUTPUTS:
         raise BudgetExceeded(f"partition search over {ny} outputs exceeds the cap of {MAX_PARTITION_OUTPUTS}")
-    nonzero = support_pattern(channel)
-    for mask in range(1, 1 << (ny - 1)):
-        in_y1 = np.array([y > 0 and bool(mask >> (y - 1) & 1) for y in range(ny)])
-        if _separates(nonzero, in_y1):
-            return tuple(int(y) for y in np.flatnonzero(~in_y1)), tuple(int(y) for y in np.flatnonzero(in_y1))
-    return None
+    nonzero, bit = support_pattern(channel), 1 << np.arange(ny) >> 1  # mask bit y - 1 puts y > 0 in Y1
+    hit = _scan((1 << (ny - 1)) - 1, 9 * ny + channel.ns * channel.nx,  # per mask: int64 and bool rows, [s][x]
+                lambda lo, hi: _separates(nonzero, np.arange(lo + 1, hi + 1)[:, None] & bit != 0))
+    if hit is None:
+        return None
+    in_y1 = (hit[0] + 1) & bit != 0
+    return tuple(int(y) for y in np.flatnonzero(~in_y1)), tuple(int(y) for y in np.flatnonzero(in_y1))
 
 
 def _strategy_disprover(channel: SdDmc) -> Optional[tuple]:
@@ -197,7 +201,7 @@ def _verify_partition(channel: SdDmc, y0: list, y1: list) -> bool:
     y0, y1 = set(y0), set(y1)
     if y0 | y1 != set(range(channel.ny)) or y0 & y1 or not y0 or not y1:
         return False
-    return _separates(support_pattern(channel), np.isin(np.arange(channel.ny), list(y1)))
+    return _separates(support_pattern(channel), np.isin(np.arange(channel.ny), list(y1))[None])[0]
 
 
 @dataclass(frozen=True)

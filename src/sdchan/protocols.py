@@ -32,7 +32,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .channel import Dmc, SdDmc, SiModel
+from .channel import Dmc, SdDmc, SiModel, _distinct_rows
 from .errors import BudgetExceeded, PrecondFailed, UnsupportedModel
 from .positivity import MAX_BLOCK_BYTES, POSITIVE, check_dmc_vl, check_nocvlpos
 from .reductions import average_states, joint_output_channel, shannon_strategy_channel
@@ -145,17 +145,6 @@ def _interval(cdf: np.ndarray, y: int) -> tuple[np.ndarray, np.ndarray]:
     """The uniforms that ``_sample`` maps to output ``y``: [lo, hi) per ``_cdf`` row."""
     lo = cdf[..., y - 1] if y else np.zeros(cdf.shape[:-1])
     return lo, cdf[..., y]
-
-
-def step(channel: SdDmc, x: int, s: int, rng: np.random.Generator) -> int:
-    """One channel use: sample y given (x, s).  State sampling is the caller's job."""
-    if not (0 <= x < channel.nx and 0 <= s < channel.ns):
-        raise IndexError(f"(x={x}, s={s}) out of range")
-    return int(_sample(_cdf(channel.W[s, x]), rng.random()))
-
-
-def sample_state(channel: SdDmc, rng: np.random.Generator) -> int:
-    return int(_sample(_cdf(channel.Q), rng.random()))
 
 
 @dataclass(frozen=True)
@@ -437,18 +426,15 @@ def _distinct_codewords(rows: np.ndarray, nx: int, rng: np.random.Generator) -> 
     ``rows`` is a drawn (m, n) batch of words over an nx-letter alphabet,
     with n >= 1.  The words still missing are drawn from ``rng`` in batches
     of the number still missing, and the first m distinct rows of the whole
-    stream are returned.  A batch with no repeated row is returned as it is,
-    with nothing drawn.
+    stream, which ``channel._distinct_rows`` finds, are returned.  Nothing is
+    drawn for a batch with no repeated row.
     """
     m, n = rows.shape
-    # One bytes object per row, hashed in C; the dict keeps first occurrences in order.
-    distinct = dict.fromkeys(rows.view(f"V{rows.itemsize * n}").ravel().tolist())
-    if len(distinct) == m:
-        return rows
-    while len(distinct) < m:
-        more = rng.integers(nx, size=(m - len(distinct), n))
-        distinct.update(dict.fromkeys(more.view(f"V{more.itemsize * n}").ravel().tolist()))
-    return np.frombuffer(b"".join(distinct), dtype=rows.dtype).reshape(m, n)
+    first, _ = _distinct_rows(rows)
+    while len(first) < m:
+        rows = np.concatenate([rows[first], rng.integers(nx, size=(m - len(first), n))])
+        first, _ = _distinct_rows(rows)
+    return rows[first]
 
 
 def _send_one(trial: Trial, msg: Optional[int], rng: np.random.Generator, trace: Optional[Trace]) -> tuple:

@@ -23,14 +23,12 @@ from sdchan import (
     grid_capacity,
     monte_carlo,
     shannon_zef_fl_capacity,
-    step,
-    sample_state,
     vanishing_capacity,
     vl_positivity,
     zero_error_capacity,
 )
 from sdchan.cli import main as cli_main
-from sdchan.protocols import disprover_trial, han_sato_trial, theorem5_trial
+from sdchan.protocols import _cdf, _sample, disprover_trial, han_sato_trial, run_han_sato, theorem5_trial
 from conftest import (
     bsc,
     ch_ex1,
@@ -94,9 +92,9 @@ def test_criterion_2_example_2_suite():
     correct = 0
     slots = 100_000
     for _ in range(slots):
-        s = sample_state(ch, rng)
+        s = int(_sample(_cdf(ch.Q), rng.random()))
         x = int(rng.integers(2))
-        y = step(ch, x, s, rng)
+        y = int(_sample(_cdf(ch.W[s, x]), rng.random()))
         correct += (0 if y != x else 1) == s
     ok &= correct == slots
     report(2, f"Example 2 suite (state inference {correct}/{slots})", ok)
@@ -214,8 +212,6 @@ def test_criterion_9_capacity_monotonicity():
 
 def test_criterion_note_han_sato_rate(han_sato_stats):
     trial_runs = 2000
-    from sdchan import run_han_sato
-
     phase1 = 0
     for i in range(trial_runs):
         rng = np.random.default_rng([7, i])

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from sdchan import (
 )
 from sdchan import oracles
 from sdchan.cli import main
-from sdchan.oracles import _simplex_lattice, _unique_kernels
+from sdchan.oracles import _simplex_lattice, _unique_kernels, _xlog2
 from sdchan.positivity import ZERO, bl_positivity
 from conftest import bsc, ch_ex1, ch_triv, random_channel, stuck_at
 
@@ -183,3 +184,34 @@ def test_gp_grid_matches_per_combination_loop(rng):
             for u_size in range(1, ch.nx * ch.ns + 1):
                 expected = _reference_gp_grid_oracle(ch, resolution, u_size)
                 assert abs(gp_grid_oracle(ch, resolution, u_size) - expected) <= 1e-12
+
+
+def _peak_bytes(call):
+    """(result, peak bytes traced above those held before the call)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_xlog2_holds_one_array_besides_a_mask():
+    # p * log2(where(p > 0, p, 1)) held two temporaries the size of p.
+    p = np.random.default_rng(3).random((500, 400))
+    p[p < 0.3] = 0.0
+    p[0, 0] = -0.0
+    out, peak = _peak_bytes(lambda: _xlog2(p))
+    assert peak <= 1.2 * p.nbytes
+    assert out.tobytes() == (p * np.log2(np.where(p > 0, p, 1.0))).tobytes()
+
+
+@pytest.mark.parametrize("resolution, dim", [(300, 3), (40, 5), (7, 9)])
+def test_simplex_lattice_peaks_near_the_array_it_returns(resolution, dim):
+    # A Python list of bar tuples peaked at 4.6x the returned array at dimension 3.
+    lattice, peak = _peak_bytes(lambda: _simplex_lattice.__wrapped__(resolution, dim))
+    assert peak <= 3 * lattice.nbytes
+    bars = np.array(list(itertools.combinations(range(resolution + dim - 1), dim - 1)))
+    padded = np.hstack([np.full((len(bars), 1), -1), bars, np.full((len(bars), 1), resolution + dim - 1)])
+    assert lattice.tobytes() == ((np.diff(padded, axis=1) - 1) / resolution).tobytes()

@@ -343,9 +343,11 @@ def test_searches_match_loop_reference():
     def fields(v):
         return None if v.witness is None else {k: w for k, w in v.witness.items() if k != "kind"}
 
+    # The sparse channels of up to 8 outputs find most partitions past the
+    # first masks.
     rng = np.random.default_rng(5)
-    for _ in range(150):
-        ch = random_channel(rng, max_size=4)
+    for max_size, zero_prob in [(4, 0.4)] * 150 + [(8, 0.7)] * 40:
+        ch = random_channel(rng, max_size=max_size, zero_prob=zero_prob)
         verdicts = [check_dmc_vl(average_states(ch)), check_dmc_fl_feedback(average_states(ch))]
         for si in SI_ALL + [SiModel.from_token("-,c")]:
             verdicts += [positivity(ch, si, Regime.VARIABLE_LENGTH), positivity(ch, si, Regime.BOUNDED_LENGTH)]
@@ -371,6 +373,23 @@ def test_pair_searches_allocate_blocks_not_pairs():
             assert peak <= bound, (si.token, regime.value, peak)
 
 
+def test_partition_search_allocates_blocks_not_masks():
+    # 2 states, 2 inputs and 20 outputs with no partition: every one of the
+    # 2**19 - 1 masks is scanned.  One mask at a time, this took 6-9 s.
+    module = importlib.import_module("sdchan.positivity")
+    W = np.full((2, 2, 20), 0.05)
+    W[0, 0] = W[1, 1] = np.repeat([0.0, 0.1], 10)
+    ch = SdDmc(W=W, Q=[0.5, 0.5])
+    tracemalloc.start()
+    try:
+        verdict = positivity(ch, SiModel.from_token("c,-"), Regime.BOUNDED_LENGTH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.condition == "output_partition" and verdict.witness is None
+    assert peak <= 2 * module.MAX_BLOCK_BYTES
+
+
 @pytest.mark.parametrize("block_bytes", [1, 16])
 def test_blocked_searches_match_one_block(monkeypatch, block_bytes):
     # The default constant holds these small channels in one block; a tiny
@@ -383,6 +402,7 @@ def test_blocked_searches_match_one_block(monkeypatch, block_bytes):
 
     rng = np.random.default_rng(24)
     channels = [random_channel(rng, max_size=4, zero_prob=zero_prob) for zero_prob in (0.3, 0.6) for _ in range(60)]
+    channels += [random_channel(rng, max_size=8, zero_prob=0.7) for _ in range(10)]
     whole = [verdicts(ch) for ch in channels]
     monkeypatch.setattr(importlib.import_module("sdchan.positivity"), "MAX_BLOCK_BYTES", block_bytes)
     assert [verdicts(ch) for ch in channels] == whole

@@ -19,48 +19,49 @@ from sdchan import (
     joint_output_channel,
     monte_carlo,
     reduced_dmc,
-    run_disprover_bit,
-    run_han_sato,
-    run_theorem5_bit,
-    sample_state,
     shannon_strategy_channel,
-    step,
 )
 from sdchan.positivity import MAX_BLOCK_BYTES, check_nocvlpos
 import sdchan.protocols
 from sdchan.protocols import (
-    CHUNK_TRIALS, MAX_CODEBOOK_ENTRIES, _cdf, _codebooks, _sample, disprover_trial, han_sato_trial, theorem5_trial,
+    CHUNK_TRIALS, MAX_CODEBOOK_ENTRIES, _cdf, _codebooks, _distinct_codewords, _sample, disprover_trial,
+    han_sato_trial, run_disprover_bit, run_han_sato, run_theorem5_bit, theorem5_trial,
 )
 from conftest import bsc, ch_ex1, ch_ex2, ch_ex3, ch_triv, random_channel
+
+
+def _draw(probs, rng):
+    """One inverse-CDF draw from the row ``probs``, on one ``rng.random()``."""
+    return int(_sample(_cdf(probs), rng.random()))
 
 
 def test_step_deterministic_row():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        assert step(ch_triv(), 0, 0, rng) == 0
-        assert step(ch_ex2(), 0, 0, rng) == 1  # flip state
+        assert _draw(ch_triv().W[0, 0], rng) == 0
+        assert _draw(ch_ex2().W[0, 0], rng) == 1  # flip state
 
 
 def test_step_frequency():
     rng = np.random.default_rng(2)
     n = 100_000
-    hits = sum(step(ch_ex1(), 1, 0, rng) == 1 for _ in range(n))
+    hits = sum(_draw(ch_ex1().W[0, 1], rng) == 1 for _ in range(n))
     assert abs(hits / n - 0.5) < 0.005  # binomial 3 sigma
 
 
 def test_step_and_sample_state_invert_one_uniform_each(rng):
-    # Both draw through the batched sampler; the seeded stream must stay the
-    # scalar inverse CDF, one rng.random() per draw.
+    # A state and then an output through the batched sampler; the seeded
+    # stream must stay the scalar inverse CDF, one rng.random() per draw.
     for _ in range(20):
         ch = random_channel(rng)
         seed = int(rng.integers(1 << 32))
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(50):
-            s = sample_state(ch, a)
+            s = _draw(ch.Q, a)
             assert s == min(int(np.searchsorted(np.cumsum(ch.Q), b.random(), side="right")), ch.ns - 1)
             x = int(rng.integers(ch.nx))
             y = min(int(np.searchsorted(np.cumsum(ch.W[s, x]), b.random(), side="right")), ch.ny - 1)
-            assert step(ch, x, s, a) == y
+            assert _draw(ch.W[s, x], a) == y
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
@@ -110,7 +111,7 @@ SHORT_ROW = SdDmc(W=[[[0.6, 0.4 - 1e-10, 0.0], [0.0, 0.5, 0.5]]], Q=[1.0])
 
 
 def test_step_never_samples_a_structural_zero():
-    assert step(SHORT_ROW, 0, 0, _FixedUniforms([1 - 5e-11])) == 1
+    assert _draw(SHORT_ROW.W[0, 0], _FixedUniforms([1 - 5e-11])) == 1
 
 
 def test_theorem5_never_samples_a_structural_zero():
@@ -129,18 +130,10 @@ def test_disprover_never_samples_a_structural_zero():
     assert [a.tolist() for a in disprover_trial(dmc).send(np.array([0]), rng)] == [[0], [4]]
 
 
-def test_step_index_errors():
-    rng = np.random.default_rng(3)
-    with pytest.raises(IndexError):
-        step(ch_ex1(), 2, 0, rng)
-    with pytest.raises(IndexError):
-        step(ch_ex1(), 0, 5, rng)
-
-
 def test_sample_state_frequency():
     rng = np.random.default_rng(4)
     n = 50_000
-    s1 = sum(sample_state(ch_ex1(), rng) for _ in range(n))
+    s1 = sum(_draw(ch_ex1().Q, rng) for _ in range(n))
     assert abs(s1 / n - 0.5) < 0.01
 
 
@@ -452,6 +445,36 @@ def test_codebooks_confirm_equal_keys_on_the_rows():
     rng = _FixedIntegers(repeated, np.zeros((1, 65)), words[0, 1:])
     assert _codebooks(1, 2, 2, 65, rng).tolist() == words.tolist()
     assert rng.arrays == []
+
+
+def _dict_distinct_codewords(rows, nx, rng):
+    """The codeword dedupe as a dict of row bytes, kept as the reference for ``_distinct_codewords``."""
+    m, n = rows.shape
+    distinct = dict.fromkeys(rows.view(f"V{rows.itemsize * n}").ravel().tolist())
+    if len(distinct) == m:
+        return rows
+    while len(distinct) < m:
+        more = rng.integers(nx, size=(m - len(distinct), n))
+        distinct.update(dict.fromkeys(more.view(f"V{more.itemsize * n}").ravel().tolist()))
+    return np.frombuffer(b"".join(distinct), dtype=rows.dtype).reshape(m, n)
+
+
+def test_distinct_codewords_match_the_dict_reference():
+    # Few letters and short words force repeats, in the batch drawn and in
+    # the top-ups: both must keep the same words, draw the same top-ups and
+    # leave the stream at the same next uniform.
+    topped_up = 0
+    for seed in range(600):
+        pick = np.random.default_rng([seed, 0])
+        nx, n = int(pick.integers(2, 4)), int(pick.integers(1, 5))
+        m = int(pick.integers(1, min(nx**n, 16) + 1))
+        rows = pick.integers(nx, size=(m, n))
+        a, b = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+        got, want = _distinct_codewords(rows.copy(), nx, a), _dict_distinct_codewords(rows.copy(), nx, b)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+        assert a.random() == b.random()
+        topped_up += len({r.tobytes() for r in rows}) < m
+    assert topped_up > 250  # 298 of the 600 batches repeat a word
 
 
 def test_han_sato_phase1_memory_is_bounded():
