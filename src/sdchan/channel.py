@@ -102,15 +102,17 @@ def support_pattern(channel: SdDmc) -> np.ndarray:
     return (channel.W != 0.0) & (channel.Q > 0.0)[:, None, None]
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_rows(rows: np.ndarray, seen: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(first, group): each distinct row's first index, in index order, and each row's position among them.
 
     The one home of rows equal by value: BA's inputs, GP's strategy letters and han-sato's codewords.
+    A ``seen`` dict carries earlier batches' rows over, and ``first`` names only the rows new to it.
     """
-    seen = {}  # row bytes -> first index; adding 0.0 turns -0.0 into 0.0, so rows compare by value
-    owner = [seen.setdefault(row.tobytes(), x) for x, row in enumerate(rows + 0.0)]
-    first = np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
-    return first, np.searchsorted(first, owner)
+    seen = {} if seen is None else seen  # row bytes -> group; + 0.0 turns -0.0 into 0.0, so rows compare by value
+    before = len(seen)
+    group = np.fromiter((seen.setdefault(row.tobytes(), len(seen)) for row in rows + 0.0), np.intp, len(rows))
+    # Groups new to ``seen`` count up from ``before``; each first appears where the running maximum reaches it.
+    return np.searchsorted(np.maximum.accumulate(group), np.arange(before, len(seen))), group
 
 
 class _Channel:

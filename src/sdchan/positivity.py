@@ -115,7 +115,7 @@ def _share_no_output(rows: np.ndarray, rows2: np.ndarray, x: int, x2: int) -> bo
 def _separates(nonzero: np.ndarray, in_y1: np.ndarray) -> np.ndarray:
     """Per Y1 membership row of ``in_y1`` [row][y]: every state has an input confined to Y0 and one to Y1."""
     reach_y1, reach_y0 = nonzero @ in_y1.T, nonzero @ ~in_y1.T  # [s][x][row]: x can produce an output of Y1 (Y0)
-    return (~reach_y1).any(axis=1).all(axis=0) & (~reach_y0).any(axis=1).all(axis=0)
+    return ~reach_y1.all(axis=1).any(axis=0) & ~reach_y0.all(axis=1).any(axis=0)
 
 
 def check_nocvlpos(channel: SdDmc) -> Optional[dict]:
@@ -151,7 +151,7 @@ def partition_exists(channel: SdDmc) -> Optional[tuple[tuple[int, ...], tuple[in
     if ny > MAX_PARTITION_OUTPUTS:
         raise BudgetExceeded(f"partition search over {ny} outputs exceeds the cap of {MAX_PARTITION_OUTPUTS}")
     nonzero, bit = support_pattern(channel), 1 << np.arange(ny) >> 1  # mask bit y - 1 puts y > 0 in Y1
-    hit = _scan((1 << (ny - 1)) - 1, 9 * ny + channel.ns * channel.nx,  # per mask: int64 and bool rows, [s][x]
+    hit = _scan((1 << (ny - 1)) - 1, 8 + 9 * ny + 3 * channel.ns * channel.nx,  # mask, [y] int64+bool, 3 [s][x]
                 lambda lo, hi: _separates(nonzero, np.arange(lo + 1, hi + 1)[:, None] & bit != 0))
     if hit is None:
         return None

@@ -423,18 +423,17 @@ def _codebooks(m: int, n_msgs: int, nx: int, n1: int, rng: np.random.Generator) 
 def _distinct_codewords(rows: np.ndarray, nx: int, rng: np.random.Generator) -> np.ndarray:
     """len(rows) distinct codewords: the first distinct rows of ``rows``, then of an i.i.d. stream.
 
-    ``rows`` is a drawn (m, n) batch of words over an nx-letter alphabet,
-    with n >= 1.  The words still missing are drawn from ``rng`` in batches
-    of the number still missing, and the first m distinct rows of the whole
-    stream, which ``channel._distinct_rows`` finds, are returned.  Nothing is
-    drawn for a batch with no repeated row.
+    ``rows`` is a drawn (m, n) batch of words over an nx-letter alphabet, with
+    n >= 1.  The words still missing are drawn from ``rng`` in batches of the
+    number still missing, each row hashed once against the words kept so far.
     """
     m, n = rows.shape
-    first, _ = _distinct_rows(rows)
-    while len(first) < m:
-        rows = np.concatenate([rows[first], rng.integers(nx, size=(m - len(first), n))])
-        first, _ = _distinct_rows(rows)
-    return rows[first]
+    seen = {}
+    words = [rows[_distinct_rows(rows, seen)[0]]]
+    while len(seen) < m:
+        batch = rng.integers(nx, size=(m - len(seen), n))
+        words.append(batch[_distinct_rows(batch, seen)[0]])
+    return np.concatenate(words)
 
 
 def _send_one(trial: Trial, msg: Optional[int], rng: np.random.Generator, trace: Optional[Trace]) -> tuple:

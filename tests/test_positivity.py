@@ -373,13 +373,25 @@ def test_pair_searches_allocate_blocks_not_pairs():
             assert peak <= bound, (si.token, regime.value, peak)
 
 
-def test_partition_search_allocates_blocks_not_masks():
+def _no_partition_outputs_20():
     # 2 states, 2 inputs and 20 outputs with no partition: every one of the
     # 2**19 - 1 masks is scanned.  One mask at a time, this took 6-9 s.
-    module = importlib.import_module("sdchan.positivity")
     W = np.full((2, 2, 20), 0.05)
     W[0, 0] = W[1, 1] = np.repeat([0.0, 0.1], 10)
-    ch = SdDmc(W=W, Q=[0.5, 0.5])
+    return SdDmc(W=W, Q=[0.5, 0.5])
+
+
+def _no_partition_inputs_50():
+    # 50 states and 50 inputs on 12 outputs, all with full support: the
+    # [s][x] arrays per mask outweigh its Y1 rows; a block sized for one
+    # of them held three and peaked at 3 MiB.
+    return SdDmc(W=np.full((50, 50, 12), 1 / 12), Q=np.full(50, 1 / 50))
+
+
+@pytest.mark.parametrize("make", [_no_partition_outputs_20, _no_partition_inputs_50])
+def test_partition_search_allocates_blocks_not_masks(make):
+    module = importlib.import_module("sdchan.positivity")
+    ch = make()
     tracemalloc.start()
     try:
         verdict = positivity(ch, SiModel.from_token("c,-"), Regime.BOUNDED_LENGTH)

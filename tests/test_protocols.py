@@ -477,6 +477,32 @@ def test_distinct_codewords_match_the_dict_reference():
     assert topped_up > 250  # 298 of the 600 batches repeat a word
 
 
+def test_full_codebook_hashes_each_drawn_word_once(monkeypatch):
+    # With nx**n == m every word of the space must be kept, and the last
+    # missing ones take about 1.6 * m top-up rounds.  Rehashing the kept
+    # words every round made that about m**2 row hashes.
+    m, n = 256, 8
+    hashed, drawn = [], []
+    dedupe = sdchan.protocols._distinct_rows
+    monkeypatch.setattr(
+        sdchan.protocols, "_distinct_rows", lambda rows, *seen: hashed.append(len(rows)) or dedupe(rows, *seen)
+    )
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def integers(self, high, size):
+            drawn.append(size[0])
+            return self.rng.integers(high, size=size)
+
+    rows = np.random.default_rng(1).integers(2, size=(m, n))
+    a, b = np.random.default_rng(2), np.random.default_rng(2)
+    got, want = _distinct_codewords(rows.copy(), 2, Counting(a)), _dict_distinct_codewords(rows.copy(), 2, b)
+    assert got.tolist() == want.tolist() and a.random() == b.random()
+    assert len(drawn) > m and hashed == [m, *drawn]
+
+
 def test_han_sato_phase1_memory_is_bounded():
     # Codebooks for all 256 trials at once would take 256 * 2**8 * 64 int64
     # letters (32 MiB), and their log-likelihoods as much again.
