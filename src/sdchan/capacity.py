@@ -5,7 +5,9 @@ vanishing-error value comes from one of two optimizers: Blahut-Arimoto on a
 DMC, or the concave Gelfand-Pinsker ascent for the non-causal encoder.  Each
 result carries the gap between its own upper and lower bounds, so its value
 is a certified bracket [value, value + gap]; one that stops at its iteration
-cap returns its wider bracket with a warning.
+cap returns its wider bracket with a warning.  Blahut-Arimoto starts at the
+closed-form optimum of a square or two-output DMC, where the KKT conditions
+are linear, and usually stops there after one evaluation.
 
 ``_VALUES`` is the one place that maps each state-information model to the
 reduction and optimizer that give its vanishing-error value;
@@ -160,8 +162,24 @@ def _adaptive_ascent(name: str, point, evaluate, propose, tol: float, max_iter: 
     return point, {"value": value, "certified_gap": gap, "iterations": evaluations, "warnings": warnings}
 
 
+def _kkt_law(W: np.ndarray, neg_h: np.ndarray) -> Optional[np.ndarray]:
+    """The input law of the square ``W`` at which every D(W_x || rW) is equal, if it is positive.
+
+    D(W_x || q) = C on every row reads W z = H(W_x) with z = -log2 q - C,
+    so q ∝ 2^(-z) and r = q W^-1.  None if W is singular or r has an entry
+    that is not positive.
+    """
+    try:
+        z = np.linalg.solve(W, -neg_h)
+        q = np.exp2(z.min() - z)
+        r = np.linalg.solve(W.T, q / q.sum())
+    except np.linalg.LinAlgError:
+        return None
+    return r / r.sum() if r.min() > 0.0 else None
+
+
 def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITER) -> CapacityResult:
-    """max_{P_X} I(X;Y) by an accelerated Blahut-Arimoto ascent from the uniform input.
+    """max_{P_X} I(X;Y) by an accelerated Blahut-Arimoto ascent.
 
     At any input law r, I(r) <= C <= max_x D(W_x || rW), so each evaluated
     point carries a certified bracket.  The step r' ∝ r * 2^(mu (d - max d)),
@@ -177,8 +195,20 @@ def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITE
     products and one log2 over the outputs.  Set-up drops the outputs no
     input reaches, which carry no mass under any r and add nothing to d, so
     every log2 q(y) is finite; and it merges identical inputs, as I depends
-    only on their summed mass: a merged input starts at its rows' share of
-    the uniform law, and ``P_X`` splits its mass evenly over its rows.
+    only on their summed mass, and ``P_X`` splits a merged input's mass
+    evenly over its rows.
+
+    The ascent starts at the optimum where the capacity KKT conditions give
+    it in closed form, and at the uniform law (a merged input at its rows'
+    share) otherwise.  An input law r with D(W_x || rW) = C on every x is
+    optimal.  On a square W (after set-up) that is the linear system
+    W z = H(W_x), z = -log2 q - C, so q ∝ 2^(-z) and r = q W^-1.  With two
+    outputs, I(r) = h(q(y0)) - sum_x r_x h(W(y0|x)) and h is concave, so
+    the two inputs with the smallest and largest W(y0|x) carry an optimum;
+    the same solve on them gives their masses, and every other input starts
+    at 0.  A solve that fails, or a law with an entry that is not positive,
+    leaves the uniform start.  The bracket is certified at any start, so a
+    wrong candidate costs evaluations, never correctness.
 
     Once the bracket is narrower than ``FINISH_GAP``, ``_adaptive_ascent``
     may try a finish: a Newton step for I(r) on a face S of the simplex.  I
@@ -255,9 +285,15 @@ def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITE
     # mass that an extrapolated proposal underflows to 0 can leave an output
     # with q(y) = 0, and the proposal is then rejected on its NaN bounds.
     with np.errstate(divide="ignore", invalid="ignore"):
-        r, bracket = _adaptive_ascent(
-            "blahut_arimoto", counts / channel.nx, evaluate, propose, tol, max_iter, finish
-        )
+        start = counts / channel.nx
+        # The inputs that carry an optimum solvable in closed form, if any.
+        face = np.arange(ny) if len(W) == ny else np.argsort(W[:, 0])[[0, -1]] if ny == 2 else None
+        if face is not None:
+            law = _kkt_law(W[face], neg_h[face])
+            if law is not None:
+                start = np.zeros(len(W))
+                start[face] = law
+        r, bracket = _adaptive_ascent("blahut_arimoto", start, evaluate, propose, tol, max_iter, finish)
     return CapacityResult(maximizer={"P_X": (r / counts)[group].tolist()}, method="blahut_arimoto", **bracket)
 
 

@@ -99,9 +99,13 @@ def _simplex_lattice(resolution: int, dim: int) -> np.ndarray:
     if dim == 1:
         return np.ones((1, 1))
     count, top = lattice_size(resolution, dim), resolution + dim - 1
-    bars = itertools.chain.from_iterable(itertools.combinations(range(top), dim - 1))
     parts = np.empty((count, dim))
-    parts[:, :-1] = np.fromiter(bars, dtype=float, count=count * (dim - 1)).reshape(count, dim - 1)
+    if dim == 2:
+        # One bar at each position: no pool of Python ints to copy.
+        parts[:, 0] = np.arange(top)
+    else:
+        bars = itertools.chain.from_iterable(itertools.combinations(range(top), dim - 1))
+        parts[:, :-1] = np.fromiter(bars, dtype=float, count=count * (dim - 1)).reshape(count, dim - 1)
     parts[:, -1] = top
     parts[:, 1:] -= parts[:, :-1] + 1  # bars at -1 and at top close the first and the last gap
     parts /= resolution

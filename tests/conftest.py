@@ -25,6 +25,23 @@ def ch_ex1(p: float = 0.5) -> SdDmc:
     )
 
 
+def ch_three_outputs() -> SdDmc:
+    """ex1 with input 1's outputs spread over two letters; equiprobable states.
+
+    In s0 input 1 gives (1/4, 1/4, 1/2), in s1 it gives (0, 1/2, 1/2), apart
+    from input 0's output 0.  Its averaged, strategy-lift and per-state
+    matrices are neither square nor two-output, so Blahut-Arimoto starts
+    from the uniform law on each, and only state 0 starts off its optimum.
+    """
+    return SdDmc(
+        W=[
+            [[1.0, 0.0, 0.0], [0.25, 0.25, 0.5]],
+            [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]],
+        ],
+        Q=[0.5, 0.5],
+    )
+
+
 def ch_ex2() -> SdDmc:
     """State s0 flips the bit, state s1 is the identity; equiprobable states."""
     return SdDmc(

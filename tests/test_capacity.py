@@ -28,7 +28,17 @@ from sdchan import (
 import sdchan.capacity
 from sdchan.capacity import BA_TOL, FACE_SHARE, FINISH_GAP, GP_TOL, OFF_FACE_KEEP
 from sdchan.cli import main
-from conftest import bsc, ch_ex1, ch_ex2, ch_ex3, ch_triv, pentagon, random_channel, stuck_at
+from conftest import (
+    bsc,
+    ch_ex1,
+    ch_ex2,
+    ch_ex3,
+    ch_three_outputs,
+    ch_triv,
+    pentagon,
+    random_channel,
+    stuck_at,
+)
 
 SI_ALL = [SiModel.from_token(t) for t in ("-,-", "sc,-", "c,-", "nc,-", "sc,c", "c,c", "nc,c", "nc,nc")]
 
@@ -73,8 +83,9 @@ def test_ba_lower_bound_vs_feasible_points(rng):
 
 def test_ba_no_convergence_returns_partial():
     # At the cap BA returns the bracket of the point it reached, with a
-    # warning, and the bracket still holds the capacity.
-    z = Dmc(W=[[1.0, 0.0], [0.25, 0.75]])
+    # warning, and the bracket still holds the capacity.  A 2x3 matrix has
+    # no closed-form start, so BA starts from the uniform law.
+    z = Dmc(W=ch_three_outputs().W[0])
     partial = blahut_arimoto(z, max_iter=1)
     converged = blahut_arimoto(z)
     assert partial.iterations == 1
@@ -90,9 +101,10 @@ def test_ba_no_convergence_returns_partial():
 
 def test_capped_strategy_capacity_reports_letters():
     # A capped lift keeps the strategy maximizer and method, not the raw
-    # BA fields.
-    r = shannon_strategy_capacity(ch_ex1(), max_iter=1)
-    lifted, letters = shannon_strategy_channel(ch_ex1())
+    # BA fields.  The lift has four distinct letters and three outputs.
+    ch = ch_three_outputs()
+    r = shannon_strategy_capacity(ch, max_iter=1)
+    lifted, letters = shannon_strategy_channel(ch)
     assert r.method == "strategy_blahut_arimoto"
     assert r.maximizer == {"P_U": [0.25] * 4, "strategies": [list(u) for u in letters]}
     inner = blahut_arimoto(lifted, max_iter=1)
@@ -101,17 +113,18 @@ def test_capped_strategy_capacity_reports_letters():
 
 
 def test_capped_per_state_capacity_sums_brackets():
-    # On ch_ex1 state 1 (the identity) converges at the uniform start and
-    # state 0 (the Z channel) stops at the cap; the result is the Q-average
-    # of both brackets and keeps state 0's warning.
-    ch = ch_ex1()
+    # State 1's inputs have disjoint supports, so it converges at the
+    # uniform start, and state 0 (2x3, no closed-form start) stops at the
+    # cap; the result is the Q-average of both brackets and keeps state 0's
+    # warning.
+    ch = ch_three_outputs()
     r = capacity_cond_iid(ch, max_iter=1)
     per_state = [blahut_arimoto(Dmc(W=ch.W[s]), max_iter=1) for s in range(ch.ns)]
     assert r.method == "per_state_blahut_arimoto"
     assert r.value == sum(q * sub.value for q, sub in zip(ch.Q, per_state))
     assert r.certified_gap == sum(q * sub.certified_gap for q, sub in zip(ch.Q, per_state))
     assert r.maximizer == {"P_X_given_S": [sub.maximizer["P_X"] for sub in per_state]}
-    assert per_state[1].warnings == ()
+    assert per_state[1].warnings == () and len(per_state[0].warnings) == 1
     assert r.warnings == tuple(f"state 0: {w}" for w in per_state[0].warnings)
     converged = capacity_cond_iid(ch)
     assert r.value <= converged.value <= r.value + r.certified_gap
@@ -127,7 +140,8 @@ def _reference_blahut_arimoto(W, max_iter):
     accept rule compares lower bounds that differ by a few ulps near
     convergence.  For the same reason the finish orders its face and solves
     its bordered system with the kernel's calls; the inputs with identical
-    rows, their summed masses and the candidate are built in loops.
+    rows, their summed masses and the candidate are built in loops.  The
+    closed-form start solves its two systems with ``np.linalg.solve`` too.
     """
     W = W[:, (W > 0).any(axis=0)]
     nx, ny = W.shape
@@ -178,7 +192,38 @@ def _reference_blahut_arimoto(W, max_iter):
             face = face[landed > 0.0]
         return None
 
-    r = np.full(nx, 1.0 / nx)
+    def kkt_start():
+        # On the distinct rows: all of them when they are as many as the
+        # outputs, the two with the smallest and largest W(y0|x) when there
+        # are two outputs.  Solve W z = H(W_x) on them, set q ∝ 2^(-z) and
+        # r = q W^-1; identical rows share their row's mass evenly.
+        rows = [x for x in range(nx) if group[x] == x]
+        if len(rows) != ny:
+            if ny != 2:
+                return None
+            rows = [min(rows, key=lambda x: W[x, 0]), max(rows, key=lambda x: W[x, 0])]
+        entropy = [-neg_h[x] for x in rows]
+        try:
+            z = np.linalg.solve(W[rows], entropy)
+        except np.linalg.LinAlgError:
+            return None
+        weights = [2.0 ** (min(z) - z[y]) for y in range(ny)]
+        try:
+            law = np.linalg.solve(W[rows].T, [w / sum(weights) for w in weights])
+        except np.linalg.LinAlgError:
+            return None
+        if not all(m > 0.0 for m in law):
+            return None
+        copies = [group.count(g) for g in range(nx)]
+        start = np.zeros(nx)
+        for x in range(nx):
+            if group[x] in rows:
+                start[x] = law[rows.index(group[x])] / sum(law) / copies[group[x]]
+        return start
+
+    r = kkt_start()
+    if r is None:
+        r = np.full(nx, 1.0 / nx)
     lower, upper, d, q = bounds(r)
     iterations, mu, newton, misses, skip = 1, 1.0, False, 0, 0
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -408,6 +453,90 @@ def test_ba_bracket_overlaps_fixed_step_bracket(rng):
             assert value <= r.value + r.certified_gap + 1e-12
 
 
+def _typewriter(n, p):
+    """The n-letter noisy typewriter: x goes to x with 1 - p and to x + 1 mod n with p."""
+    W = np.zeros((n, n))
+    for x in range(n):
+        W[x, x] = 1.0 - p
+        W[x, (x + 1) % n] = p
+    return Dmc(W=W)
+
+
+@pytest.mark.parametrize(
+    "dmc, capacity",
+    [
+        (bsc(0.11), 1 - h2(0.11)),
+        (bsc(0.3), 1 - h2(0.3)),
+        (Dmc(W=[[1.0, 0.0], [0.25, 0.75]]), np.log2(1 + 0.75 * 0.25 ** (0.25 / 0.75))),
+        (Dmc(W=[[1.0, 0.0], [0.6, 0.4]]), np.log2(1 + 0.4 * 0.6 ** (0.6 / 0.4))),
+        (_typewriter(5, 0.1), np.log2(5) - h2(0.1)),
+    ],
+    ids=["bsc-0.11", "bsc-0.3", "z-0.25", "z-0.6", "typewriter-5"],
+)
+def test_ba_starts_at_the_closed_form_optimum_of_a_square_channel(dmc, capacity):
+    # The BSC, the Z channel (input 1 flips to 0 with probability p, so
+    # C = log2(1 + (1 - p) p^(p / (1 - p)))) and the typewriter are square:
+    # BA starts at the law that solves the KKT conditions, and its first
+    # evaluation closes the bracket.
+    r = blahut_arimoto(dmc)
+    assert r.iterations == 1
+    assert abs(r.value - capacity) <= 1e-12
+    assert r.certified_gap < BA_TOL
+
+
+@pytest.mark.parametrize(
+    "ch",
+    [
+        ch_ex1(),
+        ch_ex3(),
+        SdDmc(W=[[[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]], [[0.3, 0.7], [1.0, 0.0], [0.6, 0.4]]], Q=[0.3, 0.7]),
+    ],
+    ids=["ex1", "ex3", "three-inputs"],
+)
+def test_two_output_lift_starts_on_its_extreme_letters(ch):
+    # With two outputs, I(r) = h(q(y0)) - sum_u r_u h(W(y0|u)) and h is
+    # concave, so the letters with the smallest and largest W(y0|u) carry
+    # an optimum: BA puts all of P_U on them and stops at its first
+    # evaluation, with a bracket that meets the fixed step's.
+    lifted, _ = shannon_strategy_channel(ch)
+    r = shannon_strategy_capacity(ch)
+    p = np.array(r.maximizer["P_U"])
+    w = lifted.W[:, 0]
+    extreme = (w == w.min()) | (w == w.max())
+    assert not extreme.all()
+    assert np.all(p[~extreme] == 0.0) and np.all(p[extreme] > 0.0)
+    assert r.iterations == 1 and r.certified_gap < BA_TOL
+    value, gap = _fixed_step_blahut_arimoto(lifted.W)
+    assert r.value <= value + gap + 1e-12
+    assert value <= r.value + r.certified_gap + 1e-12
+
+
+@pytest.mark.parametrize(
+    "W, pinned",
+    [
+        # The KKT law has a negative entry: input 2 is off the optimum.
+        ([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.4, 0.4, 0.2]], (0.4470674987019185, 1.4206968934615816e-12, 8)),
+        # Row 2 is the mean of rows 0 and 1: the system is singular.
+        ([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.25, 0.5, 0.25]], (0.49999999991768196, 8.231804127234454e-11, 7)),
+        # Rows 0 and 1 are 1e-12 apart: the solve returns masses near
+        # +-5e10, of both signs.
+        (
+            [[0.6, 0.3, 0.1], [0.6 + 1e-12, 0.3 - 1e-12, 0.1], [0.1, 0.2, 0.7]],
+            (0.33288667259986743, 9.221203245424192e-10, 21),
+        ),
+    ],
+    ids=["negative-entry", "singular", "rows-1e-12-apart"],
+)
+def test_ba_square_channel_without_a_positive_kkt_law_starts_uniform(W, pinned):
+    # No closed-form start: BA starts from the uniform law, and its value,
+    # gap and iteration count are those it had before the closed-form
+    # start existed.  The failed solves warn of nothing.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = blahut_arimoto(Dmc(W=W))
+    assert (r.value, r.certified_gap, r.iterations) == pinned
+
+
 def test_ba_adaptive_step_on_near_useless_matrix():
     # A 2x2 matrix with nearly equal rows: the fixed step needs 25,854
     # iterations to close the gap below BA_TOL.
@@ -481,15 +610,17 @@ def test_ba_finish_keeps_a_gaining_input_on_the_face():
 
 
 def test_ba_evaluation_count_on_criterion_9():
-    # A deterministic guard on the finish: the 506 BA problems of criterion
-    # 9's draws took 166,460 evaluations without it, 14,880 with it, and
-    # 6,495 once its system also counts how the shed mass moves q.
+    # A deterministic guard on the finish and the start: the 506 BA problems
+    # of criterion 9's draws took 166,460 evaluations without the finish,
+    # 14,880 with it, 6,495 once its system also counts how the shed mass
+    # moves q (6,497 just before the next change), and 3,782 once square
+    # and two-output channels start at their closed-form optimum.
     rng = np.random.default_rng(909)
     total = 0
     for _ in range(100):
         for dmc in _ba_matrices(random_channel(rng)):
             total += blahut_arimoto(dmc).iterations
-    assert total <= 50_000
+    assert total <= 4_500
 
 
 def test_cond_iid_ex2_both_flags():

@@ -17,7 +17,7 @@ from sdchan.capacity import CapacityResult
 from sdchan.channel import _MODEL_TOKENS
 from sdchan.cli import build_parser, main
 from sdchan.protocols import CHUNK_TRIALS, PROTOCOLS
-from conftest import ch_ex1, ch_ex2, ch_ex3, ch_triv
+from conftest import ch_ex1, ch_ex2, ch_ex3, ch_three_outputs, ch_triv
 
 
 @pytest.fixture
@@ -128,10 +128,13 @@ def test_capacity_triv(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("si", ["-,-", "c,-", "c,c", "nc,-"])
-def test_capacity_at_iteration_cap_reports_bracket_exit_6(capsys, ex1_path, si):
+def test_capacity_at_iteration_cap_reports_bracket_exit_6(capsys, tmp_path, si):
     # BA (the first three) and the GP ascent (nc,-) both stop after one
-    # evaluation on ex1 and report the bracket they reached.
-    code, report = run_cli(capsys, "capacity", ex1_path, "--si", si, "--max-iter", "1")
+    # evaluation on a channel whose BA problems have no closed-form start,
+    # and report the bracket they reached.
+    path = tmp_path / "three_outputs.json"
+    path.write_text(serialize(ch_three_outputs()))
+    code, report = run_cli(capsys, "capacity", str(path), "--si", si, "--max-iter", "1")
     assert code == 6
     res = report["results"]
     assert res["value_bits"] > 0.0 and res["gap"] > 1e-9

@@ -215,3 +215,13 @@ def test_simplex_lattice_peaks_near_the_array_it_returns(resolution, dim):
     bars = np.array(list(itertools.combinations(range(resolution + dim - 1), dim - 1)))
     padded = np.hstack([np.full((len(bars), 1), -1), bars, np.full((len(bars), 1), resolution + dim - 1)])
     assert lattice.tobytes() == ((np.diff(padded, axis=1) - 1) / resolution).tobytes()
+
+
+def test_two_letter_lattice_peaks_under_twice_its_array():
+    # The bars of a two-letter lattice came from itertools.combinations over
+    # a tuple of Python ints, which peaked at 4.0x the returned array.
+    resolution = 200_000
+    lattice, peak = _peak_bytes(lambda: _simplex_lattice.__wrapped__(resolution, 2))
+    assert peak < 2 * lattice.nbytes
+    k = np.arange(resolution + 1)
+    assert lattice.tobytes() == np.column_stack([k / resolution, (resolution - k) / resolution]).tobytes()
