@@ -162,20 +162,33 @@ def _adaptive_ascent(name: str, point, evaluate, propose, tol: float, max_iter: 
     return point, {"value": value, "certified_gap": gap, "iterations": evaluations, "warnings": warnings}
 
 
-def _kkt_law(W: np.ndarray, neg_h: np.ndarray) -> Optional[np.ndarray]:
-    """The input law of the square ``W`` at which every D(W_x || rW) is equal, if it is positive.
+def _kkt_start(W: np.ndarray, neg_h: np.ndarray) -> Optional[np.ndarray]:
+    """The optimal input law of ``W`` where the KKT conditions give it in closed form, else None.
 
-    D(W_x || q) = C on every row reads W z = H(W_x) with z = -log2 q - C,
-    so q ∝ 2^(-z) and r = q W^-1.  None if W is singular or r has an entry
-    that is not positive.
+    D(W_x || q) = C on the inputs S that carry the optimum reads
+    W_S z = H(W_x) with z = -log2 q - C, so q ∝ 2^(-z) and r_S = q W_S^-1.
+    S is every input of a square W, and the two inputs with the smallest
+    and largest W(y0|x) when there are two outputs.  None on any other
+    shape, if W_S is singular, or if r_S has an entry that is not positive.
     """
+    n, ny = W.shape
+    if n == ny:
+        face = np.arange(n)
+    elif ny == 2:
+        face = np.argsort(W[:, 0])[[0, -1]]
+    else:
+        return None
     try:
-        z = np.linalg.solve(W, -neg_h)
+        z = np.linalg.solve(W[face], -neg_h[face])
         q = np.exp2(z.min() - z)
-        r = np.linalg.solve(W.T, q / q.sum())
+        r = np.linalg.solve(W[face].T, q / q.sum())
     except np.linalg.LinAlgError:
         return None
-    return r / r.sum() if r.min() > 0.0 else None
+    if not r.min() > 0.0:
+        return None
+    start = np.zeros(n)
+    start[face] = r / r.sum()
+    return start
 
 
 def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITER) -> CapacityResult:
@@ -285,14 +298,9 @@ def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITE
     # mass that an extrapolated proposal underflows to 0 can leave an output
     # with q(y) = 0, and the proposal is then rejected on its NaN bounds.
     with np.errstate(divide="ignore", invalid="ignore"):
-        start = counts / channel.nx
-        # The inputs that carry an optimum solvable in closed form, if any.
-        face = np.arange(ny) if len(W) == ny else np.argsort(W[:, 0])[[0, -1]] if ny == 2 else None
-        if face is not None:
-            law = _kkt_law(W[face], neg_h[face])
-            if law is not None:
-                start = np.zeros(len(W))
-                start[face] = law
+        start = _kkt_start(W, neg_h)
+        if start is None:
+            start = counts / channel.nx
         r, bracket = _adaptive_ascent("blahut_arimoto", start, evaluate, propose, tol, max_iter, finish)
     return CapacityResult(maximizer={"P_X": (r / counts)[group].tolist()}, method="blahut_arimoto", **bracket)
 
