@@ -173,17 +173,18 @@ def _kkt_start(W: np.ndarray, neg_h: np.ndarray) -> Optional[np.ndarray]:
     """
     n, ny = W.shape
     if n == ny:
-        face = np.arange(n)
+        face = slice(None)
     elif ny == 2:
-        face = np.argsort(W[:, 0])[[0, -1]]
+        face = [W[:, 0].argmin(), W[:, 0].argmax()]
     else:
         return None
     try:
-        z = np.linalg.solve(W[face], -neg_h[face])
-        q = np.exp2(z.min() - z)
-        r = np.linalg.solve(W[face].T, q / q.sum())
+        inverse = np.linalg.inv(W[face])
     except np.linalg.LinAlgError:
         return None
+    z = np.dot(inverse, -neg_h[face])
+    q = np.exp2(z.min() - z)
+    r = np.dot(q / q.sum(), inverse)
     if not r.min() > 0.0:
         return None
     start = np.zeros(n)

@@ -141,7 +141,7 @@ def _reference_blahut_arimoto(W, max_iter):
     convergence.  For the same reason the finish orders its face and solves
     its bordered system with the kernel's calls; the inputs with identical
     rows, their summed masses and the candidate are built in loops.  The
-    closed-form start solves its two systems with ``np.linalg.solve`` too.
+    closed-form start inverts its matrix with the kernel's ``np.linalg.inv``.
     """
     W = W[:, (W > 0).any(axis=0)]
     nx, ny = W.shape
@@ -202,16 +202,13 @@ def _reference_blahut_arimoto(W, max_iter):
             if ny != 2:
                 return None
             rows = [min(rows, key=lambda x: W[x, 0]), max(rows, key=lambda x: W[x, 0])]
-        entropy = [-neg_h[x] for x in rows]
         try:
-            z = np.linalg.solve(W[rows], entropy)
+            inverse = np.linalg.inv(W[rows])
         except np.linalg.LinAlgError:
             return None
+        z = np.dot(inverse, [-neg_h[x] for x in rows])
         weights = [2.0 ** (min(z) - z[y]) for y in range(ny)]
-        try:
-            law = np.linalg.solve(W[rows].T, [w / sum(weights) for w in weights])
-        except np.linalg.LinAlgError:
-            return None
+        law = np.dot([w / sum(weights) for w in weights], inverse)
         if not all(m > 0.0 for m in law):
             return None
         copies = [group.count(g) for g in range(nx)]
