@@ -182,13 +182,16 @@ def _kkt_start(W: np.ndarray, neg_h: np.ndarray) -> Optional[np.ndarray]:
         inverse = np.linalg.inv(W[face])
     except np.linalg.LinAlgError:
         return None
-    z = np.dot(inverse, -neg_h[face])
-    q = np.exp2(z.min() - z)
-    r = np.dot(q / q.sum(), inverse)
+    # r is linear in q, so q need not sum to 1 before r is normalised.
+    minus_z = np.dot(inverse, neg_h[face])
+    r = np.dot(np.exp2(minus_z - minus_z.max()), inverse)
     if not r.min() > 0.0:
         return None
+    r /= r.sum()
+    if n == ny:
+        return r
     start = np.zeros(n)
-    start[face] = r / r.sum()
+    start[face] = r
     return start
 
 
