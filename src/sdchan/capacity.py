@@ -187,11 +187,8 @@ def _kkt_start(W: np.ndarray, neg_h: np.ndarray) -> Optional[np.ndarray]:
     r = np.dot(np.exp2(minus_z - minus_z.max()), inverse)
     if not r.min() > 0.0:
         return None
-    r /= r.sum()
-    if n == ny:
-        return r
     start = np.zeros(n)
-    start[face] = r
+    start[face] = r / r.sum()
     return start
 
 
