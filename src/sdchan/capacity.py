@@ -298,6 +298,8 @@ def blahut_arimoto(channel: Dmc, tol: float = BA_TOL, max_iter: int = BA_MAX_ITE
     # One error state for the whole ascent, not one per evaluation: an input
     # mass that an extrapolated proposal underflows to 0 can leave an output
     # with q(y) = 0, and the proposal is then rejected on its NaN bounds.
+    # The closed-form start on a nearly singular matrix can likewise get an
+    # inverse holding inf, and the NaN law it then gives is refused.
     with np.errstate(divide="ignore", invalid="ignore"):
         start = _kkt_start(W, neg_h)
         if start is None:

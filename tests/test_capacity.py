@@ -515,19 +515,22 @@ def test_two_output_lift_starts_on_its_extreme_letters(ch):
         ([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.4, 0.4, 0.2]], (0.4470674987019185, 1.4206968934615816e-12, 8)),
         # Row 2 is the mean of rows 0 and 1: the system is singular.
         ([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.25, 0.5, 0.25]], (0.49999999991768196, 8.231804127234454e-11, 7)),
-        # Rows 0 and 1 are 1e-12 apart: the solve returns masses near
-        # +-5e10, of both signs.
+        # Rows 0 and 1 are 1e-12 apart: the KKT law puts -5e10 and +5e10
+        # on them.
         (
             [[0.6, 0.3, 0.1], [0.6 + 1e-12, 0.3 - 1e-12, 0.1], [0.1, 0.2, 0.7]],
             (0.33288667259986743, 9.221203245424192e-10, 21),
         ),
+        # Row 0 differs from row 1 by a subnormal: the inverse holds +-inf,
+        # and the KKT law comes out NaN.
+        ([[1e-320, 1.0], [0.0, 1.0]], (5e-321, 5e-321, 1)),
     ],
-    ids=["negative-entry", "singular", "rows-1e-12-apart"],
+    ids=["negative-entry", "singular", "rows-1e-12-apart", "inverse-overflows"],
 )
 def test_ba_square_channel_without_a_positive_kkt_law_starts_uniform(W, pinned):
     # No closed-form start: BA starts from the uniform law, and its value,
     # gap and iteration count are those it had before the closed-form
-    # start existed.  The failed solves warn of nothing.
+    # start existed.  The failed starts warn of nothing.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         r = blahut_arimoto(Dmc(W=W))
@@ -610,8 +613,8 @@ def test_ba_evaluation_count_on_criterion_9():
     # A deterministic guard on the finish and the start: the 506 BA problems
     # of criterion 9's draws took 166,460 evaluations without the finish,
     # 14,880 with it, 6,495 once its system also counts how the shed mass
-    # moves q (6,497 just before the next change), and 3,782 once square
-    # and two-output channels start at their closed-form optimum.
+    # moves q, 6,497 by the time square and two-output channels started at
+    # their closed-form optimum, and 3,782 with that start.
     rng = np.random.default_rng(909)
     total = 0
     for _ in range(100):
