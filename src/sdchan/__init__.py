@@ -13,7 +13,6 @@ from .channel import (
     Dmc,
     Regime,
     SdDmc,
-    Si,
     SiModel,
     ValidationReport,
     load_channel,

@@ -83,8 +83,8 @@ class CapacityResult:
 
 def _xlog2(p: np.ndarray) -> np.ndarray:
     out = np.zeros_like(p)
-    mask = p > 0
-    out[mask] = p[mask] * np.log2(p[mask])
+    np.log2(p, out=out, where=p > 0)
+    out *= p
     return out
 
 

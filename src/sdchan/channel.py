@@ -201,19 +201,9 @@ class Dmc(_Channel):
         _set_labels(self, x_labels=nx, y_labels=ny)
 
 
-class Si(enum.Enum):
-    """How channel-state knowledge is revealed to one party."""
-
-    NONE = "-"
-    STRICTLY_CAUSAL = "sc"
-    CAUSAL = "c"
-    NON_CAUSAL = "nc"
-
-    @property
-    def level(self) -> int:
-        """Rank in member order: none < strictly causal < causal < non-causal."""
-        return tuple(Si).index(self)
-
+# What one party sees of the state, in increasing order: nothing, strictly
+# causal, causal, non-causal.
+_SI_LEVELS = ("-", "sc", "c", "nc")
 
 # The nine supported (encoder, decoder) pairs in report order: the eight
 # standard pairs, then decoder-only-causal.
@@ -224,14 +214,13 @@ _MODEL_TOKENS = ("-,-", "sc,-", "c,-", "nc,-", "sc,c", "c,c", "nc,c", "nc,nc", "
 class SiModel:
     """State-information availability at the encoder and the decoder.
 
-    Only the eight standard encoder/decoder pairs plus decoder-only-causal
+    The model is its token "encoder,decoder", each part one of
+    ``_SI_LEVELS``.  Only the eight standard pairs plus decoder-only-causal
     are representable; anything else raises :class:`UnsupportedModel`.
-    Comparison is coordinatewise along none <= strictly-causal <= causal
-    <= non-causal.
+    Comparison is coordinatewise along ``_SI_LEVELS``.
     """
 
-    encoder: Si
-    decoder: Si
+    token: str
 
     def __post_init__(self):
         if self.token not in _MODEL_TOKENS:
@@ -239,20 +228,14 @@ class SiModel:
 
     @classmethod
     def from_token(cls, token: str) -> "SiModel":
-        parts = token.split(",")
-        if len(parts) != 2:
+        parts = [part.strip() for part in token.split(",")]
+        if len(parts) != 2 or not all(part in _SI_LEVELS for part in parts):
             raise UnsupportedModel(f"malformed state-information token {token!r}")
-        try:
-            return cls(Si(parts[0].strip()), Si(parts[1].strip()))
-        except ValueError:
-            raise UnsupportedModel(f"malformed state-information token {token!r}") from None
-
-    @property
-    def token(self) -> str:
-        return f"{self.encoder.value},{self.decoder.value}"
+        return cls(",".join(parts))
 
     def __le__(self, other: "SiModel") -> bool:
-        return self.encoder.level <= other.encoder.level and self.decoder.level <= other.decoder.level
+        pairs = zip(self.token.split(","), other.token.split(","))
+        return all(_SI_LEVELS.index(a) <= _SI_LEVELS.index(b) for a, b in pairs)
 
 
 class Regime(enum.Enum):

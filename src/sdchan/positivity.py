@@ -328,7 +328,7 @@ def check_dmc_fl_feedback(channel: Dmc) -> Verdict:
 
 def vl_positivity(channel: SdDmc, si: SiModel) -> Verdict:
     """Zero-error positivity under variable-length feedback coding."""
-    return _decide(channel, _ROUTES[si.token][0], si.token, Regime.VARIABLE_LENGTH.value)
+    return positivity(channel, si, Regime.VARIABLE_LENGTH)
 
 
 def bl_positivity(channel: SdDmc, si: SiModel) -> Verdict:
@@ -336,16 +336,18 @@ def bl_positivity(channel: SdDmc, si: SiModel) -> Verdict:
 
     Fixed length has the same positivity condition, not the same capacity value.
     """
-    return _decide(channel, _ROUTES[si.token][1], si.token, Regime.BOUNDED_LENGTH.value)
+    return positivity(channel, si, Regime.BOUNDED_LENGTH)
 
 
 def positivity(channel: SdDmc, si: SiModel, regime: Regime) -> Verdict:
-    """Dispatch on the coding regime; fixed and bounded length share
-    ``bl_positivity``'s route (one positivity condition, not one capacity
-    value), and the verdict names the regime asked for."""
-    if regime is Regime.VARIABLE_LENGTH:
-        return vl_positivity(channel, si)
-    return _decide(channel, _ROUTES[si.token][1], si.token, regime.value)
+    """Zero-error positivity of ``si`` under ``regime``: the one lookup of ``si``'s row of ``_ROUTES``.
+
+    Variable length takes the row's first condition; fixed and bounded length
+    share its second (one positivity condition, not one capacity value), and
+    the verdict names the regime asked for.
+    """
+    route = _ROUTES[si.token][0 if regime is Regime.VARIABLE_LENGTH else 1]
+    return _decide(channel, route, si.token, regime.value)
 
 
 def _field_ok(channel: SdDmc | Dmc, value, spec: str) -> bool:

@@ -6,7 +6,7 @@ import sdchan
 
 EXPORTS = {
     # channel
-    "Dmc", "Regime", "SdDmc", "Si", "SiModel", "ValidationReport", "load_channel", "serialize", "validate",
+    "Dmc", "Regime", "SdDmc", "SiModel", "ValidationReport", "load_channel", "serialize", "validate",
     # errors
     "BudgetExceeded", "ParseError", "PrecondFailed", "SdchanError", "UnsupportedModel", "ValidationError",
     # reductions
@@ -28,5 +28,5 @@ EXPORTS = {
 def test_package_exports_exactly_these_names():
     exported = {name for name, value in vars(sdchan).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(EXPORTS) == 49
+    assert len(EXPORTS) == 48
     assert exported == EXPORTS

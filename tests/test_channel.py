@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 
@@ -9,7 +10,6 @@ from sdchan import (
     ParseError,
     Regime,
     SdDmc,
-    Si,
     SiModel,
     UnsupportedModel,
     ValidationError,
@@ -397,7 +397,6 @@ def test_support_scaling_invariance(rng):
 
 def test_si_model_tokens_and_order():
     si = SiModel.from_token("sc,c")
-    assert si.encoder is Si.STRICTLY_CAUSAL and si.decoder is Si.CAUSAL
     assert si.token == "sc,c"
     assert SiModel.from_token("-,-") <= SiModel.from_token("nc,nc")
     assert SiModel.from_token("sc,-") <= SiModel.from_token("c,-")
@@ -409,11 +408,40 @@ def test_si_model_tokens_and_order():
         SiModel.from_token("bogus")
 
 
+def test_si_model_order_on_every_pair():
+    level = {"-": 0, "sc": 1, "c": 2, "nc": 3}  # none < strictly causal < causal < non-causal
+    below = 0
+    for a, b in itertools.product(_MODEL_TOKENS, repeat=2):
+        expected = all(level[p] <= level[q] for p, q in zip(a.split(","), b.split(",")))
+        assert (SiModel.from_token(a) <= SiModel.from_token(b)) is expected, (a, b)
+        assert (SiModel.from_token(b) >= SiModel.from_token(a)) is expected, (a, b)
+        below += expected
+    assert below == 39
+
+
+def test_si_model_token_parts_are_stripped():
+    spaced, plain = SiModel.from_token(" sc , c "), SiModel.from_token("sc,c")
+    assert spaced == plain and hash(spaced) == hash(plain) and spaced.token == "sc,c"
+
+
+@pytest.mark.parametrize("token, message", [
+    ("c,sc", "state-information pair (c,sc) is not supported"),
+    (" c , sc ", "state-information pair (c,sc) is not supported"),
+    ("bogus", "malformed state-information token 'bogus'"),
+    ("x,y", "malformed state-information token 'x,y'"),
+    ("-,-,-", "malformed state-information token '-,-,-'"),
+    (",", "malformed state-information token ','"),
+])
+def test_si_model_token_errors(token, message):
+    with pytest.raises(UnsupportedModel) as raised:
+        SiModel.from_token(token)
+    assert str(raised.value) == message
+
+
 def test_one_si_model_list():
-    assert SiModel.from_token(_MODEL_TOKENS[-1]) == SiModel(Si.NONE, Si.CAUSAL)
+    assert SiModel.from_token(_MODEL_TOKENS[-1]) == SiModel("-,c")
     assert tuple(_ROUTES) == tuple(_VALUES) == tuple(_REDUCED) == _MODEL_TOKENS
     assert _MODEL_TOKENS[-1] == "-,c"
-    assert [si.level for si in Si] == [0, 1, 2, 3]
 
 
 def test_regime_tokens():

@@ -21,7 +21,7 @@ from sdchan import (
     reduced_dmc,
     shannon_strategy_channel,
 )
-from sdchan.positivity import MAX_BLOCK_BYTES, check_nocvlpos
+from sdchan.positivity import MAX_BLOCK_BYTES, POSITIVE, Verdict, check_nocvlpos
 import sdchan.protocols
 from sdchan.protocols import (
     CHUNK_TRIALS, MAX_CODEBOOK_ENTRIES, _cdf, _codebooks, _distinct_codewords, _sample, disprover_trial,
@@ -182,6 +182,30 @@ def test_send_records_the_slots_and_run_ends_the_trace():
     assert sent_trace.slots == run_trace.slots and run_trace.tau == ran[1][0] == len(run_trace.slots)
     assert (sent_trace.message, sent_trace.decoded) == (None, None)
     assert (run_trace.message, run_trace.decoded) == (3, ran[0][0])
+
+
+def test_disprover_guard_rejects_an_unsound_witness(monkeypatch):
+    # Output 0 is possible from input 0, so (x=0, y=0) disproves nothing and
+    # both slots of a round can output y.
+    unsound = Verdict(POSITIVE, "dmc_disprover", {"kind": "letters", "x": 0, "y": 0})
+    monkeypatch.setattr(sdchan.protocols, "check_dmc_vl", lambda channel: unsound)
+    trial = disprover_trial(Dmc(W=[[0.5, 0.5], [0.0, 1.0]]))
+    rng = np.random.default_rng(31)
+    with pytest.raises(RuntimeError, match="^impossible output pattern observed; channel violates its zeros$"):
+        trial.run(rng.integers(2, size=1000), rng)
+
+
+def test_theorem5_guard_rejects_an_unsound_witness(monkeypatch):
+    # Input 1 can output 1 in both states of ex1, so a group cut to state 0
+    # lets the encoder see y on its x' slot in state 1, where the decoder
+    # does not stop.
+    witness = check_nocvlpos(ch_ex1())
+    assert witness["states"] == [0, 1]
+    monkeypatch.setattr(sdchan.protocols, "check_nocvlpos", lambda channel: {**witness, "states": [0]})
+    trial = theorem5_trial(ch_ex1())
+    rng = np.random.default_rng(32)
+    with pytest.raises(RuntimeError, match="^encoder and decoder disagree on stopping; witness unsound$"):
+        trial.run(rng.integers(2, size=1000), rng)
 
 
 def test_theorem5_correct_and_synchronous():
