@@ -71,8 +71,10 @@ _EVERY_OUTPUT_REACHABLE_OK = Check("every_output_reachable", True)
 def _stochastic_checks(W: np.ndarray) -> tuple[Check, Check]:
     """The entry_range and row_stochastic checks of W, whose last axis is the output.
 
-    A valid matrix costs a min, a max and one row-sum test; the first
-    offending index is looked up only when a check fails.
+    A valid matrix costs a min, a max and one row-sum test, the largest
+    distance of a row sum from 1 (``np.fmax`` passes over a NaN row, which is
+    not flagged); the first offending index is looked up only when a check
+    fails, and a zero-size W fails neither.
     """
     axes = ("s", "x", "y")[-W.ndim:]
     if W.size and not (W.min() >= 0.0 and W.max() <= 1.0):  # a NaN fails both
@@ -82,9 +84,9 @@ def _stochastic_checks(W: np.ndarray) -> tuple[Check, Check]:
     else:
         entry = _ENTRY_RANGE_OK
     sums = W.sum(axis=-1)
-    off = np.abs(sums - 1.0) > ROW_SUM_TOL  # a NaN row is not flagged
-    if off.any():
-        at = np.unravel_index(np.argmax(off), off.shape)
+    off = np.abs(sums - 1.0)
+    if off.size and np.fmax.reduce(off, axis=None) > ROW_SUM_TOL:
+        at = np.unravel_index(np.argmax(off > ROW_SUM_TOL), off.shape)
         where = ", ".join(f"{a}={int(i)}" for a, i in zip(axes, at))
         rows = Check("row_stochastic", False, f"row ({where}) sums to {float(sums[at])!r}")
     else:

@@ -81,12 +81,17 @@ _CHECK_EXIT_CODES = {POSITIVE: EXIT_OK, POSITIVE_SUFFICIENT: EXIT_OK, ZERO: EXIT
 
 def _read_file(path: str) -> tuple[str, str]:
     """The file's text, decoded strictly as UTF-8, and the SHA-256 of its bytes."""
-    with open(path, "rb") as f:
-        data = f.read()
+    with open(path, "rb", buffering=0) as f:  # one unbuffered read of the whole file
+        data = f.readall()
     try:
         return data.decode("utf-8"), hashlib.sha256(data).hexdigest()
     except UnicodeDecodeError as e:
         raise ParseError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
+# ``json.dumps`` builds a new encoder on every call given a non-default
+# argument; reports share this one.
+_REPORT_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
 def _emit(report: dict, verbose: bool, summary: str) -> None:
@@ -94,7 +99,7 @@ def _emit(report: dict, verbose: bool, summary: str) -> None:
     # no half-written or non-JSON report reaches stdout.  Without ``indent``
     # json uses its C encoder and writes one line.
     try:
-        text = json.dumps(report, allow_nan=False)
+        text = _REPORT_ENCODER.encode(report)
     except ValueError as e:
         raise SdchanError(f"report holds a non-finite number: {e}") from None
     sys.stdout.write(text + "\n")

@@ -9,7 +9,9 @@ selection is lexicographic-first, so verdicts are deterministic.  The
 searches over pairs of inputs, and the partition search over its output
 masks, build their boolean arrays in blocks along the leading index, each
 within ``MAX_BLOCK_BYTES``, and stop at the first block with a hit, which
-gives the same first witness.
+gives the same first witness.  ``_first`` reads a block's first hit from one
+``argmax``, and a pair search that needs i < j masks its block of rows
+lo..hi-1 by comparing those row indices with the column indices.
 
 ``_ROUTES`` is the one place that maps each state-information model to its
 variable-length and bounded-length condition; ``_CONDITIONS`` is the one
@@ -33,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .channel import Dmc, Regime, SdDmc, SiModel, support_pattern
-from .errors import BudgetExceeded, UnsupportedModel
+from .errors import BudgetExceeded, UnsupportedModel, ValidationError
 
 POSITIVE = "positive"
 ZERO = "zero"
@@ -77,9 +79,18 @@ class Verdict:
 
 
 def _first(mask: np.ndarray) -> Optional[tuple[int, ...]]:
-    """Index of the first True entry in row-major (lexicographic) order."""
-    hits = np.flatnonzero(mask)
-    return tuple(int(i) for i in np.unravel_index(hits[0], mask.shape)) if hits.size else None
+    """Index of the first True entry in row-major (lexicographic) order.
+
+    ``argmax`` gives the first maximum; if that entry is False, none is True.
+    """
+    flat = mask.ravel()
+    if not flat.size or not flat[i := int(flat.argmax())]:
+        return None
+    at = []
+    for n in mask.shape[:0:-1]:  # the trailing axes, last first
+        i, r = divmod(i, n)
+        at.append(r)
+    return (i, *at[::-1])
 
 
 def _scan(n: int, row_bytes: int, block: Callable[[int, int], np.ndarray]) -> Optional[tuple[int, ...]]:
@@ -102,7 +113,7 @@ def _first_disjoint(rows: np.ndarray, rows2: np.ndarray, upper: bool) -> Optiona
     """The pair search: first (i, j), i < j if ``upper``, with disjoint rows i of ``rows`` and j of ``rows2``."""
     def block(lo, hi):
         d = ~(rows[lo:hi] @ rows2.T)
-        return np.triu(d, 1 + lo) if upper else d
+        return d & (np.arange(lo, hi)[:, None] < np.arange(len(rows2))) if upper else d
 
     return _scan(len(rows), len(rows2), block)
 
@@ -344,8 +355,12 @@ def positivity(channel: SdDmc, si: SiModel, regime: Regime) -> Verdict:
 
     Variable length takes the row's first condition; fixed and bounded length
     share its second (one positivity condition, not one capacity value), and
-    the verdict names the regime asked for.
+    the verdict names the regime asked for.  A channel with an empty state,
+    input or output alphabet is a ``ValidationError``: no condition speaks of it.
     """
+    if 0 in channel.W.shape:
+        empty = ("state", "input", "output")[channel.W.shape.index(0)]
+        raise ValidationError(f"the {empty} alphabet is empty: W has shape {channel.W.shape}")
     route = _ROUTES[si.token][0 if regime is Regime.VARIABLE_LENGTH else 1]
     return _decide(channel, route, si.token, regime.value)
 
