@@ -311,6 +311,9 @@ def _faulty_document(fault: str) -> str:
         W[0][1] = [-0.25, 1.25]
     elif fault == "row_drift":
         W[1][0] = [0.25, 0.750001]
+    elif fault == "nan_and_row_drift":
+        W[0][0][0] = float("nan")
+        W[1][0] = [0.25, 0.750001]
     elif fault == "zero_state":
         Q = [1.0, 0.0]
     elif fault == "q_sum":
@@ -333,6 +336,9 @@ def _faulty_document(fault: str) -> str:
                        "row_stochastic": "row (s=1, x=1) sums to 1.25"}),
         ("negative", {"entry_range": "W[s=0][x=1][y=0]=-0.25 outside [0, 1]"}),
         ("row_drift", {"row_stochastic": "row (s=1, x=0) sums to 1.0000010000000001"}),
+        # A NaN row is not flagged, and does not hide a drifting row behind it.
+        ("nan_and_row_drift", {"entry_range": "W[s=0][x=0][y=0]=nan outside [0, 1]",
+                               "row_stochastic": "row (s=1, x=0) sums to 1.0000010000000001"}),
         ("zero_state", {"state_distribution": "Q[s=1]=0.0 is not strictly positive"}),
         ("q_sum", {"state_distribution": "Q sums to 0.8, not 1"}),
         ("unreachable", {"every_output_reachable": "output y=1 is unreachable from every (x, s)"}),
@@ -361,6 +367,28 @@ def test_validate_report_is_pinned(tmp_path, capsys, fault, failures):
         assert str(raised.value) == f"{name}: {detail}"
     else:
         load_channel(text)
+
+
+@pytest.mark.parametrize(
+    "shape, failures",
+    [
+        ((1, 2, 0), {"alphabet_sizes": "need |X|>=2, |Y|>=2, |S|>=1; got (2, 0, 1)",
+                     "row_stochastic": "row (s=0, x=0) sums to 0.0"}),
+        ((0, 2, 2), {"alphabet_sizes": "need |X|>=2, |Y|>=2, |S|>=1; got (2, 2, 0)",
+                     "state_distribution": "Q sums to 0.0, not 1",
+                     "every_output_reachable": "output y=0 is unreachable from every (x, s)"}),
+        ((1, 0, 2), {"alphabet_sizes": "need |X|>=2, |Y|>=2, |S|>=1; got (0, 2, 1)",
+                     "every_output_reachable": "output y=0 is unreachable from every (x, s)"}),
+    ],
+    ids=["no-outputs", "no-states", "no-inputs"],
+)
+def test_validate_reports_zero_size_channels(shape, failures):
+    # A library-built channel with an empty axis gets the whole failing
+    # report, alphabet_sizes first; no check raises on the zero-size arrays.
+    report = validate(SdDmc(W=np.zeros(shape), Q=[1.0] * shape[0]))
+    expected = [{"name": n, "passed": n not in failures, "detail": failures.get(n, "")} for n in _CHECK_NAMES]
+    assert report.to_jsonable() == {"passed": False, "checks": expected}
+    assert report.failures()[0].name == "alphabet_sizes"
 
 
 def test_roundtrip_bit_exact(rng):

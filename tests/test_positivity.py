@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sdchan import (
     BudgetExceeded,
@@ -14,6 +16,7 @@ from sdchan import (
     SiModel,
     UNKNOWN,
     UnsupportedModel,
+    ValidationError,
     Verdict,
     ZERO,
     average_states,
@@ -27,6 +30,7 @@ from sdchan import (
     vl_positivity,
     zero_error_capacity,
 )
+from sdchan.channel import _MODEL_TOKENS
 from conftest import bsc, ch_ex1, ch_ex2, ch_ex3, ch_triv, pentagon, random_channel
 
 SI_ALL = [SiModel.from_token(t) for t in ("-,-", "sc,-", "c,-", "nc,-", "sc,c", "c,c", "nc,c", "nc,nc")]
@@ -418,3 +422,55 @@ def test_blocked_searches_match_one_block(monkeypatch, block_bytes):
     whole = [verdicts(ch) for ch in channels]
     monkeypatch.setattr(importlib.import_module("sdchan.positivity"), "MAX_BLOCK_BYTES", block_bytes)
     assert [verdicts(ch) for ch in channels] == whole
+
+
+@pytest.mark.parametrize("shape, empty", [((1, 2, 0), "output"), ((0, 2, 2), "state"), ((1, 0, 2), "input")])
+def test_positivity_refuses_an_empty_alphabet(shape, empty):
+    # No condition speaks of a channel without states, inputs or outputs:
+    # every (model, regime) pair raises before any search.
+    ch = SdDmc(W=np.zeros(shape), Q=[1.0] * shape[0])
+    for token in _MODEL_TOKENS:
+        for regime in Regime:
+            with pytest.raises(ValidationError, match=f"^the {empty} alphabet is empty: W has shape "):
+                positivity(ch, SiModel.from_token(token), regime)
+
+
+def _first_reference(mask):
+    hits = np.flatnonzero(mask)
+    return tuple(int(i) for i in np.unravel_index(hits[0], mask.shape)) if hits.size else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.bool_, hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5),
+                  elements=st.booleans(), fill=st.nothing()))
+@example(np.zeros((3, 3), dtype=bool))
+@example(np.zeros((2, 0, 3), dtype=bool))
+@example(np.eye(3, dtype=bool)[::-1])
+def test_first_matches_flatnonzero(mask):
+    first = importlib.import_module("sdchan.positivity")._first
+    assert first(mask) == _first_reference(mask)
+    assert first(mask.T) == _first_reference(mask.T)  # a non-contiguous view, as check_nocvlpos passes
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_first_disjoint_matches_double_loop(data):
+    # A block budget of a few bytes splits the search into blocks of one or
+    # a few rows, so the upper mask is taken at block offsets lo > 0.
+    module = importlib.import_module("sdchan.positivity")
+    ny = data.draw(st.integers(1, 4))
+
+    def support():  # entries drawn one by one, not filled with one value
+        shape = (data.draw(st.integers(0, 7)), ny)
+        return data.draw(hnp.arrays(np.bool_, shape, elements=st.booleans(), fill=st.nothing()))
+
+    rows, upper = support(), data.draw(st.booleans())
+    # The callers' upper searches pass one array twice; two arrays also
+    # show a mask that ignores the block offset.
+    rows2 = rows if upper and data.draw(st.booleans()) else support()
+    block_bytes = data.draw(st.integers(1, 3 * max(len(rows2), 1)))
+    expected = next(((i, j) for i in range(len(rows)) for j in range(len(rows2))
+                     if (i < j or not upper) and not (rows[i] & rows2[j]).any()), None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "MAX_BLOCK_BYTES", block_bytes)
+        assert module._first_disjoint(rows, rows2, upper) == expected
