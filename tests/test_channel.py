@@ -336,15 +336,15 @@ def _faulty_document(fault: str) -> str:
                        "row_stochastic": "row (s=1, x=1) sums to 1.25"}),
         ("negative", {"entry_range": "W[s=0][x=1][y=0]=-0.25 outside [0, 1]"}),
         ("row_drift", {"row_stochastic": "row (s=1, x=0) sums to 1.0000010000000001"}),
-        # A NaN row is not flagged, and does not hide a drifting row behind it.
-        ("nan_and_row_drift", {"entry_range": "W[s=0][x=0][y=0]=nan outside [0, 1]",
-                               "row_stochastic": "row (s=1, x=0) sums to 1.0000010000000001"}),
         ("zero_state", {"state_distribution": "Q[s=1]=0.0 is not strictly positive"}),
         ("q_sum", {"state_distribution": "Q sums to 0.8, not 1"}),
         ("unreachable", {"every_output_reachable": "output y=1 is unreachable from every (x, s)"}),
         ("small_alphabets", {"alphabet_sizes": "need |X|>=2, |Y|>=2, |S|>=1; got (2, 1, 1)"}),
         ("empty_output_axis", {"alphabet_sizes": "need |X|>=2, |Y|>=2, |S|>=1; got (1, 0, 1)",
                                "row_stochastic": "row (s=0, x=0) sums to 0.0"}),
+        # A NaN row is not flagged, and does not hide a drifting row behind it.
+        ("nan_and_row_drift", {"entry_range": "W[s=0][x=0][y=0]=nan outside [0, 1]",
+                               "row_stochastic": "row (s=1, x=0) sums to 1.0000010000000001"}),
     ],
 )
 def test_validate_report_is_pinned(tmp_path, capsys, fault, failures):
