@@ -7,7 +7,9 @@ result carries the gap between its own upper and lower bounds, so its value
 is a certified bracket [value, value + gap]; one that stops at its iteration
 cap returns its wider bracket with a warning.  Blahut-Arimoto starts at the
 closed-form optimum of a square or two-output DMC, where the KKT conditions
-are linear, and usually stops there after one evaluation.
+are linear, and usually stops there after one evaluation; so does the
+Gelfand-Pinsker ascent on a channel with one state of positive probability,
+which is Blahut-Arimoto on its distinct letters.
 
 ``_VALUES`` is the one place that maps each state-information model to the
 reduction and optimizer that give its vanishing-error value;
@@ -44,8 +46,8 @@ GP_TOL = 1e-7
 # The finishes of both optimizers are tried once the bracket is narrower
 # than FINISH_GAP.  Blahut-Arimoto's Newton step works on a face that holds
 # the inputs with more than FACE_SHARE of the largest mass; inputs off the
-# face that are losing mass keep OFF_FACE_KEEP of it, as do the letters that
-# Gelfand-Pinsker's finish sheds.
+# face that are losing mass keep OFF_FACE_KEEP of it, as do the letter
+# masses that Gelfand-Pinsker's finish sheds.
 FINISH_GAP = 1e-2
 FACE_SHARE = 1e-3
 OFF_FACE_KEEP = 1 / 16
@@ -107,6 +109,11 @@ def _adaptive_ascent(name: str, point, evaluate, propose, tol: float, max_iter: 
     returns a candidate point or None.  The candidate is evaluated like any
     proposal, so it counts in ``iterations`` and against ``max_iter``, and
     it is accepted when its lower bound rises and its upper bound is finite.
+    A candidate whose lower bound does not rise, but whose upper bound is
+    finite, is judged after one plain step from it: a finish can land where
+    its own lower bound dips while the plain step from there climbs.  That
+    step counts too (with no evaluation left for it, the candidate is
+    rejected), and the pair is accepted on the same rule.
     Unlike an extrapolation it may widen the bracket: the mass it leaves
     off the optimum's support can hold the upper bound up for a few steps.
     Since the lower bound never drops, the value reported still never
@@ -148,6 +155,12 @@ def _adaptive_ascent(name: str, point, evaluate, propose, tol: float, max_iter: 
             continue
         t_lower, t_upper, t_direction = evaluate(trial)
         evaluations += 1
+        if not t_lower > lower and t_upper < np.inf and evaluations < max_iter:
+            # A finish can land where its own lower bound dips while the
+            # plain step from there climbs.
+            trial = propose(trial, t_direction, 1.0)
+            t_lower, t_upper, t_direction = evaluate(trial)
+            evaluations += 1
         if t_lower > lower and t_upper < np.inf:
             again = t_upper - t_lower < (upper - lower) / 2
             point, lower, upper, direction = trial, t_lower, t_upper, t_direction
@@ -358,9 +371,9 @@ def gelfand_pinsker_capacity(channel: SdDmc, max_iter: int = BA_MAX_ITER) -> Cap
     U ranges over the distinct per-state kernels W[s][u(s)][.] of the
     strategy letters u.  Merging letters that induce one kernel never lowers
     the objective, so no auxiliary alphabet does better.  The objective is
-    concave in P(u|s) (Dupuis, Yu & Willems, ISIT 2004); it is ascended from
-    the uniform point until the Frank-Wolfe gap, an upper bound on the
-    distance to the optimum, drops below ``GP_TOL``.  The step proposes
+    concave in P(u|s) (Dupuis, Yu & Willems, ISIT 2004); it is ascended
+    until the Frank-Wolfe gap, an upper bound on the distance to the
+    optimum, drops below ``GP_TOL``.  The step proposes
     ln P' = normalize(ln P + mu (a - ln P)); mu = 1 is the alternating
     closed-form update, and ``_adaptive_ascent`` adapts mu.  The capacity
     lies in [value, value + certified_gap], both computed at the returned
@@ -369,6 +382,14 @@ def gelfand_pinsker_capacity(channel: SdDmc, max_iter: int = BA_MAX_ITER) -> Cap
     beat.  ``iterations`` counts the score evaluations, rejected proposals
     and finishing steps included.  At ``max_iter`` the bracket is returned
     with a warning.
+
+    The ascent starts at the uniform P(u|s), except on a channel with one
+    state of positive probability.  There I(U;S) = 0 and the objective is
+    I(U;Y) over the distinct letters' matrix, so it starts where
+    ``blahut_arimoto`` would: at ``_kkt_start``'s law on a square or
+    two-output matrix, mixed with GP_TOL / 10 of the uniform law so that
+    every ln P(u|s) is finite.  Any other shape, a singular matrix or a law
+    that is not positive keeps the uniform start.
 
     Once the bracket is narrower than ``FINISH_GAP``, ``_adaptive_ascent``
     may try a finish that sheds the letters the plain step is emptying.  At
@@ -379,7 +400,9 @@ def gelfand_pinsker_capacity(channel: SdDmc, max_iter: int = BA_MAX_ITER) -> Cap
     renormalises each state in the log domain.  One scale for every state
     keeps the letter's shape, so q(u|y) and g barely move and the lower
     bound rises, where the plain step takes hundreds of evaluations to
-    empty such a letter.  No letter is set to zero, which would leave its g
+    empty such a letter.  When no letter is emptying in every state, the
+    finish scales by OFF_FACE_KEEP each P(u|s) whose plain step is negative
+    in its own state.  No letter is set to zero, which would leave its g
     undefined.  The bracket stays certified: the candidate is a point like
     any other, and its bounds come from the same evaluation.
 
@@ -437,13 +460,27 @@ def gelfand_pinsker_capacity(channel: SdDmc, max_iter: int = BA_MAX_ITER) -> Cap
 
     def finish(log_P, direction):
         a, g = direction
-        emptying = (g < np.logaddexp.reduce(a, axis=0)).all(axis=1)
-        if not emptying.any():
+        losing = g < np.logaddexp.reduce(a, axis=0)
+        emptying = losing.all(axis=1)
+        if emptying.any():
+            losing = emptying[:, None]
+        elif not losing.any():
             return None
-        x = log_P + np.where(emptying, np.log(OFF_FACE_KEEP), 0.0)[:, None]
+        x = log_P + np.where(losing, np.log(OFF_FACE_KEEP), 0.0)
         return x - np.logaddexp.reduce(x, axis=0)
 
     start = np.full((len(keep), len(states)), -np.log(len(keep)))
+    if len(states) == 1:
+        W = T[:, 0]
+        # As in ``blahut_arimoto``, a nearly singular matrix can give a NaN
+        # law, which ``_kkt_start`` refuses.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            law = _kkt_start(W, _xlog2(W).sum(axis=1))
+        if law is not None:
+            # Every letter keeps some mass, so every ln P(u|s) is finite,
+            # and the lower bound moves by far less than GP_TOL.
+            mix = GP_TOL / 10
+            start = np.log((1.0 - mix) * law + mix / len(law))[:, None]
     log_P, bracket = _adaptive_ascent("gelfand_pinsker", start, evaluate, propose, GP_TOL, max_iter, finish)
     return CapacityResult(
         maximizer={"P_U_given_S": np.exp(log_P).T.tolist(), "f": letters[keep].tolist()},

@@ -1,11 +1,15 @@
-"""Shared channel fixtures and a seeded random-channel generator."""
+"""Shared channel fixtures, a seeded random-channel generator and the benchmark's modules."""
 
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sdchan import Dmc, SdDmc
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def ch_triv() -> SdDmc:
@@ -127,3 +131,15 @@ def random_channel(rng: np.random.Generator, max_size: int = 3, zero_prob: float
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture
+def bench(monkeypatch, tmp_path):
+    """The benchmark's ``checker``, ``spans`` and ``workloads`` modules, run from ``tmp_path``."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.chdir(tmp_path)
+    import checker
+    import spans
+    import workloads
+
+    return checker, spans, workloads

@@ -11,25 +11,12 @@ or traces, fails here.
 
 import contextlib
 import io
-from pathlib import Path
 
 import pytest
 
 from sdchan import cli
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
 SEED = 4242
-
-
-@pytest.fixture
-def bench(monkeypatch, tmp_path):
-    monkeypatch.syspath_prepend(str(BENCH))
-    monkeypatch.chdir(tmp_path)
-    import checker
-    import spans
-    import workloads
-
-    return checker, spans, workloads
 
 
 def _run(units, passes, check):
