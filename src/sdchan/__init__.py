@@ -66,7 +66,6 @@ from .protocols import (
     reduced_dmc,
 )
 from .oracles import (
-    OracleReport,
     confusable_all_pairs_fl,
     gp_grid_oracle,
     grid_capacity,

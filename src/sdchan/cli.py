@@ -49,7 +49,7 @@ from .capacity import (
     vanishing_capacity,
     zero_error_capacity,
 )
-from .oracles import OracleReport, confusable_all_pairs_fl, gp_grid_oracle, grid_capacity, lattice_size
+from .oracles import confusable_all_pairs_fl, gp_grid_oracle, grid_capacity, lattice_size
 from .positivity import POSITIVE, POSITIVE_SUFFICIENT, UNKNOWN, ZERO, bl_positivity, positivity
 from .protocols import PROTOCOLS, Trace, monte_carlo
 from .reductions import (
@@ -297,41 +297,27 @@ def _cmd_oracle(args, text: str):
         si = SiModel.from_token("sc,c" if args.decoder_sees_state else "-,-")
         verdict = bl_positivity(channel, si)
         module_value = verdict.decision == ZERO
-        report = OracleReport(
-            instance=f"all input pairs confusable at n={args.n}",
-            oracle_value=oracle_value,
-            module_value=module_value,
-            tolerance=0.0,
-            agreement=oracle_value == module_value,
-            search_space=channel.nx**args.n * channel.ny**args.n,
-        )
+        instance, tolerance = f"all input pairs confusable at n={args.n}", 0.0
+        agreement = oracle_value == module_value
+        search_space = channel.nx**args.n * channel.ny**args.n
     elif args.which == "grid-capacity":
         dmc = average_states(channel)
         oracle_value = grid_capacity(dmc, args.resolution)
         module_value = blahut_arimoto(dmc).value
-        report = OracleReport(
-            instance=f"averaged-channel capacity, lattice resolution {args.resolution}",
-            oracle_value=oracle_value,
-            module_value=module_value,
-            tolerance=1e-3,
-            agreement=abs(oracle_value - module_value) <= 1e-3,
-            search_space=lattice_size(args.resolution, dmc.nx),
-        )
+        instance, tolerance = f"averaged-channel capacity, lattice resolution {args.resolution}", 1e-3
+        agreement = abs(oracle_value - module_value) <= tolerance
+        search_space = lattice_size(args.resolution, dmc.nx)
     else:
         u_size = channel.nx * channel.ns if args.u_size is None else args.u_size
         oracle_value = gp_grid_oracle(channel, args.resolution, u_size)
         module_value = gelfand_pinsker_capacity(channel).value
-        report = OracleReport(
-            instance=f"auxiliary-variable lower bound, resolution {args.resolution}, |U|={u_size}",
-            oracle_value=oracle_value,
-            module_value=module_value,
-            tolerance=1e-3,
-            agreement=module_value >= oracle_value - 1e-3,
-            search_space=lattice_size(args.resolution, u_size) ** channel.ns,
-        )
+        instance, tolerance = f"auxiliary-variable lower bound, resolution {args.resolution}, |U|={u_size}", 1e-3
+        agreement = module_value >= oracle_value - tolerance
+        search_space = lattice_size(args.resolution, u_size) ** channel.ns
+    results = {"instance": instance, "oracle_value": oracle_value, "module_value": module_value,
+               "tolerance": tolerance, "agreement": agreement, "search_space": search_space}
     params = {k: getattr(args, k) for k in ("which", "n", "decoder_sees_state", "resolution", "u_size")}
-    summary = f"agreement={report.agreement}"
-    return params, report.to_jsonable(), summary, EXIT_OK if report.agreement else EXIT_INVALID
+    return params, results, f"agreement={agreement}", EXIT_OK if agreement else EXIT_INVALID
 
 
 # Subcommand -> handler(args, channel text) -> (parameters, results, verbose

@@ -9,7 +9,6 @@ raises instead of silently truncating.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import comb
 
@@ -22,21 +21,6 @@ CONFUSABLE_BUDGET = 50_000_000
 GRID_BUDGET = 5_000_000
 GP_GRID_BUDGET = 50_000_000
 GRID_ENTRIES = 50_000_000  # entries of a grid oracle's largest float64 array: 400 MB; measured peaks are 2.3-3.7x it
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    """Outcome of comparing a module value against its brute-force oracle."""
-
-    instance: str
-    oracle_value: float | bool
-    module_value: float | bool
-    tolerance: float
-    agreement: bool
-    search_space: int
-
-    def to_jsonable(self) -> dict:
-        return asdict(self)
 
 
 def confusable_all_pairs_fl(channel: SdDmc, decoder_sees_state: bool, n: int) -> bool:

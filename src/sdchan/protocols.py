@@ -436,42 +436,21 @@ def _distinct_codewords(rows: np.ndarray, nx: int, rng: np.random.Generator) -> 
     return np.concatenate(words)
 
 
-def _send_one(trial: Trial, msg: Optional[int], rng: np.random.Generator, trace: Optional[Trace]) -> tuple:
-    """Send one message (drawn from ``rng`` if None): (msg, then send's values), as Python scalars."""
-    if msg is not None and not 0 <= msg < 1 << trial.msg_bits:
-        raise ValueError(f"message {msg} is outside 0..{(1 << trial.msg_bits) - 1}")
-    msgs = rng.integers(1 << trial.msg_bits, size=1) if msg is None else np.array([msg])
-    return tuple(a[0].item() for a in (msgs, *trial.run(msgs, rng, trace)))
+# Not called by the CLI, which runs every protocol through ``monte_carlo``;
+# the benchmark's tracer wraps these three names.  Each sends one message.
+def run_disprover_bit(channel: Dmc, bit: int, rng: np.random.Generator, trace: Optional[Trace] = None) -> tuple:
+    return disprover_trial(channel).run(np.array([bit]), rng, trace)
 
 
-def run_disprover_bit(
-    channel: Dmc, bit: int, rng: np.random.Generator, trace: Optional[Trace] = None
-) -> tuple[int, int]:
-    """Send one bit with zero error over a DMC that has a disprover output."""
-    return _send_one(disprover_trial(channel), bit, rng, trace)[1:]
-
-
-def run_theorem5_bit(
-    channel: SdDmc, bit: int, rng: np.random.Generator, trace: Optional[Trace] = None
-) -> tuple[int, int]:
-    """One bit with zero error when only the decoder sees the (causal) states."""
-    return _send_one(theorem5_trial(channel), bit, rng, trace)[1:]
-
-
-@dataclass(frozen=True)
-class HanSatoRun:
-    message: int
-    decoded: int
-    tau: int
-    phase1_correct: bool
+def run_theorem5_bit(channel: SdDmc, bit: int, rng: np.random.Generator, trace: Optional[Trace] = None) -> tuple:
+    return theorem5_trial(channel).run(np.array([bit]), rng, trace)
 
 
 def run_han_sato(
-    channel: SdDmc, si: SiModel, msg_bits: int, rng: np.random.Generator,
-    n1: Optional[int] = None, msg: Optional[int] = None, trace: Optional[Trace] = None,
-) -> HanSatoRun:
-    """One two-phase transmission of ``msg`` (drawn from ``rng`` if None)."""
-    return HanSatoRun(*_send_one(han_sato_trial(channel, si, msg_bits, n1), msg, rng, trace))
+    channel: SdDmc, si: SiModel, msg_bits: int, msg: int, rng: np.random.Generator,
+    n1: Optional[int] = None, trace: Optional[Trace] = None,
+) -> tuple:
+    return han_sato_trial(channel, si, msg_bits, n1).run(np.array([msg]), rng, trace)
 
 
 def monte_carlo(trial: Trial, trials: int, seed: int, trace: Optional[Trace] = None) -> ProtocolStats:

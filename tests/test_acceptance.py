@@ -28,7 +28,7 @@ from sdchan import (
     zero_error_capacity,
 )
 from sdchan.cli import main as cli_main
-from sdchan.protocols import _cdf, _sample, disprover_trial, han_sato_trial, run_han_sato, theorem5_trial
+from sdchan.protocols import _cdf, _sample, disprover_trial, han_sato_trial, theorem5_trial
 from conftest import (
     bsc,
     ch_ex1,
@@ -211,12 +211,10 @@ def test_criterion_9_capacity_monotonicity():
 
 
 def test_criterion_note_han_sato_rate(han_sato_stats):
-    trial_runs = 2000
-    phase1 = 0
-    for i in range(trial_runs):
-        rng = np.random.default_rng([7, i])
-        phase1 += run_han_sato(ch_ex1(), SiModel.from_token("-,-"), 4, rng, n1=HS_N1).phase1_correct
-    phase1_error = 1 - phase1 / trial_runs
+    rng = np.random.default_rng(7)
+    trial = han_sato_trial(ch_ex1(), SiModel.from_token("-,-"), 4, n1=HS_N1)
+    ack = trial.run(rng.integers(16, size=2000), rng)[2]
+    phase1_error = 1 - ack.mean()
     phase1_rate = 4 / HS_N1
     ok = phase1_error <= 0.1
     ok &= han_sato_stats.rate_bits_per_use >= 0.8 * phase1_rate

@@ -21,12 +21,12 @@ EXPORTS = {
     # protocols
     "ProtocolStats", "Trace", "monte_carlo", "reduced_dmc",
     # oracles
-    "OracleReport", "confusable_all_pairs_fl", "gp_grid_oracle", "grid_capacity",
+    "confusable_all_pairs_fl", "gp_grid_oracle", "grid_capacity",
 }
 
 
 def test_package_exports_exactly_these_names():
     exported = {name for name, value in vars(sdchan).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(EXPORTS) == 48
+    assert len(EXPORTS) == 47
     assert exported == EXPORTS

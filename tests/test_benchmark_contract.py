@@ -4,9 +4,10 @@ The benchmark in ``bench/`` drives ``sdchan.cli.main`` with the calls of
 ``bench/workloads.py``, checks every report with ``bench/checker.Checker``,
 and traces the public functions that ``bench/spans.py`` names.  This test
 runs the first pass of ``capacity-ba``, ``capacity-gp`` and ``simulate`` and
-five passes of ``decide``, under the tracer, at the benchmark's seed 4242.
-A change that the checker refuses, or that breaks a name ``bench/`` imports
-or traces, fails here.
+five passes of ``decide``, under the tracer, at the benchmark's seed 4242,
+and checks that the tracer saw each call and the layer its workload
+exercises.  A change that the checker refuses, or that breaks a name
+``bench/`` imports or traces, fails here.
 """
 
 import contextlib
@@ -39,21 +40,27 @@ def _run(units, passes, check):
     raise AssertionError("workload stream ended before its passes did")
 
 
+# The traced function that each workload's calls must reach.
+LAYER = {
+    "capacity-ba": "capacity.blahut_arimoto",
+    "capacity-gp": "capacity.gelfand_pinsker_capacity",
+    "simulate": "protocols.monte_carlo",
+    "decide": "positivity.positivity",
+}
+
+
 @pytest.mark.parametrize("workload, passes", [("capacity-ba", 1), ("capacity-gp", 1), ("simulate", 1), ("decide", 5)])
 def test_workload_passes_the_benchmark_checker(bench, tmp_path, workload, passes):
     checker, spans, workloads = bench
     check = checker.Checker()
-    tracer = spans.Tracer() if workload == "decide" else None
-    if tracer is not None:
-        tracer.install()
+    tracer = spans.Tracer()
+    tracer.install()
     try:
         calls = _run(workloads.WORKLOADS[workload](SEED, str(tmp_path)), passes, check)
     finally:
-        if tracer is not None:
-            tracer.uninstall()
+        tracer.uninstall()
     summary = check.finish()
     assert summary["correct"], summary["unexpected_failures"]
     assert summary["attempted"] == calls > 0
-    if tracer is not None:
-        assert tracer.stats["cli.main"][0] == calls
-        assert tracer.metrics()["positivity.positivity.calls"] > 0
+    assert tracer.stats["cli.main"][0] == calls
+    assert tracer.metrics()[LAYER[workload] + ".calls"] > 0

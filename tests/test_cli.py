@@ -597,6 +597,19 @@ def test_oracle_confusable(capsys, ex1_path):
     assert report["results"]["agreement"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--which", "confusable", "--n", "2"],
+    ["--which", "grid-capacity", "--resolution", "40"],
+    ["--which", "gp-grid", "--resolution", "2"],
+])
+def test_oracle_results_keys_in_order(capsys, ex1_path, argv):
+    code, report = run_cli(capsys, "oracle", ex1_path, *argv)
+    assert code == 0
+    assert list(report["results"]) == [
+        "instance", "oracle_value", "module_value", "tolerance", "agreement", "search_space"
+    ]
+
+
 @pytest.mark.parametrize("Q, W, argv", [
     ([1.0], [[[1.0, 0.0], [0.5, 0.5]]], ["--which", "confusable", "--n", "5000"]),
     ([0.5, 0.5], [[[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [0.0, 1.0]]], ["--which", "gp-grid", "--resolution", "1" * 1500]),

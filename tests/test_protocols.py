@@ -25,7 +25,7 @@ from sdchan.positivity import MAX_BLOCK_BYTES, POSITIVE, Verdict, check_nocvlpos
 import sdchan.protocols
 from sdchan.protocols import (
     CHUNK_TRIALS, MAX_CODEBOOK_ENTRIES, _cdf, _codebooks, _distinct_codewords, _sample, disprover_trial,
-    han_sato_trial, run_disprover_bit, run_han_sato, run_theorem5_bit, theorem5_trial,
+    han_sato_trial, theorem5_trial,
 )
 from conftest import bsc, ch_ex1, ch_ex2, ch_ex3, ch_triv, random_channel
 
@@ -138,15 +138,15 @@ def test_sample_state_frequency():
 
 
 def test_disprover_identity_exact():
-    dmc = average_states(ch_triv())
+    trial = disprover_trial(average_states(ch_triv()))
     for bit in (0, 1):
-        decoded, tau = run_disprover_bit(dmc, bit, np.random.default_rng(5))
+        (decoded,), (tau,) = trial.run(np.array([bit]), np.random.default_rng(5))
         assert decoded == bit and tau == 2
 
 
 def test_disprover_requires_zero_entry():
     with pytest.raises(PrecondFailed):
-        run_disprover_bit(bsc(0.3), 0, np.random.default_rng(6))
+        disprover_trial(bsc(0.3))
 
 
 def test_disprover_skips_unreachable_outputs():
@@ -165,7 +165,7 @@ def test_disprover_stats_light():
 
 def test_disprover_trace():
     trace = Trace()
-    decoded, tau = run_disprover_bit(average_states(ch_ex1()), 1, np.random.default_rng(7), trace=trace)
+    (decoded,), (tau,) = disprover_trial(average_states(ch_ex1())).run(np.array([1]), np.random.default_rng(7), trace)
     assert trace.tau == tau == trace.slots[-1]["n"]
     assert trace.slots[-1]["decision"] == decoded
     assert all(slot["decision"] is None for slot in trace.slots[:-1])
@@ -209,12 +209,10 @@ def test_theorem5_guard_rejects_an_unsound_witness(monkeypatch):
 
 
 def test_theorem5_correct_and_synchronous():
-    for i in range(200):
-        rng = np.random.default_rng([8, i])
-        bit = i % 2
-        decoded, tau = run_theorem5_bit(ch_ex1(), bit, rng)
-        assert decoded == bit
-        assert tau % 2 == 0
+    bits = np.arange(200) % 2
+    decoded, tau = theorem5_trial(ch_ex1()).run(bits, np.random.default_rng(8))
+    assert (decoded == bits).all()
+    assert (tau % 2 == 0).all()
 
 
 def test_theorem5_ex2_mean():
@@ -225,32 +223,35 @@ def test_theorem5_ex2_mean():
 
 def test_theorem5_precond():
     with pytest.raises(PrecondFailed):
-        run_theorem5_bit(ch_ex3(p=0.3, q=0.5), 0, np.random.default_rng(9))
+        theorem5_trial(ch_ex3(p=0.3, q=0.5))
 
 
 def test_han_sato_triv_exact_tau():
     for k in (2, 3, 4):
-        run = run_han_sato(ch_triv(), SiModel.from_token("-,-"), k, np.random.default_rng(10), n1=k)
-        assert run.decoded == run.message
-        assert run.tau == k + 2
-        assert run.phase1_correct
+        msgs = np.arange(1 << k)
+        decoded, tau, ack = han_sato_trial(ch_triv(), SiModel.from_token("-,-"), k, n1=k).run(
+            msgs, np.random.default_rng(10))
+        assert (decoded == msgs).all()
+        assert (tau == k + 2).all()
+        assert ack.all()
 
 
 def test_han_sato_all_si_models():
+    msgs = np.arange(8)
     for token in ("-,-", "sc,-", "c,-", "nc,-", "sc,c", "c,c", "nc,c", "nc,nc"):
-        run = run_han_sato(ch_ex1(), SiModel.from_token(token), 3, np.random.default_rng(13))
-        assert run.decoded == run.message
+        decoded = han_sato_trial(ch_ex1(), SiModel.from_token(token), 3).run(msgs, np.random.default_rng(13))[0]
+        assert (decoded == msgs).all()
 
 
 def test_han_sato_rejects_decoder_only_model():
     with pytest.raises(UnsupportedModel):
-        run_han_sato(ch_ex1(), SiModel.from_token("-,c"), 3, np.random.default_rng(14))
+        han_sato_trial(ch_ex1(), SiModel.from_token("-,c"), 3)
 
 
 def test_han_sato_precond():
     flat = SdDmc(W=[[[0.7, 0.3], [0.3, 0.7]]], Q=[1.0])
     with pytest.raises(PrecondFailed):
-        run_han_sato(flat, SiModel.from_token("-,-"), 3, np.random.default_rng(15))
+        han_sato_trial(flat, SiModel.from_token("-,-"), 3)
 
 
 def test_reduced_dmc_mapping():
@@ -562,20 +563,8 @@ def test_monte_carlo_chunks_use_distinct_substreams():
     assert two.mean_tau != one.mean_tau
 
 
-def test_single_message_runs_reject_out_of_range_messages():
-    rng = np.random.default_rng(19)
-    with pytest.raises(ValueError):
-        run_disprover_bit(average_states(ch_ex1()), 2, rng)
-    with pytest.raises(ValueError):
-        run_theorem5_bit(ch_ex1(), -1, rng)
-    for msg in (-1, 8, 9):
-        with pytest.raises(ValueError):
-            run_han_sato(ch_ex1(), SiModel.from_token("-,-"), 3, rng, msg=msg)
-    assert run_han_sato(ch_ex1(), SiModel.from_token("-,-"), 3, rng, msg=7).decoded == 7
-
-
 def test_han_sato_codebook_cap():
     with pytest.raises(BudgetExceeded):
-        run_han_sato(ch_ex1(), SiModel.from_token("-,-"), 40, np.random.default_rng(17))
+        han_sato_trial(ch_ex1(), SiModel.from_token("-,-"), 40)
     with pytest.raises(BudgetExceeded):
-        run_han_sato(ch_ex1(), SiModel.from_token("-,-"), 4, np.random.default_rng(17), n1=MAX_CODEBOOK_ENTRIES)
+        han_sato_trial(ch_ex1(), SiModel.from_token("-,-"), 4, n1=MAX_CODEBOOK_ENTRIES)
